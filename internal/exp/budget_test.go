@@ -39,18 +39,26 @@ func budgetModel() *CostModel {
 // everything after — expansion indexes 0,1,4,5,6,7.
 var wantAdmitted = map[int]bool{2: true, 3: true}
 
-func budgetCampaign(t *testing.T, cache *Cache, parallel int, claim *ClaimOptions) (*SweepResult, ClaimStats) {
-	t.Helper()
+func newBudgetCampaign(cache *DirStore, parallel int, claim *ClaimOptions) *Campaign {
 	model := budgetModel()
-	camp := Campaign{
+	return &Campaign{
 		Grid:     smallGrid(1, 2),
-		Cache:    cache,
+		Store:    cache,
 		Parallel: parallel,
 		Planner:  CostPlanner{Model: model},
 		Budget:   &BudgetOptions{Limit: 10 * time.Second, Model: model},
 		Claim:    claim,
 		run:      fakeRun,
 	}
+}
+
+func budgetCampaign(t *testing.T, cache *DirStore, parallel int, claim *ClaimOptions) (*SweepResult, ClaimStats) {
+	t.Helper()
+	return executeBudgetCampaign(t, newBudgetCampaign(cache, parallel, claim))
+}
+
+func executeBudgetCampaign(t *testing.T, camp *Campaign) (*SweepResult, ClaimStats) {
+	t.Helper()
 	res, stats, err := camp.Execute()
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +91,7 @@ func checkSkipSet(t *testing.T, res *SweepResult, label string) {
 // byte-identically to a never-budgeted run.
 func TestBudgetDeterminism(t *testing.T) {
 	// Reference: a never-budgeted cold run.
-	cold, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: 1}, fakeRun)
+	cold, err := runCampaign(smallGrid(1, 2), nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +99,7 @@ func TestBudgetDeterminism(t *testing.T) {
 
 	var budgetedCSV string
 	for _, parallel := range []int{1, 4} {
-		cache, err := OpenCache(t.TempDir())
+		cache, err := OpenDirStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +111,7 @@ func TestBudgetDeterminism(t *testing.T) {
 		// Skipped cells stay uncached; admitted cells land.
 		for i, s := range smallGrid(1, 2).Runs() {
 			s.fillDefaults()
-			_, cached := cache.Load(s)
+			_, cached := cache.LoadCell(s, s.Hash())
 			if cached != wantAdmitted[i] {
 				t.Errorf("parallel=%d: cell %d cached=%t, want %t", parallel, i, cached, wantAdmitted[i])
 			}
@@ -122,7 +130,7 @@ func TestBudgetDeterminism(t *testing.T) {
 		// The unbudgeted resume completes the grid byte-identically to the
 		// never-budgeted run — the budget chose which cells ran, not what
 		// they produced.
-		resumed, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: parallel, Cache: cache}, fakeRun)
+		resumed, err := runCampaign(smallGrid(1, 2), cache, parallel, fakeRun)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,28 +143,48 @@ func TestBudgetDeterminism(t *testing.T) {
 	}
 }
 
-// TestBudgetDeterminismClaimMode: two concurrent claimants of one cache,
-// both budgeted, must each compute the same skip set (admission is a
-// pure function of the shared model), and their merged work must cover
-// exactly the admitted cells.
+// barrierPlanner holds every claimant at planning time until all of
+// them have pre-scanned the store, so concurrent claimants start from
+// the same store state.
+type barrierPlanner struct {
+	Planner
+	ready *sync.WaitGroup
+}
+
+func (p barrierPlanner) Plan(pending []PlanCell) []PlanCell {
+	p.ready.Done()
+	p.ready.Wait()
+	return p.Planner.Plan(pending)
+}
+
+// TestBudgetDeterminismClaimMode: two concurrent claimants of one cold
+// cache, both budgeted, must each compute the same skip set (admission
+// is a pure function of the shared model), and their merged work must
+// cover exactly the admitted cells. Budgets price only the cells a
+// claimant's pre-scan finds uncached, so both claimants plan before
+// either stores a cell; a claimant joining a warmer store admits more.
 func TestBudgetDeterminismClaimMode(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	results := make([]*SweepResult, 2)
-	statsAll := make([]ClaimStats, 2)
-	for i := 0; i < 2; i++ {
+	const claimants = 2
+	var wg, planned sync.WaitGroup
+	planned.Add(claimants)
+	results := make([]*SweepResult, claimants)
+	statsAll := make([]ClaimStats, claimants)
+	for i := 0; i < claimants; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], statsAll[i] = budgetCampaign(t, cache, 2, &ClaimOptions{
+			camp := newBudgetCampaign(cache, 2, &ClaimOptions{
 				Owner:     fmt.Sprintf("budget-claimant-%d", i),
 				TTL:       time.Second,
 				Heartbeat: 50 * time.Millisecond,
 				Poll:      10 * time.Millisecond,
 			})
+			camp.Planner = barrierPlanner{Planner: camp.Planner, ready: &planned}
+			results[i], statsAll[i] = executeBudgetCampaign(t, camp)
 		}(i)
 	}
 	wg.Wait()
@@ -243,7 +271,7 @@ func TestAdmitBudget(t *testing.T) {
 // TestBudgetResolveFromCache: a budget without an explicit model builds
 // one from the campaign cache at Execute time.
 func TestBudgetResolveFromCache(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +283,13 @@ func TestBudgetResolveFromCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		rr.Wall = 2 * time.Second
-		if err := cache.Store(rr); err != nil {
+		if err := cache.StoreCell(rr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	camp := Campaign{
 		Grid:     smallGrid(1, 2),
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 2,
 		Planner:  OrderPlanner{},
 		Budget:   &BudgetOptions{Limit: 5 * time.Second}, // fits 2 of the 4 uncached 2s cells
@@ -281,7 +309,7 @@ func TestBudgetResolveFromCache(t *testing.T) {
 
 // TestWriteSkipReport freezes the report's greppable shape.
 func TestWriteSkipReport(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +333,7 @@ func TestWriteSkipReport(t *testing.T) {
 // the cost report (they have no execution to report) and from the
 // aggregated cells.
 func TestBudgetedSweepSkipsCostRows(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ const CacheFormatVersion = 1
 //
 // The directory is also the coordination substrate for multi-process
 // campaigns: claimants serialize work through <hash>.json.lease files
-// (see TryLease and Dispatcher), so N processes — or N hosts sharing
+// (see Claim and ClaimOptions), so N processes — or N hosts sharing
 // the directory, or an ompss-sweepd coordinator serving it over HTTP —
 // partition one grid. The spec hash pins the simulator-behaviour
 // fingerprint (SimBehaviorVersion), so a shared store can never satisfy
@@ -84,12 +84,6 @@ type DirStore struct {
 	jcompactErr   error
 }
 
-// Cache is the historical name of DirStore, kept as an alias so every
-// existing caller and test compiles unchanged.
-//
-// Deprecated: use DirStore (or better, the CellStore interface).
-type Cache = DirStore
-
 // OpenDirStore opens (creating if needed) a store directory and
 // reconciles its campaign manifest against the cells on disk (see
 // reconcileManifest), so a directory populated by pre-manifest
@@ -114,11 +108,6 @@ func OpenDirStore(dir string) (*DirStore, error) {
 	}
 	return c, nil
 }
-
-// OpenCache is the historical name of OpenDirStore.
-//
-// Deprecated: use OpenDirStore or OpenStore("dir://...").
-func OpenCache(dir string) (*Cache, error) { return OpenDirStore(dir) }
 
 // Dir returns the store's directory.
 func (c *DirStore) Dir() string { return c.dir }
@@ -167,18 +156,12 @@ func (c *DirStore) path(hash string) string {
 	return filepath.Join(c.dir, hash+".json")
 }
 
-// Load looks a spec up. Any failure — missing file, unparsable JSON,
-// format-version skew, hash mismatch — is reported as a miss so the
-// caller falls back to simulation; the store never fails a sweep on the
-// read side.
-func (c *DirStore) Load(spec RunSpec) (RunResult, bool) {
-	spec.fillDefaults()
-	return c.LoadCell(spec, spec.Hash())
-}
-
-// LoadCell implements CellStore: Load with the hash precomputed and the
-// spec already default-filled — the claim loop rescans pending cells
-// every poll pass and must not pay canonicalization + SHA-256 each time.
+// LoadCell implements CellStore: it looks up a default-filled spec by
+// its precomputed hash (the claim loop rescans pending cells every poll
+// pass and must not pay canonicalization + SHA-256 each time). Any
+// failure — missing file, unparsable JSON, format-version skew, hash
+// mismatch — is reported as a miss so the caller falls back to
+// simulation; the store never fails a campaign on the read side.
 func (c *DirStore) LoadCell(spec RunSpec, hash string) (RunResult, bool) {
 	e, ok := c.readCell(hash)
 	if !ok {
@@ -249,11 +232,6 @@ func (c *DirStore) StoreCell(rr RunResult) error {
 	return c.recordManifest(ManifestEntry{Hash: hash, WallSec: rr.Wall.Seconds(), Spec: spec})
 }
 
-// Store is the historical name of StoreCell.
-//
-// Deprecated: use StoreCell.
-func (c *DirStore) Store(rr RunResult) error { return c.StoreCell(rr) }
-
 // CellData is the raw stored form of one cell — the spec that produced
 // it, the advisory wall cost, and the simulation result. It exists for
 // relays (the ompss-sweepd coordinator) that serve cells by hash without
@@ -273,18 +251,6 @@ func (c *DirStore) ReadCellData(hash string) (CellData, bool) {
 		return CellData{}, false
 	}
 	return CellData{Spec: e.Spec, WallSec: e.WallSec, Result: e.Result}, true
-}
-
-// Claim implements CellStore over the lease protocol: a TryLease whose
-// granted lease is returned behind the StoreLease interface. The nil
-// check matters — returning a nil *Lease inside a non-nil interface
-// would read as a granted claim to every caller.
-func (c *DirStore) Claim(hash, owner string, ttl time.Duration) (StoreLease, bool, error) {
-	l, reclaimed, err := c.TryLease(hash, owner, ttl)
-	if l == nil {
-		return nil, reclaimed, err
-	}
-	return l, reclaimed, err
 }
 
 // AppendJournal implements CellStore: one record appended to the

@@ -29,12 +29,13 @@ func renderCSV(t *testing.T, res *SweepResult) string {
 }
 
 func TestCacheRoundTrip(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 5}
-	if _, ok := cache.Load(spec); ok {
+	spec.fillDefaults()
+	if _, ok := cache.LoadCell(spec, spec.Hash()); ok {
 		t.Fatal("Load hit on an empty cache")
 	}
 	rr, err := fakeRun(spec)
@@ -42,10 +43,10 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr.Result.VersionCounts = map[string]map[string]int{"mul": {"mul_gpu": 3, "mul_smp": 1}}
-	if err := cache.Store(rr); err != nil {
+	if err := cache.StoreCell(rr); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cache.Load(spec)
+	got, ok := cache.LoadCell(spec, spec.Hash())
 	if !ok {
 		t.Fatal("Load missed a stored spec")
 	}
@@ -62,7 +63,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	// A different seed is a different cell.
 	other := spec
 	other.Seed = 6
-	if _, ok := cache.Load(other); ok {
+	if _, ok := cache.LoadCell(other, other.Hash()); ok {
 		t.Error("Load hit for a spec that was never stored")
 	}
 }
@@ -72,12 +73,12 @@ func TestCacheRoundTrip(t *testing.T) {
 // them must re-simulate and atomically repair the file.
 func TestCacheCorruption(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := smallGrid(1) // 4 runs
-	if _, err := sweep(g, SweepOptions{Parallel: 2, Cache: cache}, fakeRun); err != nil {
+	if _, err := runCampaign(g, cache, 2, fakeRun); err != nil {
 		t.Fatal(err)
 	}
 	specs := g.Runs()
@@ -113,7 +114,7 @@ func TestCacheCorruption(t *testing.T) {
 				t.Fatalf("expected cell file: %v", err)
 			}
 			breakIt(path)
-			if _, ok := cache.Load(spec); ok {
+			if _, ok := cache.LoadCell(spec, spec.Hash()); ok {
 				t.Fatal("corrupted cell read as a hit")
 			}
 			// The sweep falls back to simulation and repairs the file.
@@ -122,13 +123,13 @@ func TestCacheCorruption(t *testing.T) {
 				atomic.AddInt32(&ran, 1)
 				return fakeRun(s)
 			}
-			if _, err := sweep(g, SweepOptions{Parallel: 2, Cache: cache}, counting); err != nil {
+			if _, err := runCampaign(g, cache, 2, counting); err != nil {
 				t.Fatal(err)
 			}
 			if n := atomic.LoadInt32(&ran); n != 1 {
 				t.Errorf("re-simulated %d runs, want exactly the corrupted one", n)
 			}
-			if _, ok := cache.Load(spec); !ok {
+			if _, ok := cache.LoadCell(spec, spec.Hash()); !ok {
 				t.Error("cell not repaired after re-simulation")
 			}
 		})
@@ -140,7 +141,7 @@ func TestCacheCorruption(t *testing.T) {
 // simulates nothing, and the merged output is byte-identical to a cold
 // full run at a different parallelism.
 func TestSweepResume(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestSweepResume(t *testing.T) {
 	}
 
 	// Campaign 1: 4 runs, all simulated.
-	res, err := sweep(smallGrid(1), SweepOptions{Parallel: 2, Cache: cache}, counting)
+	res, err := runCampaign(smallGrid(1), cache, 2, counting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSweepResume(t *testing.T) {
 	// Campaign 2: grid grown along the GPU axis (8 runs). Only the 4 new
 	// cells simulate.
 	atomic.StoreInt32(&ran, 0)
-	grown, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: 3, Cache: cache}, counting)
+	grown, err := runCampaign(smallGrid(1, 2), cache, 3, counting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSweepResume(t *testing.T) {
 
 	// Campaign 3: identical warm re-run simulates nothing.
 	atomic.StoreInt32(&ran, 0)
-	warm, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: 1, Cache: cache}, counting)
+	warm, err := runCampaign(smallGrid(1, 2), cache, 1, counting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestSweepResume(t *testing.T) {
 	}
 
 	// Byte-identity: cold (no cache), merged, and warm outputs agree.
-	cold, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: 4}, fakeRun)
+	cold, err := runCampaign(smallGrid(1, 2), nil, 4, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestSweepResume(t *testing.T) {
 // values bit for bit (float64 and duration JSON round-trip), so warm CSV
 // equals cold CSV at any parallelism.
 func TestSweepResumeRealSimulation(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +212,14 @@ func TestSweepResumeRealSimulation(t *testing.T) {
 		Noise:      []float64{0.05},
 		Replicas:   2,
 	} // 4 real runs
-	cold, err := Sweep(g, SweepOptions{Parallel: 1, Cache: cache})
+	cold, err := runCampaign(g, cache, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Simulated != 4 {
 		t.Fatalf("cold: simulated=%d", cold.Simulated)
 	}
-	warm, err := Sweep(g, SweepOptions{Parallel: 4, Cache: cache})
+	warm, err := runCampaign(g, cache, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +242,15 @@ func TestSweepResumeRealSimulation(t *testing.T) {
 	}
 }
 
-func TestOpenCacheErrors(t *testing.T) {
-	if _, err := OpenCache(""); err == nil {
-		t.Error("OpenCache(\"\") did not error")
+func TestOpenDirStoreErrors(t *testing.T) {
+	if _, err := OpenDirStore(""); err == nil {
+		t.Error("OpenDirStore(\"\") did not error")
 	}
 	file := filepath.Join(t.TempDir(), "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCache(filepath.Join(file, "sub")); err == nil {
-		t.Error("OpenCache under a regular file did not error")
+	if _, err := OpenDirStore(filepath.Join(file, "sub")); err == nil {
+		t.Error("OpenDirStore under a regular file did not error")
 	}
 }

@@ -22,11 +22,10 @@ import (
 //   - Sink receives every freshly simulated run's tracer (per-cell
 //     Paraver export and other artifacts).
 //
-// Sweep and Dispatcher are thin adapters over Campaign, so every mode —
-// in-process pool, resumable cache, multi-process claim fleet — shares
-// one resolution path and renders byte-identical output: results are
-// committed by expansion index regardless of planner, parallelism or
-// which process simulated a cell.
+// Every mode — in-process pool, resumable store, multi-process claim
+// fleet — shares one resolution path and renders byte-identical output:
+// results are committed by expansion index regardless of planner,
+// parallelism or which process simulated a cell.
 type Campaign struct {
 	// Grid declares the campaign as a cartesian product (the common
 	// case). Exactly one of Grid and Specs must be set.
@@ -42,11 +41,6 @@ type Campaign struct {
 	// works — a DirStore for shared-filesystem campaigns, an HTTP store
 	// for an ompss-sweepd fleet.
 	Store CellStore
-	// Cache is the historical form of Store, kept so existing callers
-	// compile unchanged; it is used only when Store is nil.
-	//
-	// Deprecated: set Store.
-	Cache *Cache
 	// Parallel bounds the worker pool (<=0 selects GOMAXPROCS).
 	Parallel int
 	// Planner orders the uncached cells (nil = OrderPlanner).
@@ -62,8 +56,8 @@ type Campaign struct {
 	// cache later completes the grid byte-identically.
 	Budget *BudgetOptions
 	// Claim, if set, runs the campaign cooperatively with other claimant
-	// processes over the shared Cache directory (lease protocol) instead
-	// of the private in-process pool.
+	// processes over the shared Store (lease protocol) instead of the
+	// private in-process pool.
 	Claim *ClaimOptions
 
 	// run is the injectable runner for tests (nil = Run). It yields no
@@ -74,7 +68,14 @@ type Campaign struct {
 	runTraced func(RunSpec) (RunResult, *trace.Tracer, error)
 }
 
-// ClaimOptions configure claim mode (see Dispatcher for the protocol).
+// ClaimOptions configure claim mode: the campaign leases uncached cells
+// through Store.Claim, simulates them, stores the results and releases
+// the leases. N claimants — goroutines, `ompss-sweep -procs N` workers,
+// or hand-launched `ompss-sweep -claim` workers on hosts sharing the
+// store — partition one grid with the store as the only coordination
+// substrate. Execute returns once every run is stored, whoever computed
+// it, so each claimant's result is byte-identical to a single-process
+// campaign.
 type ClaimOptions struct {
 	// Owner tags this claimant's leases and stats (default host:pid).
 	Owner string
@@ -89,6 +90,46 @@ type ClaimOptions struct {
 	Poll time.Duration
 }
 
+// ClaimStats accounts for how a campaign was satisfied. On success
+// Simulated + Hits + Skipped == Runs: every run was either simulated
+// (and stored) locally exactly once, loaded from a cached result, or
+// priced out by the campaign budget. Claimed and Reclaimed stay zero
+// outside claim mode; Skipped stays zero outside budgeted campaigns.
+type ClaimStats struct {
+	// Runs is the grid's total run count.
+	Runs int
+	// Claimed counts leases this claimant acquired.
+	Claimed int
+	// Simulated counts runs this claimant simulated and stored.
+	Simulated int
+	// Hits counts runs satisfied from the store (stored by a peer, a
+	// previous campaign, or found stored under a freshly won lease).
+	Hits int
+	// Reclaimed counts stale leases this claimant broke.
+	Reclaimed int
+	// Skipped counts runs a campaign budget priced out (see
+	// BudgetOptions); on a budgeted campaign Simulated + Hits + Skipped
+	// == Runs. Always zero without a budget.
+	Skipped int
+	// Requeued counts tasks that fault injection forced this claimant's
+	// own simulations to fail and re-queue (summed over its locally
+	// simulated runs only, so a fleet's per-claimant counts add up to
+	// the single-process total). Always zero without a chaos axis.
+	Requeued int64
+}
+
+func (s ClaimStats) String() string {
+	out := fmt.Sprintf("runs=%d claimed=%d simulated=%d hits=%d reclaimed=%d",
+		s.Runs, s.Claimed, s.Simulated, s.Hits, s.Reclaimed)
+	if s.Skipped > 0 {
+		out += fmt.Sprintf(" skipped=%d", s.Skipped)
+	}
+	if s.Requeued > 0 {
+		out += fmt.Sprintf(" requeued=%d", s.Requeued)
+	}
+	return out
+}
+
 // Execute resolves the whole campaign and blocks until every cell is
 // accounted for, returning the complete sweep result plus how it was
 // satisfied. The first run (or store, or sink) error aborts the campaign
@@ -100,25 +141,24 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	store := c.resolveStore()
-	if c.Claim != nil && store == nil {
+	if c.Claim != nil && c.Store == nil {
 		return nil, stats, errors.New("exp: claim campaigns need a Store (the store is the claim substrate)")
 	}
-	e := &engine{c: c, store: store, specs: specs, results: make([]RunResult, len(specs))}
+	e := &engine{c: c, specs: specs, results: make([]RunResult, len(specs))}
 	if c.Budget != nil {
 		// The model is resolved per Execute, into the engine — never
 		// written back into the caller's BudgetOptions, so a reused
 		// options value prices every campaign with current store costs.
 		e.budgetModel = c.Budget.Model
-		if e.budgetModel == nil && store != nil {
-			m, err := store.CostModel()
+		if e.budgetModel == nil && c.Store != nil {
+			m, err := c.Store.CostModel()
 			if err != nil {
 				return nil, stats, err
 			}
 			e.budgetModel = m
 		}
 	}
-	if store != nil {
+	if c.Store != nil {
 		// Hashes are immutable per spec but the claim loop revisits
 		// pending cells every poll pass; precompute them once instead of
 		// re-running canonicalization + SHA-256 per cell per pass.
@@ -146,19 +186,6 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 		Requeued:       stats.Requeued,
 		Wall:           time.Since(start),
 	}, stats, nil
-}
-
-// resolveStore picks the campaign's store: Store when set, otherwise
-// the deprecated Cache field. The nil checks are per concrete field so
-// a typed-nil *Cache never leaks into the interface as "a store".
-func (c *Campaign) resolveStore() CellStore {
-	if c.Store != nil {
-		return c.Store
-	}
-	if c.Cache != nil {
-		return c.Cache
-	}
-	return nil
 }
 
 // expand resolves the campaign definition into run specs (defaults
@@ -226,10 +253,7 @@ func (s RunSpec) validate() error {
 // engine is one Execute call's mutable state, shared by the pool and
 // claim modes.
 type engine struct {
-	c *Campaign
-	// store is the resolved CellStore (nil for uncached campaigns) —
-	// the engine never touches c.Cache/c.Store directly.
-	store   CellStore
+	c       *Campaign
 	specs   []RunSpec
 	hashes  []string // nil when the campaign has no store
 	results []RunResult
@@ -312,8 +336,8 @@ func (e *engine) runner() func(RunSpec) (RunResult, *trace.Tracer, error) {
 // fails the campaign, because a silently unpersisted result is exactly
 // what the cache exists to prevent.
 func (e *engine) satisfy(idx int, run func(RunSpec) (RunResult, *trace.Tracer, error)) (RunResult, bool, error) {
-	if e.store != nil {
-		if rr, ok := e.store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
+	if e.c.Store != nil {
+		if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
 			return rr, true, nil
 		}
 	}
@@ -329,8 +353,8 @@ func (e *engine) satisfy(idx int, run func(RunSpec) (RunResult, *trace.Tracer, e
 			return RunResult{}, false, serr
 		}
 	}
-	if e.store != nil {
-		if err := e.store.StoreCell(rr); err != nil {
+	if e.c.Store != nil {
+		if err := e.c.Store.StoreCell(rr); err != nil {
 			return RunResult{}, false, err
 		}
 	}
@@ -376,8 +400,8 @@ func (e *engine) pool() (ClaimStats, error) {
 
 	pending := make([]PlanCell, 0, len(e.specs))
 	for idx := range e.specs {
-		if e.store != nil {
-			if rr, ok := e.store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
+		if e.c.Store != nil {
+			if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
 				e.results[idx] = rr
 				stats.Hits++
 				e.emit(CellCached{Index: idx, Result: rr, Hash: e.hashes[idx], Warm: true})
@@ -517,7 +541,7 @@ func (e *engine) claim() (ClaimStats, error) {
 	settled := 0
 	pending := make([]PlanCell, 0, len(e.specs))
 	for idx := range e.specs {
-		if rr, ok := e.store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
+		if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
 			state[idx] = cellDone
 			e.results[idx] = rr
 			stats.Hits++
@@ -610,7 +634,7 @@ func (e *engine) claim() (ClaimStats, error) {
 			if state[idx] != cellPending {
 				continue
 			}
-			if rr, ok := e.store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
+			if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
 				state[idx] = cellDone
 				remaining--
 				e.results[idx] = rr
@@ -622,7 +646,7 @@ func (e *engine) claim() (ClaimStats, error) {
 			if inflight >= workers {
 				continue // every local slot busy; keep scanning for hits
 			}
-			lease, reclaimed, err := e.store.Claim(e.hashes[idx], owner, ttl)
+			lease, reclaimed, err := e.c.Store.Claim(e.hashes[idx], owner, ttl)
 			if reclaimed {
 				stats.Reclaimed++
 				e.emit(LeaseReclaimed{Hash: e.hashes[idx], By: owner})

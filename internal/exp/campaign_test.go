@@ -93,18 +93,18 @@ func checkObserverSemantics(t *testing.T, events []Event, total int) (done, cach
 // contract plus deterministic rendered output. Run under -race in CI it
 // also proves observers need no locking beyond their own state.
 func TestCampaignObserverSemantics(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm half the grid (gpus=1); the campaign sweeps gpus=1,2.
-	if _, err := sweep(smallGrid(1), SweepOptions{Parallel: 2, Cache: cache}, fakeRun); err != nil {
+	if _, err := runCampaign(smallGrid(1), cache, 2, fakeRun); err != nil {
 		t.Fatal(err)
 	}
 	rec := &recordingObserver{}
 	camp := Campaign{
 		Grid:     smallGrid(1, 2), // 8 runs
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 4,
 		Observer: rec,
 		run:      fakeRun,
@@ -121,7 +121,7 @@ func TestCampaignObserverSemantics(t *testing.T) {
 		t.Errorf("stats: %v, want simulated=4 hits=4", stats)
 	}
 	// The rendered output must not depend on event interleaving.
-	cold, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: 1}, fakeRun)
+	cold, err := runCampaign(smallGrid(1, 2), nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +134,17 @@ func TestCampaignObserverSemantics(t *testing.T) {
 // contract must hold when cells resolve through the lease loop, and
 // every simulated cell must have been preceded by a LeaseClaimed.
 func TestCampaignClaimObserverSemantics(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweep(smallGrid(1), SweepOptions{Parallel: 2, Cache: cache}, fakeRun); err != nil {
+	if _, err := runCampaign(smallGrid(1), cache, 2, fakeRun); err != nil {
 		t.Fatal(err)
 	}
 	rec := &recordingObserver{}
 	camp := Campaign{
 		Grid:     smallGrid(1, 2), // 8 runs, 4 warm
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 3,
 		Observer: rec,
 		Claim:    &ClaimOptions{Owner: "observer-test"},
@@ -174,7 +174,7 @@ func TestCampaignClaimObserverSemantics(t *testing.T) {
 	if stats.Claimed != 4 || stats.Simulated != 4 || stats.Hits != 4 {
 		t.Errorf("stats: %v", stats)
 	}
-	cold, err := sweep(smallGrid(1, 2), SweepOptions{Parallel: 1}, fakeRun)
+	cold, err := runCampaign(smallGrid(1, 2), nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCampaignCostPlannerOrder(t *testing.T) {
 			t.Errorf("run %d committed out of expansion order: %v", i, r.Spec)
 		}
 	}
-	ordered, err := sweep(g, SweepOptions{Parallel: 1}, fakeRun)
+	ordered, err := runCampaign(g, nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCampaignRejectsNonPermutationPlan(t *testing.T) {
 // TestCampaignSink: every freshly simulated run reaches the sink exactly
 // once; cached cells never do.
 func TestCampaignSink(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCampaignSink(t *testing.T) {
 	}
 	camp := Campaign{
 		Grid:      smallGrid(1), // 4 runs
-		Cache:     cache,
+		Store:     cache,
 		Parallel:  2,
 		Sink:      sink,
 		runTraced: fakeTracedRun,
@@ -294,7 +294,7 @@ func TestCampaignSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp2 := Campaign{Grid: smallGrid(1), Cache: cache, Parallel: 2, Sink: sink2, runTraced: fakeTracedRun}
+	camp2 := Campaign{Grid: smallGrid(1), Store: cache, Parallel: 2, Sink: sink2, runTraced: fakeTracedRun}
 	if _, stats, err := camp2.Execute(); err != nil {
 		t.Fatal(err)
 	} else if stats.Simulated != 0 || stats.Hits != 4 {
@@ -386,22 +386,23 @@ func TestCampaignDefinitionErrors(t *testing.T) {
 }
 
 func TestCacheWallCostRoundTrip(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 11}
+	spec.fillDefaults()
 	rr, err := fakeRun(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rr.Wall = 1500 * time.Millisecond
-	if err := cache.Store(rr); err != nil {
+	if err := cache.StoreCell(rr); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cache.Load(spec)
+	got, ok := cache.LoadCell(spec, spec.Hash())
 	if !ok {
-		t.Fatal("Load missed")
+		t.Fatal("LoadCell missed")
 	}
 	if got.Wall != rr.Wall {
 		t.Errorf("wall cost round trip: %v, want %v", got.Wall, rr.Wall)
@@ -415,7 +416,7 @@ func TestCacheWallCostRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Store(orr); err != nil {
+	if err := cache.StoreCell(orr); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(cache.Dir(), orr.Spec.Hash()+".json")
@@ -426,7 +427,7 @@ func TestCacheWallCostRoundTrip(t *testing.T) {
 	if strings.Contains(string(data), "wall_s") {
 		t.Fatalf("zero wall cost serialized: %s", data)
 	}
-	if got, ok := cache.Load(old); !ok || got.Wall != 0 {
+	if got, ok := cache.LoadCell(old, old.Hash()); !ok || got.Wall != 0 {
 		t.Errorf("pre-cost cell load = (%v, %t), want hit with zero wall", got.Wall, ok)
 	}
 }
@@ -458,7 +459,7 @@ func TestCostModelTiers(t *testing.T) {
 }
 
 func TestCacheCostModelScan(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,14 +469,14 @@ func TestCacheCostModelScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr.Wall = 2 * time.Second
-	if err := cache.Store(rr); err != nil {
+	if err := cache.StoreCell(rr); err != nil {
 		t.Fatal(err)
 	}
 	// A pre-cost cell and a corrupt file must both be skipped silently.
 	noCost := spec
 	noCost.Seed = 22
 	nrr, _ := fakeRun(noCost)
-	if err := cache.Store(nrr); err != nil {
+	if err := cache.StoreCell(nrr); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(cache.Dir(), "garbage.json"), []byte("nope"), 0o644); err != nil {
@@ -525,7 +526,7 @@ func TestGridIsZeroCoversEveryField(t *testing.T) {
 }
 
 func TestCampaignStatus(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,20 +538,24 @@ func TestCampaignStatus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cache.Store(rr); err != nil {
+		if err := cache.StoreCell(rr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One outstanding lease.
 	s3 := specs[3]
 	s3.fillDefaults()
-	lease, _, err := cache.TryLease(s3.Hash(), "watch-test-owner", time.Minute)
+	lease, _, err := cache.Claim(s3.Hash(), "watch-test-owner", time.Minute)
 	if err != nil || lease == nil {
-		t.Fatalf("TryLease: %v, %v", lease, err)
+		t.Fatalf("Claim: %v, %v", lease, err)
 	}
 	defer lease.Release()
 
-	st, err := cache.Status(g)
+	w, err := NewWatcher(cache, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.Status()
 	if err != nil {
 		t.Fatal(err)
 	}

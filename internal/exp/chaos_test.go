@@ -27,7 +27,7 @@ func chaosGrid() Grid {
 // parallelism, and the dropout cell actually re-queued work.
 func TestChaosCampaignDeterminism(t *testing.T) {
 	render := func(parallel int) (string, *SweepResult) {
-		res, err := Sweep(chaosGrid(), SweepOptions{Parallel: parallel})
+		res, err := runCampaign(chaosGrid(), nil, parallel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +62,12 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 // the same cache delivers none (cache hits never re-announce faults —
 // the journal already holds the history).
 func TestChaosFaultEventContract(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &recordingObserver{}
-	camp := Campaign{Grid: chaosGrid(), Cache: cache, Parallel: 2, Observer: rec}
+	camp := Campaign{Grid: chaosGrid(), Store: cache, Parallel: 2, Observer: rec}
 	if _, _, err := camp.Execute(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestChaosFaultEventContract(t *testing.T) {
 	}
 
 	warm := &recordingObserver{}
-	camp2 := Campaign{Grid: chaosGrid(), Cache: cache, Parallel: 2, Observer: warm}
+	camp2 := Campaign{Grid: chaosGrid(), Store: cache, Parallel: 2, Observer: warm}
 	if _, stats, err := camp2.Execute(); err != nil {
 		t.Fatal(err)
 	} else if stats.Simulated != 0 {

@@ -7,14 +7,26 @@ import (
 	"time"
 )
 
+// assertNoLeases fails the test if any lease file survives in the store.
+func assertNoLeases(t *testing.T, s *DirStore) {
+	t.Helper()
+	leases, err := s.LeaseStatuses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leases) != 0 {
+		t.Errorf("leases left behind: %+v", leases)
+	}
+}
+
 func TestDispatchSoloClaim(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := smallGrid(1, 2) // 8 runs
-	d := &Dispatcher{Cache: cache, Parallel: 3, run: fakeRun}
-	res, stats, err := d.Claim(g)
+	camp := &Campaign{Grid: g, Store: cache, Parallel: 3, Claim: &ClaimOptions{}, run: fakeRun}
+	res, stats, err := camp.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +36,11 @@ func TestDispatchSoloClaim(t *testing.T) {
 	if res.Simulated != 8 || res.CacheHits != 0 {
 		t.Fatalf("cold claim result counters: simulated=%d hits=%d", res.Simulated, res.CacheHits)
 	}
-	if hashes, _ := cache.Leases(); len(hashes) != 0 {
-		t.Errorf("leases left behind: %v", hashes)
-	}
+	assertNoLeases(t, cache)
 
 	// The claim result renders byte-identically to a plain -parallel 1
 	// sweep of the same grid.
-	plain, err := sweep(g, SweepOptions{Parallel: 1}, fakeRun)
+	plain, err := runCampaign(g, nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +50,11 @@ func TestDispatchSoloClaim(t *testing.T) {
 
 	// A second claimant over the warm cache simulates nothing.
 	var called bool
-	d2 := &Dispatcher{Cache: cache, run: func(s RunSpec) (RunResult, error) {
+	warm := &Campaign{Grid: g, Store: cache, Claim: &ClaimOptions{}, run: func(s RunSpec) (RunResult, error) {
 		called = true
 		return fakeRun(s)
 	}}
-	res2, stats2, err := d2.Claim(g)
+	res2, stats2, err := warm.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +73,7 @@ func TestDispatchSoloClaim(t *testing.T) {
 // that render byte-identically to a cold serial sweep. Run under -race
 // this also proves the claim loop shares no unsynchronized state.
 func TestDispatchConcurrentClaimants(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +105,17 @@ func TestDispatchConcurrentClaimants(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d := &Dispatcher{
-				Cache:    cache,
-				Owner:    fmt.Sprintf("claimant-%d", i),
+			camp := &Campaign{
+				Grid:     g,
+				Store:    cache,
 				Parallel: 2,
-				Poll:     5 * time.Millisecond,
-				run:      counting,
+				Claim: &ClaimOptions{
+					Owner: fmt.Sprintf("claimant-%d", i),
+					Poll:  5 * time.Millisecond,
+				},
+				run: counting,
 			}
-			res, stats, err := d.Claim(g)
+			res, stats, err := camp.Execute()
 			if err != nil {
 				t.Errorf("claimant %d: %v", i, err)
 				return
@@ -140,11 +153,9 @@ func TestDispatchConcurrentClaimants(t *testing.T) {
 	if totalHits != (claimants-1)*len(specs) {
 		t.Errorf("fleet hits = %d, want %d", totalHits, (claimants-1)*len(specs))
 	}
-	if hashes, _ := cache.Leases(); len(hashes) != 0 {
-		t.Errorf("leases left behind: %v", hashes)
-	}
+	assertNoLeases(t, cache)
 
-	cold, err := sweep(g, SweepOptions{Parallel: 1}, fakeRun)
+	cold, err := runCampaign(g, nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +168,9 @@ func TestDispatchConcurrentClaimants(t *testing.T) {
 }
 
 // TestDispatchRealSimulation: claim mode on real simulations must render
-// byte-identically to Sweep, hits included.
+// byte-identically to a pool-mode campaign, hits included.
 func TestDispatchRealSimulation(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +182,14 @@ func TestDispatchRealSimulation(t *testing.T) {
 		Noise:      []float64{0.05},
 		Replicas:   2,
 	} // 4 real runs
-	d := &Dispatcher{Cache: cache, Parallel: 2}
-	res, stats, err := d.Claim(g)
+	res, stats, err := (&Campaign{Grid: g, Store: cache, Parallel: 2, Claim: &ClaimOptions{}}).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Simulated != 4 || stats.Hits != 0 {
 		t.Fatalf("claim stats: %v", stats)
 	}
-	cold, err := Sweep(g, SweepOptions{Parallel: 1})
+	cold, err := runCampaign(g, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,54 +199,25 @@ func TestDispatchRealSimulation(t *testing.T) {
 }
 
 func TestDispatchErrors(t *testing.T) {
-	if _, _, err := (&Dispatcher{}).Claim(Grid{}); err == nil {
-		t.Error("Claim without a cache did not error")
+	if _, _, err := (&Campaign{Claim: &ClaimOptions{}, run: fakeRun}).Execute(); err == nil {
+		t.Error("claim campaign without a store did not error")
 	}
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &Dispatcher{Cache: cache, run: fakeRun}
-	if _, _, err := d.Claim(Grid{Apps: []string{"no-such-app"}}); err == nil {
-		t.Error("Claim of an invalid grid did not error")
+	invalid := &Campaign{Grid: Grid{Apps: []string{"no-such-app"}}, Store: cache, Claim: &ClaimOptions{}, run: fakeRun}
+	if _, _, err := invalid.Execute(); err == nil {
+		t.Error("claim campaign over an invalid grid did not error")
 	}
-	// A failing run surfaces as the claim error, and its lease is
+	// A failing run surfaces as the campaign error, and its lease is
 	// released so peers are not blocked until the TTL.
 	boom := fmt.Errorf("boom")
-	failing := &Dispatcher{Cache: cache, Parallel: 2, run: func(s RunSpec) (RunResult, error) {
+	failing := &Campaign{Grid: smallGrid(1), Store: cache, Parallel: 2, Claim: &ClaimOptions{}, run: func(s RunSpec) (RunResult, error) {
 		return RunResult{}, boom
 	}}
-	if _, _, err := failing.Claim(smallGrid(1)); err == nil {
-		t.Error("Claim did not surface the run error")
+	if _, _, err := failing.Execute(); err == nil {
+		t.Error("claim campaign did not surface the run error")
 	}
-	if hashes, _ := cache.Leases(); len(hashes) != 0 {
-		t.Errorf("failed claim left leases behind: %v", hashes)
-	}
-}
-
-func TestDispatchProgress(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	var lastDone int
-	d := &Dispatcher{
-		Cache:    cache,
-		Parallel: 1, // serialize so done counts arrive in order
-		run:      fakeRun,
-		Progress: func(done, total int, r RunResult) {
-			calls++
-			if total != 4 {
-				t.Errorf("progress total = %d, want 4", total)
-			}
-			lastDone = done
-		},
-	}
-	if _, _, err := d.Claim(smallGrid(1)); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 4 || lastDone != 4 {
-		t.Errorf("progress calls=%d lastDone=%d, want 4/4", calls, lastDone)
-	}
+	assertNoLeases(t, cache)
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // CostModel estimates the wall-clock simulation cost of a RunSpec from
-// costs recorded by previous campaigns (cache cells carry a wall_s
-// field; see Cache.Store). Estimates are advisory — they order work
+// costs recorded by previous campaigns (stored cells carry a wall_s
+// field; see DirStore.StoreCell). Estimates are advisory — they order work
 // (CostPlanner), never change results — so the model is deliberately
 // coarse: it averages observations at two granularities and answers from
 // the most specific one that has data.

@@ -47,23 +47,26 @@ const (
 // prints each lease claim to stdout for the parent to parse.
 func TestMain(m *testing.M) {
 	if dir := os.Getenv(crashWorkerEnv); dir != "" {
-		cache, err := OpenCache(dir)
+		cache, err := OpenDirStore(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		d := &Dispatcher{
-			Cache:     cache,
-			Owner:     "crash-worker",
-			TTL:       time.Second,
-			Heartbeat: 50 * time.Millisecond,
-			Parallel:  2,
+		camp := &Campaign{
+			Grid:     crashGrid(),
+			Store:    cache,
+			Parallel: 2,
+			Claim: &ClaimOptions{
+				Owner:     "crash-worker",
+				TTL:       time.Second,
+				Heartbeat: 50 * time.Millisecond,
+			},
 			run: func(s RunSpec) (RunResult, error) {
 				time.Sleep(5 * time.Second) // far longer than the parent waits to kill
 				return fakeRun(s)
 			},
 		}
-		if _, _, err := d.Claim(crashGrid()); err != nil {
+		if _, _, err := camp.Execute(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -83,7 +86,7 @@ func TestMain(m *testing.M) {
 // runner, so the parent can SIGKILL it while it demonstrably holds
 // leases and has journaled claim/start records.
 func journalWorkerMain(dir, owner string) int {
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -103,7 +106,7 @@ func journalWorkerMain(dir, owner string) int {
 	defer rec.Close()
 	camp := Campaign{
 		Grid:     crashGrid(),
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 2,
 		Observer: rec,
 		Claim: &ClaimOptions{
@@ -167,11 +170,11 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	cmd.Wait()
 
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphaned, err := cache.Leases()
+	orphaned, err := globLeases(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +193,11 @@ func TestCrashRecovery(t *testing.T) {
 		mu       sync.Mutex
 		simCount = map[string]int{}
 	)
-	d := &Dispatcher{
-		Cache:     cache,
-		Owner:     "survivor",
-		TTL:       400 * time.Millisecond,
-		Heartbeat: 50 * time.Millisecond,
-		Poll:      25 * time.Millisecond,
-		Parallel:  2,
+	survivor := &Campaign{
+		Grid:     crashGrid(),
+		Store:    cache,
+		Parallel: 2,
+		Claim:    survivorClaim("survivor"),
 		run: func(s RunSpec) (RunResult, error) {
 			mu.Lock()
 			simCount[s.Hash()]++
@@ -204,7 +205,7 @@ func TestCrashRecovery(t *testing.T) {
 			return fakeRun(s)
 		},
 	}
-	res, stats, err := d.Claim(crashGrid())
+	res, stats, err := survivor.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +231,14 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("result counters (simulated=%d hits=%d) disagree with stats %v",
 			res.Simulated, res.CacheHits, stats)
 	}
-	if leases, _ := cache.Leases(); len(leases) != 0 {
+	if leases, _ := globLeases(dir); len(leases) != 0 {
 		t.Errorf("leases left after recovery: %v", leases)
 	}
 	// A warm verification pass: all hits, no re-simulation, no leases.
-	warm, warmStats, err := (&Dispatcher{Cache: cache, run: func(s RunSpec) (RunResult, error) {
+	warm, warmStats, err := (&Campaign{Grid: crashGrid(), Store: cache, Claim: &ClaimOptions{}, run: func(s RunSpec) (RunResult, error) {
 		t.Errorf("warm claim re-simulated %v", s)
 		return fakeRun(s)
-	}}).Claim(crashGrid())
+	}}).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	// (3) Byte-identical merge: recovered and warm CSVs equal a cold
 	// single-process, cacheless run.
-	cold, err := sweep(crashGrid(), SweepOptions{Parallel: 1}, fakeRun)
+	cold, err := runCampaign(crashGrid(), nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +258,18 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if got := renderCSV(t, warm); got != want {
 		t.Errorf("warm CSV differs from cold run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// survivorClaim is the claim configuration of the crash batteries'
+// surviving claimants: a short TTL so the dead worker's leases go stale
+// quickly.
+func survivorClaim(owner string) *ClaimOptions {
+	return &ClaimOptions{
+		Owner:     owner,
+		TTL:       400 * time.Millisecond,
+		Heartbeat: 50 * time.Millisecond,
+		Poll:      25 * time.Millisecond,
 	}
 }
 
@@ -306,7 +319,7 @@ func TestCrashRecoveryConcurrentSurvivors(t *testing.T) {
 	cmd.Process.Kill()
 	cmd.Wait()
 
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,13 +334,11 @@ func TestCrashRecoveryConcurrentSurvivors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d := &Dispatcher{
-				Cache:     cache,
-				Owner:     "survivor-" + strconv.Itoa(i),
-				TTL:       400 * time.Millisecond,
-				Heartbeat: 50 * time.Millisecond,
-				Poll:      25 * time.Millisecond,
-				Parallel:  2,
+			survivor := &Campaign{
+				Grid:     crashGrid(),
+				Store:    cache,
+				Parallel: 2,
+				Claim:    survivorClaim("survivor-" + strconv.Itoa(i)),
 				run: func(s RunSpec) (RunResult, error) {
 					mu.Lock()
 					simCount[s.Hash()]++
@@ -336,7 +347,7 @@ func TestCrashRecoveryConcurrentSurvivors(t *testing.T) {
 					return fakeRun(s)
 				},
 			}
-			_, stats, err := d.Claim(crashGrid())
+			_, stats, err := survivor.Execute()
 			if err != nil {
 				t.Errorf("survivor %d: %v", i, err)
 			}
@@ -363,7 +374,7 @@ func TestCrashRecoveryConcurrentSurvivors(t *testing.T) {
 	if reclaimed == 0 {
 		t.Error("no survivor reclaimed the dead worker's leases")
 	}
-	if leases, _ := cache.Leases(); len(leases) != 0 {
+	if leases, _ := globLeases(dir); len(leases) != 0 {
 		t.Errorf("leases left after recovery: %v", leases)
 	}
 }

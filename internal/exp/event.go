@@ -153,24 +153,3 @@ func MultiObserver(obs ...Observer) Observer {
 		}
 	})
 }
-
-// progressObserver adapts the completion events onto the legacy
-// Progress(done, total, result) callback of SweepOptions and Dispatcher.
-// done counts completions in delivery order, so callers see a strictly
-// increasing counter.
-func progressObserver(total int, fn func(done, total int, r RunResult)) Observer {
-	done := 0 // events are delivered serially; no lock needed
-	return ObserverFunc(func(ev Event) {
-		var rr RunResult
-		switch ev := ev.(type) {
-		case CellDone:
-			rr = ev.Result
-		case CellCached:
-			rr = ev.Result
-		default:
-			return
-		}
-		done++
-		fn(done, total, rr)
-	})
-}

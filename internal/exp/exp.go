@@ -2,17 +2,19 @@
 // declarative grid of scenarios (application x scheduler x machine shape
 // x noise x seed replica) into independent simulation runs, executes
 // them concurrently on a bounded worker pool, and aggregates every grid
-// cell's replicas into percentile/confidence summaries.
+// cell's replicas into percentile/confidence summaries. Campaign is the
+// single entry point.
 //
 // Each run owns a private sim.Engine, which is single-threaded and
 // deterministic, so the fan-out is embarrassingly parallel: results
 // depend only on the RunSpec, never on worker interleaving. Campaigns
-// scale past one process through the content-addressed result cache
-// (Cache) and the lease-based Dispatcher, which lets independent
-// claimant processes — local or on hosts sharing a filesystem —
-// partition one grid exactly-once with no network layer. The
-// cmd/ompss-sweep CLI drives campaigns through this package, and the
-// paper experiments in internal/harness are thin wrappers over Run.
+// scale past one process through a content-addressed CellStore
+// (Campaign.Store) and claim mode (Campaign.Claim), whose leases let
+// independent claimant processes — local, on hosts sharing a
+// filesystem, or talking to an ompss-sweepd coordinator — partition one
+// grid exactly-once. The cmd/ompss-sweep CLI drives campaigns through
+// this package, and the paper experiments in internal/harness are thin
+// wrappers over Run.
 package exp
 
 import (

@@ -31,6 +31,13 @@ func fakeRun(spec RunSpec) (RunResult, error) {
 	}, nil
 }
 
+// runCampaign executes a pool-mode campaign over g: store nil runs
+// uncached, run nil simulates for real.
+func runCampaign(g Grid, store CellStore, parallel int, run func(RunSpec) (RunResult, error)) (*SweepResult, error) {
+	res, _, err := (&Campaign{Grid: g, Store: store, Parallel: parallel, run: run}).Execute()
+	return res, err
+}
+
 func TestGridExpansionCardinality(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -170,7 +177,7 @@ func TestSweepWorkerPoolBounded(t *testing.T) {
 				Noise:      []float64{0},
 				Replicas:   5,
 			} // 20 runs
-			res, err := sweep(g, SweepOptions{Parallel: parallel}, counting)
+			res, err := runCampaign(g, nil, parallel, counting)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,40 +192,6 @@ func TestSweepWorkerPoolBounded(t *testing.T) {
 				t.Errorf("peak concurrency %d: pool never overlapped despite -parallel %d", got, parallel)
 			}
 		})
-	}
-}
-
-func TestSweepProgressAndOrder(t *testing.T) {
-	g := Grid{
-		Apps:       []string{"matmul-hyb"},
-		Schedulers: []string{"bf"},
-		SMPWorkers: []int{1, 2, 4},
-		GPUs:       []int{1},
-		Noise:      []float64{0},
-		Replicas:   2,
-	}
-	var calls int32
-	res, err := sweep(g, SweepOptions{
-		Parallel: 4,
-		Progress: func(done, total int, r RunResult) {
-			atomic.AddInt32(&calls, 1)
-			if total != 6 {
-				t.Errorf("progress total = %d, want 6", total)
-			}
-		},
-	}, fakeRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 6 {
-		t.Errorf("progress called %d times, want 6", calls)
-	}
-	// Results must be in expansion order regardless of completion order.
-	want := g.Runs()
-	for i, r := range res.Runs {
-		if r.Spec != want[i] {
-			t.Errorf("run %d out of order: %v, want %v", i, r.Spec, want[i])
-		}
 	}
 }
 
@@ -239,7 +212,7 @@ func TestSweepAbortsOnError(t *testing.T) {
 		Noise:      []float64{0},
 		Replicas:   50,
 	}
-	if _, err := sweep(g, SweepOptions{Parallel: 1}, failing); err == nil {
+	if _, err := runCampaign(g, nil, 1, failing); err == nil {
 		t.Fatal("sweep did not surface the run error")
 	}
 	if n := atomic.LoadInt32(&ran); n > 4 {
@@ -258,7 +231,7 @@ func TestAggregationPercentiles(t *testing.T) {
 		Noise:      []float64{0},
 		Replicas:   4,
 	}
-	res, err := sweep(g, SweepOptions{Parallel: 2}, fakeRun)
+	res, err := runCampaign(g, nil, 2, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +270,7 @@ func TestCSVGolden(t *testing.T) {
 		Noise:      []float64{0.05},
 		Replicas:   1,
 	}
-	res, err := sweep(g, SweepOptions{Parallel: 3}, fakeRun)
+	res, err := runCampaign(g, nil, 3, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +298,7 @@ func TestJSONGolden(t *testing.T) {
 		Noise:      []float64{0},
 		Replicas:   1,
 	}
-	res, err := sweep(g, SweepOptions{Parallel: 1}, fakeRun)
+	res, err := runCampaign(g, nil, 1, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +592,7 @@ func TestClusterGridSweep(t *testing.T) {
 		Noise:      []float64{0},
 		Replicas:   1,
 	}
-	res, err := Sweep(g, SweepOptions{Parallel: 2})
+	res, err := runCampaign(g, nil, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +649,7 @@ func TestCSVIdenticalAcrossParallelism(t *testing.T) {
 		Replicas:   2,
 	}
 	render := func(parallel int) string {
-		res, err := Sweep(g, SweepOptions{Parallel: parallel})
+		res, err := runCampaign(g, nil, parallel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

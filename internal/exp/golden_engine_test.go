@@ -61,7 +61,7 @@ const (
 
 func sweepCSVSHA(t *testing.T, g Grid, parallel int) string {
 	t.Helper()
-	res, err := Sweep(g, SweepOptions{Parallel: parallel})
+	res, err := runCampaign(g, nil, parallel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

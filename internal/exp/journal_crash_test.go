@@ -45,17 +45,15 @@ func TestJournalCrashSafety(t *testing.T) {
 	defer cmd.Wait()
 
 	// Kill once the worker demonstrably holds a lease AND its journal
-	// exists (the recorder opens the file lazily on the first claim
-	// record, a moment after the lease file appears) — it is then inside
-	// a 5s cell with open/claimed records on disk.
-	jpathEarly := filepath.Join(filepath.Join(dir, JournalDirName), journal.SanitizeOwner(owner)+".jsonl")
+	// holds a complete claim record (the recorder opens the file lazily
+	// on the first claim record, a moment after the lease file appears,
+	// and writes its open record first) — it is then inside a 5s cell
+	// with open/claimed records on disk.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		leases, _ := globLeases(dir)
-		if len(leases) > 0 {
-			if fi, err := os.Stat(jpathEarly); err == nil && fi.Size() > 0 {
-				break
-			}
+		if len(leases) > 0 && claimJournaled(filepath.Join(dir, JournalDirName), owner) {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("worker never acquired a lease with a journaled claim")
@@ -67,7 +65,7 @@ func TestJournalCrashSafety(t *testing.T) {
 	}
 	cmd.Wait()
 
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestJournalCrashSafety(t *testing.T) {
 	defer rec.Close()
 	camp := Campaign{
 		Grid:     crashGrid(),
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 2,
 		Observer: rec,
 		Claim: &ClaimOptions{
@@ -196,9 +194,12 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 	defer cmd.Process.Kill()
 	defer cmd.Wait()
 
-	// Kill once the worker holds a lease AND at least one rotated
-	// segment exists: the journal is then mid-history across several
-	// files, with the active file hot.
+	// Kill once the worker holds a lease, at least one rotated segment
+	// exists AND a claim record is complete on disk: the journal is then
+	// mid-history across several files, with the active file hot. (The
+	// lease file and the first rotation both precede the claim record's
+	// append, so the first two alone can catch the worker before any
+	// claim is journaled.)
 	jdir := filepath.Join(dir, JournalDirName)
 	stem := journal.SanitizeOwner(owner)
 	segments := func() []string {
@@ -208,7 +209,7 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		leases, _ := globLeases(dir)
-		if len(leases) > 0 && len(segments()) > 0 {
+		if len(leases) > 0 && len(segments()) > 0 && claimJournaled(jdir, owner) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -258,7 +259,7 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 	// Restart under the same owner and threshold: the writer must
 	// resume its segment sequence past the checkpoint's folded names,
 	// reclaim the dead leases, and finish the grid.
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 	defer rec.Close()
 	camp := Campaign{
 		Grid:     crashGrid(),
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 2,
 		Observer: rec,
 		Claim: &ClaimOptions{
@@ -330,4 +331,16 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 	if ttl := journal.Replay(trecs); ttl.Done != total || ttl.DoubleDone != 0 {
 		t.Errorf("tailer replay done=%d double=%d, want exactly-once", ttl.Done, ttl.DoubleDone)
 	}
+}
+
+// claimJournaled reports whether owner's journal in jdir already holds a
+// complete claim record. It reads a live journal, so a torn tail or a
+// file rotated away mid-read just means "not yet".
+func claimJournaled(jdir, owner string) bool {
+	recs, _, err := journal.ReadDir(jdir)
+	if err != nil {
+		return false
+	}
+	o := journal.Replay(recs).Owners[owner]
+	return o != nil && o.Claimed > 0
 }

@@ -17,16 +17,16 @@ import (
 // lands in the journal and replays to the same accounting the engine
 // reported.
 func TestJournalRecorderRoundTrip(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm half the grid so the journal carries cached observations too.
-	if _, err := sweep(smallGrid(1), SweepOptions{Parallel: 1, Cache: cache}, fakeRun); err != nil {
+	if _, err := runCampaign(smallGrid(1), cache, 1, fakeRun); err != nil {
 		t.Fatal(err)
 	}
 	rec := NewJournalRecorder(cache, "round-trip")
-	camp := Campaign{Grid: smallGrid(1, 2), Cache: cache, Parallel: 2, Observer: rec, run: fakeRun}
+	camp := Campaign{Grid: smallGrid(1, 2), Store: cache, Parallel: 2, Observer: rec, run: fakeRun}
 	_, stats, err := camp.Execute()
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestJournalRecorderRoundTrip(t *testing.T) {
 // per-cell completion — distinct simulated cells equal the grid size,
 // the per-claimant counts sum to it, and no cell was simulated twice.
 func TestThreeClaimantJournalReplay(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestThreeClaimantJournalReplay(t *testing.T) {
 			rec := NewJournalRecorder(cache, owner)
 			defer rec.Close()
 			camp := Campaign{
-				Grid: grid, Cache: cache, Parallel: 2, Observer: rec,
+				Grid: grid, Store: cache, Parallel: 2, Observer: rec,
 				Claim: &ClaimOptions{Owner: owner, TTL: time.Second,
 					Heartbeat: 50 * time.Millisecond, Poll: 10 * time.Millisecond},
 				run: func(s RunSpec) (RunResult, error) {
@@ -147,7 +147,7 @@ func TestThreeClaimantJournalReplay(t *testing.T) {
 // contract — one artifact per simulated run, none for cached hits —
 // and MultiSink drives both exports from one campaign.
 func TestCampaignChromeSink(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCampaignChromeSink(t *testing.T) {
 	}
 	camp := Campaign{
 		Grid:      smallGrid(1), // 4 runs
-		Cache:     cache,
+		Store:     cache,
 		Parallel:  2,
 		Sink:      MultiSink(paraver, nil, chrome),
 		runTraced: fakeTracedRun,
@@ -200,7 +200,7 @@ func TestCampaignChromeSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp2 := Campaign{Grid: smallGrid(1), Cache: cache, Parallel: 2, Sink: chrome2, runTraced: fakeTracedRun}
+	camp2 := Campaign{Grid: smallGrid(1), Store: cache, Parallel: 2, Sink: chrome2, runTraced: fakeTracedRun}
 	if _, stats, err := camp2.Execute(); err != nil {
 		t.Fatal(err)
 	} else if stats.Simulated != 0 {
@@ -215,7 +215,7 @@ func TestCampaignChromeSink(t *testing.T) {
 // ETA from the cost model over the still-uncached cells divided by the
 // observed retirement speed.
 func TestWatcherJournalStatus(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestWatcherJournalStatus(t *testing.T) {
 			t.Fatal(err)
 		}
 		rr.Wall = 2 * time.Second
-		if err := cache.Store(rr); err != nil {
+		if err := cache.StoreCell(rr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestWatcherJournalStatus(t *testing.T) {
 	}
 	w.Close()
 
-	watcher, err := cache.Watcher(g)
+	watcher, err := NewWatcher(cache, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,11 @@ func TestWatcherJournalStatus(t *testing.T) {
 	}
 
 	// A journal-less cache watches as before, with no journal status.
-	bare, err := OpenCache(t.TempDir())
+	bare, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := bare.Watcher(g)
+	bw, err := NewWatcher(bare, g)
 	if err != nil {
 		t.Fatal(err)
 	}

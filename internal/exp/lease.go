@@ -13,7 +13,7 @@ import (
 // whose file mtime is older than the TTL is presumed abandoned (its
 // owner crashed or lost the filesystem) and may be reclaimed by any
 // other claimant. Live owners refresh the mtime every TTL/4 (see
-// Dispatcher.Heartbeat), so a healthy lease is never within a factor of
+// ClaimOptions.Heartbeat), so a healthy lease is never within a factor of
 // four of expiring. On a shared filesystem the TTL must also absorb
 // cross-host clock skew; 30s is comfortable for NFS-class setups.
 const DefaultLeaseTTL = 30 * time.Second
@@ -35,8 +35,9 @@ type leaseInfo struct {
 	Acquired time.Time `json:"acquired"`
 }
 
-// Lease is a held claim on one cell of a shared cache: while it exists
-// (and is refreshed), no other claimant simulates that spec hash.
+// Lease is DirStore's StoreLease, a held claim on one cell of a shared
+// directory: while it exists (and is refreshed), no other claimant
+// simulates that spec hash.
 type Lease struct {
 	path  string
 	hash  string
@@ -47,11 +48,11 @@ type Lease struct {
 func (l *Lease) Hash() string { return l.hash }
 
 // leaseSuffix is the lease-file naming convention; leaseHashFromName is
-// its single inverse, shared by every directory scan (Leases,
-// LeaseStatuses) so the convention cannot drift between call sites.
+// its single inverse, used by the LeaseStatuses directory scan so the
+// convention cannot drift from leasePath.
 const leaseSuffix = ".json.lease"
 
-func (c *Cache) leasePath(hash string) string {
+func (c *DirStore) leasePath(hash string) string {
 	return c.path(hash) + ".lease" // <dir>/<sha256> + leaseSuffix
 }
 
@@ -74,15 +75,16 @@ func defaultOwner() string {
 	return host + ":" + strconv.Itoa(os.Getpid())
 }
 
-// TryLease attempts to claim a cell by atomically creating
-// <dir>/<hash>.json.lease (O_CREATE|O_EXCL — the only acquisition
-// primitive, so at most one claimant holds a cell at a time). A nil
-// lease with a nil error means the cell is held by a live peer; the
-// caller moves on and retries later. An existing lease whose mtime is
-// older than ttl is broken first (see breakStaleLease); reclaimed
-// reports whether this call broke one, whether or not it then won the
-// re-acquisition race.
-func (c *Cache) TryLease(hash, owner string, ttl time.Duration) (l *Lease, reclaimed bool, err error) {
+// Claim implements CellStore: it attempts to claim a cell by atomically
+// creating <dir>/<hash>.json.lease (O_CREATE|O_EXCL — the only
+// acquisition primitive, so at most one claimant holds a cell at a
+// time). A granted claim is a *Lease; a nil lease with a nil error means
+// the cell is held by a live peer, and the caller moves on and retries
+// later. Every refusal returns an untyped nil interface, never a nil
+// *Lease inside one. An existing lease whose mtime is older than ttl is
+// broken first (see breakStaleLease); reclaimed reports whether this
+// call broke one, whether or not it then won the re-acquisition race.
+func (c *DirStore) Claim(hash, owner string, ttl time.Duration) (l StoreLease, reclaimed bool, err error) {
 	if owner == "" {
 		owner = defaultOwner()
 	}
@@ -139,7 +141,7 @@ func (c *Cache) TryLease(hash, owner string, ttl time.Duration) (l *Lease, recla
 // meantime. In that refusal case a live owner loses its lease file; its
 // heartbeat fails loudly and, at worst, one cell is simulated twice with
 // byte-identical results (stores are idempotent), never corrupted.
-func (c *Cache) breakStaleLease(path string, ttl time.Duration) bool {
+func (c *DirStore) breakStaleLease(path string, ttl time.Duration) bool {
 	tomb := fmt.Sprintf("%s.reclaim-%d-%d", path, os.Getpid(), leaseNonce.Add(1))
 	if err := os.Rename(path, tomb); err != nil {
 		return false // another breaker won, or the owner released
@@ -181,21 +183,4 @@ func (l *Lease) Release() error {
 		return fmt.Errorf("exp: releasing lease for %s: %w", l.hash, err)
 	}
 	return nil
-}
-
-// Leases lists the spec hashes with an outstanding lease file in the
-// cache directory, in directory order. Diagnostics only: by the time the
-// caller looks at a hash its lease may already be gone.
-func (c *Cache) Leases() ([]string, error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, fmt.Errorf("exp: listing leases: %w", err)
-	}
-	var hashes []string
-	for _, e := range entries {
-		if hash, ok := leaseHashFromName(e.Name()); ok {
-			hashes = append(hashes, hash)
-		}
-	}
-	return hashes, nil
 }

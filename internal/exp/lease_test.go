@@ -8,16 +8,32 @@ import (
 	"time"
 )
 
+// assertRefused checks that a refused Claim returned an untyped nil
+// StoreLease: a nil *Lease wrapped in the interface would read as a
+// granted claim to every `lease == nil` caller.
+func assertRefused(t *testing.T, l StoreLease, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("refused Claim errored: %v", err)
+	}
+	if l != nil {
+		t.Fatalf("refused Claim = %#v (%T), want an untyped nil StoreLease", l, l)
+	}
+}
+
 func TestLeaseAcquireContendRelease(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash := (RunSpec{App: "matmul-hyb", GPUs: 1}).Hash()
 
-	l, reclaimed, err := cache.TryLease(hash, "owner-a", time.Minute)
+	l, reclaimed, err := cache.Claim(hash, "owner-a", time.Minute)
 	if err != nil || l == nil || reclaimed {
-		t.Fatalf("first TryLease = %v, reclaimed=%t, %v", l, reclaimed, err)
+		t.Fatalf("first Claim = %v, reclaimed=%t, %v", l, reclaimed, err)
+	}
+	if _, ok := l.(*Lease); !ok {
+		t.Errorf("granted lease is a %T, want *Lease", l)
 	}
 	if l.Hash() != hash {
 		t.Errorf("lease hash = %s, want %s", l.Hash(), hash)
@@ -36,60 +52,68 @@ func TestLeaseAcquireContendRelease(t *testing.T) {
 	}
 
 	// A second claimant must be refused while the lease is fresh.
-	if l2, _, err := cache.TryLease(hash, "owner-b", time.Minute); err != nil || l2 != nil {
-		t.Fatalf("contended TryLease = %v, %v; want nil, nil", l2, err)
+	l2, reclaimed, err := cache.Claim(hash, "owner-b", time.Minute)
+	assertRefused(t, l2, err)
+	if reclaimed {
+		t.Error("contended Claim reclaimed a fresh lease")
 	}
-	if hashes, err := cache.Leases(); err != nil || len(hashes) != 1 || hashes[0] != hash {
-		t.Errorf("Leases() = %v, %v", hashes, err)
+	if ls, err := cache.LeaseStatuses(); err != nil || len(ls) != 1 || ls[0].Hash != hash || ls[0].Owner != "owner-a" {
+		t.Errorf("LeaseStatuses() = %+v, %v", ls, err)
 	}
 
 	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if hashes, _ := cache.Leases(); len(hashes) != 0 {
-		t.Errorf("leases left after release: %v", hashes)
-	}
+	assertNoLeases(t, cache)
 	// Released: the next claimant acquires without a reclaim.
-	if l3, reclaimed, err := cache.TryLease(hash, "owner-b", time.Minute); err != nil || l3 == nil || reclaimed {
-		t.Fatalf("post-release TryLease = %v, reclaimed=%t, %v", l3, reclaimed, err)
+	if l3, reclaimed, err := cache.Claim(hash, "owner-b", time.Minute); err != nil || l3 == nil || reclaimed {
+		t.Fatalf("post-release Claim = %v, reclaimed=%t, %v", l3, reclaimed, err)
 	}
 }
 
 func TestLeaseStaleReclaim(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash := (RunSpec{App: "matmul-hyb", GPUs: 1}).Hash()
-	dead, _, err := cache.TryLease(hash, "dead-owner", 50*time.Millisecond)
+	dead, _, err := cache.Claim(hash, "dead-owner", 50*time.Millisecond)
 	if err != nil || dead == nil {
 		t.Fatal(err)
 	}
 	// Not yet stale: refused, not reclaimed.
-	if l, reclaimed, _ := cache.TryLease(hash, "owner-b", 50*time.Millisecond); l != nil || reclaimed {
-		t.Fatalf("fresh lease reclaimed: %v, %t", l, reclaimed)
+	l, reclaimed, err := cache.Claim(hash, "owner-b", 50*time.Millisecond)
+	assertRefused(t, l, err)
+	if reclaimed {
+		t.Fatal("fresh lease reclaimed")
 	}
 	time.Sleep(80 * time.Millisecond) // no heartbeat: the lease goes stale
-	l, reclaimed, err := cache.TryLease(hash, "owner-b", 50*time.Millisecond)
+	l, reclaimed, err = cache.Claim(hash, "owner-b", 50*time.Millisecond)
 	if err != nil || l == nil || !reclaimed {
-		t.Fatalf("stale TryLease = %v, reclaimed=%t, %v; want lease, true", l, reclaimed, err)
+		t.Fatalf("stale Claim = %v, reclaimed=%t, %v; want lease, true", l, reclaimed, err)
 	}
-	// The dead owner's Release must not delete the new owner's lease.
+	// The dead owner's Release must not delete the new owner's lease:
+	// release is keyed by the token written into the lease body.
 	if err := dead.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if hashes, _ := cache.Leases(); len(hashes) != 1 {
-		t.Errorf("new owner's lease destroyed by the old owner's release: %v", hashes)
+	if ls, _ := cache.LeaseStatuses(); len(ls) != 1 || ls[0].Owner != "owner-b" {
+		t.Errorf("new owner's lease destroyed by the old owner's release: %+v", ls)
 	}
+	// The new owner's own Release does remove it.
+	if err := l.Release(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoLeases(t, cache)
 }
 
 func TestLeaseHeartbeatKeepsFresh(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash := (RunSpec{App: "matmul-hyb", GPUs: 1}).Hash()
-	l, _, err := cache.TryLease(hash, "owner-a", 100*time.Millisecond)
+	l, _, err := cache.Claim(hash, "owner-a", 100*time.Millisecond)
 	if err != nil || l == nil {
 		t.Fatal(err)
 	}
@@ -99,7 +123,7 @@ func TestLeaseHeartbeatKeepsFresh(t *testing.T) {
 		if err := l.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		if rival, reclaimed, _ := cache.TryLease(hash, "owner-b", 100*time.Millisecond); rival != nil || reclaimed {
+		if rival, reclaimed, _ := cache.Claim(hash, "owner-b", 100*time.Millisecond); rival != nil || reclaimed {
 			t.Fatalf("heartbeated lease lost to a rival (reclaimed=%t)", reclaimed)
 		}
 		time.Sleep(30 * time.Millisecond)
@@ -107,12 +131,12 @@ func TestLeaseHeartbeatKeepsFresh(t *testing.T) {
 }
 
 func TestLeaseRefreshAfterLossErrors(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash := (RunSpec{App: "matmul-hyb", GPUs: 1}).Hash()
-	l, _, err := cache.TryLease(hash, "owner-a", time.Minute)
+	l, _, err := cache.Claim(hash, "owner-a", time.Minute)
 	if err != nil || l == nil {
 		t.Fatal(err)
 	}
@@ -131,15 +155,16 @@ func TestLeaseRefreshAfterLossErrors(t *testing.T) {
 // must never be mistaken for cell files by the cache reader.
 func TestLeaseNamesDoNotCollideWithCells(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := RunSpec{App: "matmul-hyb", GPUs: 1}
-	if l, _, err := cache.TryLease(spec.Hash(), "owner-a", time.Minute); err != nil || l == nil {
+	spec.fillDefaults()
+	if l, _, err := cache.Claim(spec.Hash(), "owner-a", time.Minute); err != nil || l == nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Load(spec); ok {
+	if _, ok := cache.LoadCell(spec, spec.Hash()); ok {
 		t.Fatal("a lease file read as a cached cell")
 	}
 	entries, err := os.ReadDir(dir)

@@ -27,7 +27,7 @@ func TestConcurrentSweeps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := Sweep(grid, SweepOptions{Parallel: 4})
+			res, err := runCampaign(grid, nil, 4, nil)
 			if err != nil {
 				t.Errorf("sweep %d: %v", i, err)
 				return

@@ -117,8 +117,8 @@ func (m multiSink) Consume(rr RunResult, tr *trace.Tracer) error {
 	return nil
 }
 
-// writeArtifact writes atomically (temp file + rename, the Cache.Store
-// pattern): two processes that simulate the same cell after a
+// writeArtifact writes atomically (temp file + rename, the
+// DirStore.StoreCell pattern): two processes that simulate the same cell after a
 // pathological lease reclaim then race byte-identical renames, never
 // interleave truncate-and-write on one path.
 func writeArtifact(path string, write func(io.Writer) error) error {

@@ -75,7 +75,7 @@ func (s RunSpec) CanonicalString() string {
 
 // coerceUTF8 rewrites each invalid UTF-8 byte to U+FFFD, byte for byte —
 // exactly the substitution encoding/json applies when marshaling a
-// string. Cache cells store their spec as JSON, so without this a spec
+// string. Stored cells keep their spec as JSON, so without this a spec
 // holding invalid bytes would hash differently after rehydration in
 // another process and its stored cell would self-invalidate forever
 // (found by FuzzCanonicalSpec; such strings never pass Grid.Validate,

@@ -44,7 +44,7 @@ var stragglerCosts = map[string]float64{
 // claim worker over the shared cache, planning with the named planner,
 // printing "claimed <hash>" to stdout at every lease acquisition.
 func stragglerWorkerMain(dir, plan string) int {
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -56,7 +56,7 @@ func stragglerWorkerMain(dir, plan string) int {
 	}
 	camp := Campaign{
 		Grid:     stragglerGrid(),
-		Cache:    cache,
+		Store:    cache,
 		Parallel: 1, // serial: the claim order is exactly the plan order
 		Planner:  planner,
 		Claim:    &ClaimOptions{Owner: "straggler-worker"},
@@ -79,7 +79,7 @@ func stragglerWorkerMain(dir, plan string) int {
 // for every grid cell without any grid cell being cached.
 func warmStragglerCosts(t *testing.T, dir string) {
 	t.Helper()
-	cache, err := OpenCache(dir)
+	cache, err := OpenDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func warmStragglerCosts(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 		rr.Wall = time.Duration(cost * float64(time.Second))
-		if err := cache.Store(rr); err != nil {
+		if err := cache.StoreCell(rr); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,26 +6,6 @@ import (
 	"repro/internal/stats"
 )
 
-// SweepOptions tune sweep execution. The zero value runs with one worker
-// per CPU, no caching and no progress reporting.
-//
-// Sweep predates Campaign and remains the convenience entry point for
-// plain cached sweeps; callers that want planners, observers, artifact
-// sinks or claim mode use Campaign directly (SweepOptions deliberately
-// grows no more fields).
-type SweepOptions struct {
-	// Parallel bounds the worker pool (<=0 selects GOMAXPROCS).
-	Parallel int
-	// Cache, if set, is consulted before every run and fed after every
-	// fresh simulation, making campaigns resumable: re-running a grown
-	// grid only simulates cells whose spec hash is not yet on disk.
-	Cache *Cache
-	// Progress, if set, is called after every completed run with a
-	// strictly increasing done count (an adapter over the Campaign
-	// event stream; calls are serialized).
-	Progress func(done, total int, r RunResult)
-}
-
 // CellSummary aggregates one grid cell's seed replicas.
 type CellSummary struct {
 	App           string      `json:"app"`
@@ -89,26 +69,6 @@ type SweepResult struct {
 	// Wall is the host time for the whole sweep (not written to CSV/JSON
 	// outputs, which must be deterministic).
 	Wall time.Duration `json:"-"`
-}
-
-// Sweep expands the grid and executes every run across a bounded worker
-// pool — a thin adapter over Campaign. Results are stored by expansion
-// index, so the returned runs, cells, and any output rendered from them
-// are byte-identical regardless of Parallel. The first run error aborts
-// the remaining runs and is returned.
-func Sweep(g Grid, o SweepOptions) (*SweepResult, error) {
-	return sweep(g, o, nil)
-}
-
-// sweep is Sweep with an injectable runner, so tests can bound-check the
-// pool and build golden outputs without simulating.
-func sweep(g Grid, o SweepOptions, run func(RunSpec) (RunResult, error)) (*SweepResult, error) {
-	c := Campaign{Grid: g, Cache: o.Cache, Parallel: o.Parallel, run: run}
-	if o.Progress != nil {
-		c.Observer = progressObserver(g.NumRuns(), o.Progress)
-	}
-	res, _, err := c.Execute()
-	return res, err
 }
 
 // aggregate groups consecutive replicas (expansion order puts a cell's

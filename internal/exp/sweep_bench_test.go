@@ -27,7 +27,7 @@ func benchmarkSweepReal(b *testing.B, parallel int) {
 	g := benchGrid()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Sweep(g, SweepOptions{Parallel: parallel})
+		res, err := runCampaign(g, nil, parallel, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func benchmarkSweepLatency(b *testing.B, parallel int) {
 	}
 	g := benchGrid()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep(g, SweepOptions{Parallel: parallel}, stub); err != nil {
+		if _, err := runCampaign(g, nil, parallel, stub); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestSweepOverlapSpeedup(t *testing.T) {
 	g := benchGrid()
 	wall := func(parallel int) time.Duration {
 		start := time.Now()
-		if _, err := sweep(g, SweepOptions{Parallel: parallel}, stub); err != nil {
+		if _, err := runCampaign(g, nil, parallel, stub); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -250,9 +250,6 @@ func NewWatcher(s CellStore, g Grid) (*Watcher, error) {
 	return &Watcher{store: s, specs: specs, hashes: hashes}, nil
 }
 
-// Watcher is the DirStore convenience form of NewWatcher.
-func (c *DirStore) Watcher(g Grid) (*Watcher, error) { return NewWatcher(c, g) }
-
 // Status snapshots the campaign: which runs are settled in the store
 // and which leases are outstanding. Done counts cells by manifest
 // membership (not full validation — this is observability, not
@@ -395,15 +392,6 @@ func (w *Watcher) JournalStatus() (*JournalStatus, error) {
 	return js, nil
 }
 
-// Status is the one-shot convenience form of NewWatcher + Status.
-func (c *DirStore) Status(g Grid) (CampaignStatus, error) {
-	w, err := NewWatcher(c, g)
-	if err != nil {
-		return CampaignStatus{}, err
-	}
-	return w.Status()
-}
-
 // LeaseStatuses lists every outstanding lease file with its owner and
 // heartbeat age, sorted stalest-first. Diagnostics only: by the time the
 // caller looks at one, it may already be released.
@@ -418,7 +406,7 @@ func (c *DirStore) Status(g Grid) (CampaignStatus, error) {
 // Ages are measured against the freshest heartbeat mtime in the
 // directory, not the local clock — see LeaseStatus.Age for the clock
 // frame and its tolerance.
-func (c *Cache) LeaseStatuses() ([]LeaseStatus, error) {
+func (c *DirStore) LeaseStatuses() ([]LeaseStatus, error) {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return nil, fmt.Errorf("exp: listing leases: %w", err)

@@ -11,11 +11,11 @@ import (
 // unknown owner — a watcher must never under-report the fleet because
 // one lease file is misbehaving.
 func TestLeaseStatusesKeepsUnreadableLease(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cache.TryLease("aaaa1111", "good-owner", DefaultLeaseTTL); err != nil {
+	if _, _, err := cache.Claim("aaaa1111", "good-owner", DefaultLeaseTTL); err != nil {
 		t.Fatal(err)
 	}
 	// A lease torn mid-write: the file exists, the JSON does not parse.
@@ -48,12 +48,12 @@ func TestLeaseStatusesKeepsUnreadableLease(t *testing.T) {
 // runs two minutes ahead) still sees a missed heartbeat for what it is,
 // and never mislabels a fresh one.
 func TestLeaseAgesUseHeartbeatClock(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range []string{"cafe0001", "cafe0002"} {
-		if _, _, err := cache.TryLease(h, "owner-"+h, DefaultLeaseTTL); err != nil {
+		if _, _, err := cache.Claim(h, "owner-"+h, DefaultLeaseTTL); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,11 +90,11 @@ func TestLeaseAgesUseHeartbeatClock(t *testing.T) {
 // unmoving mtime on its own clock between polls — so staleness is still
 // detected, at true rate, under arbitrary cross-host skew.
 func TestWatcherAgesLeaseAcrossPolls(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
+	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cache.TryLease("dead0001", "loner", DefaultLeaseTTL); err != nil {
+	if _, _, err := cache.Claim("dead0001", "loner", DefaultLeaseTTL); err != nil {
 		t.Fatal(err)
 	}
 	// The claimant's clock is an hour ahead; it dies right after its
@@ -104,7 +104,7 @@ func TestWatcherAgesLeaseAcrossPolls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := cache.Watcher(smallGrid(1))
+	w, err := NewWatcher(cache, smallGrid(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,8 @@
 //
 // Absolute numbers come from the calibrated machine model, so they are
 // not the authors' measurements; the shapes (who wins, by what factor,
-// where crossovers fall) are the reproduction target — see EXPERIMENTS.md.
+// where crossovers fall) are the reproduction target, and each
+// experiment states the shape it expects in its Report.Notes.
 package harness
 
 import (
