@@ -42,9 +42,9 @@ lint:
 
 # bench runs the gated benchmarks exactly as CI does: -benchtime 1x
 # (each is internally iteration-heavy), min of 3 runs taken by
-# ompss-benchdiff.
+# ompss-benchdiff; -benchmem prints the allocs/op the engine pins gate.
 bench:
-	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -run '^$$' ./internal/exp/
+	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/exp/
 
 # profile captures CPU and allocation profiles of the pinned heavy cell
 # (BenchmarkEngineTaskNs: pbpi-hyb/quick/versioning/2smp+2gpu) — the
@@ -63,16 +63,19 @@ profile:
 	@echo "  $(GO) tool pprof -top -sample_index=alloc_objects $(PROFILE_DIR)/exp.test $(PROFILE_DIR)/engine.mem.pprof"
 
 # bench-gate compares a fresh run against the committed baseline; fails
-# beyond +25% ns/op on any gated benchmark (same command as CI).
+# beyond +25% ns/op on any gated benchmark, or beyond +1% allocs/op on
+# the engine benchmarks the baseline pins (same command as CI).
 bench-gate:
-	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -run '^$$' ./internal/exp/ \
+	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/exp/ \
 		| $(GO) run ./cmd/ompss-benchdiff -baseline BENCH_baseline.json
 
 # bench-baseline regenerates BENCH_baseline.json in place. Only commit a
 # refreshed baseline together with the change that legitimately moved
 # the numbers, and re-apply the headroom policy documented in the file's
-# note (engine figures are machine-dependent; pad the observed min
-# before committing).
+# note (engine ns figures are machine-dependent; pad the observed min
+# before committing). Keep allocs_per_op unpadded for the engine
+# benchmarks only: delete the latency pair's entries, whose allocations
+# follow goroutine scheduling.
 bench-baseline:
-	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -run '^$$' ./internal/exp/ \
+	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/exp/ \
 		| $(GO) run ./cmd/ompss-benchdiff -write BENCH_baseline.json

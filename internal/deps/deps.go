@@ -20,8 +20,10 @@ import (
 	"repro/internal/mem"
 )
 
-// Node is the opaque handle the runtime registers tasks under. It must be
-// a comparable type (the runtime uses *rt.Task pointers).
+// Node is the opaque handle the runtime registers tasks under (the
+// runtime uses *rt.Task pointers). The tracker never compares Node
+// values: Add gives every node it registers a dense index of its own, so
+// each Add call registers a new node even if the value was seen before.
 type Node any
 
 // Access is one dependence clause of a task: a mode over a byte range of
@@ -110,14 +112,18 @@ func (iv interval) subtract(cut interval) (pieces [2]interval, n int) {
 	return pieces, n
 }
 
+// nodeID is the dense index Add gives the node it registers; history
+// entries hold it instead of the Node itself.
+type nodeID int32
+
 type wEntry struct {
 	iv interval
-	n  Node
+	n  nodeID
 }
 
 type rEntry struct {
 	iv interval
-	n  Node
+	n  nodeID
 }
 
 // objHist is the access history of one object.
@@ -128,13 +134,33 @@ type objHist struct {
 	// themselves. Any non-commutative access closes the group by folding
 	// every member into writers (as co-last-writers of the whole object),
 	// so later accesses depend on all of them.
-	comm []Node
+	comm []nodeID
 }
+
+// nodeSlot is the per-node record: the registered Node and the epoch of
+// the last Add that collected it as a predecessor.
+type nodeSlot struct {
+	n     Node
+	stamp uint64
+}
+
+// nodeChunk is how many nodeSlots each slab holds. Slabs are appended,
+// never reallocated, so the storage grows by a fixed step per
+// nodeChunk registered nodes instead of being copied on doubling.
+const nodeChunk = 256
 
 // Tracker incrementally builds the task dependence graph.
 type Tracker struct {
 	// hist is indexed by the dense mem.ObjectID and grown on demand.
 	hist []*objHist
+
+	// nodes holds every registered node's slot, indexed by nodeID in
+	// nodeChunk-sized slabs.
+	nodes [][]nodeSlot
+	count int // registered nodes
+	// epoch numbers Add calls; a slot stamped with the current epoch is
+	// already in preds (or is the node being added).
+	epoch uint64
 
 	// preds is the reusable result buffer Add returns slices of.
 	preds []Node
@@ -160,19 +186,33 @@ func (t *Tracker) histFor(obj *mem.Object) *objHist {
 	return t.hist[id]
 }
 
-// collect appends p to the pending preds unless it is the task itself or
-// already recorded. Dependence lists are short, so a linear dedup scan
-// beats allocating a set per Add call.
-func (t *Tracker) collect(n, p Node) {
-	if p == n {
+// slot returns the record of node id.
+func (t *Tracker) slot(id nodeID) *nodeSlot {
+	return &t.nodes[id/nodeChunk][id%nodeChunk]
+}
+
+// register gives n the next dense index and stamps it with the current
+// epoch, so the node never collects itself.
+func (t *Tracker) register(n Node) nodeID {
+	if t.count%nodeChunk == 0 {
+		t.nodes = append(t.nodes, make([]nodeSlot, nodeChunk))
+	}
+	id := nodeID(t.count)
+	t.count++
+	*t.slot(id) = nodeSlot{n: n, stamp: t.epoch}
+	return id
+}
+
+// collect appends node p to the pending preds unless this Add already
+// did (or p is the node being added). The epoch stamp makes the dedup
+// O(1) per history entry, however long the access list.
+func (t *Tracker) collect(p nodeID) {
+	s := t.slot(p)
+	if s.stamp == t.epoch {
 		return
 	}
-	for _, q := range t.preds {
-		if q == p {
-			return
-		}
-	}
-	t.preds = append(t.preds, p)
+	s.stamp = t.epoch
+	t.preds = append(t.preds, s.n)
 }
 
 // Add registers a task and its accesses, returning the distinct earlier
@@ -182,6 +222,8 @@ func (t *Tracker) collect(n, p Node) {
 // before registering another task.
 func (t *Tracker) Add(n Node, accs []Access) []Node {
 	t.preds = t.preds[:0]
+	t.epoch++
+	self := t.register(n)
 
 	for _, a := range accs {
 		h := t.histFor(a.Obj)
@@ -197,15 +239,15 @@ func (t *Tracker) Add(n Node, accs []Access) []Node {
 			// intra-group edges arise.
 			for _, w := range h.writers {
 				if w.iv.overlaps(iv) {
-					t.collect(n, w.n)
+					t.collect(w.n)
 				}
 			}
 			for _, r := range h.readers {
 				if r.iv.overlaps(iv) {
-					t.collect(n, r.n)
+					t.collect(r.n)
 				}
 			}
-			h.comm = append(h.comm, n)
+			h.comm = append(h.comm, self)
 			continue
 		}
 		if len(h.comm) > 0 {
@@ -226,29 +268,29 @@ func (t *Tracker) Add(n Node, accs []Access) []Node {
 			// RAW: depend on overlapping writers.
 			for _, w := range h.writers {
 				if w.iv.overlaps(iv) {
-					t.collect(n, w.n)
+					t.collect(w.n)
 				}
 			}
-			h.readers = append(h.readers, rEntry{iv, n})
+			h.readers = append(h.readers, rEntry{iv, self})
 			continue
 		}
 
 		// Write or ReadWrite: RAW/WAW on writers, WAR on readers.
 		for _, w := range h.writers {
 			if w.iv.overlaps(iv) {
-				t.collect(n, w.n)
+				t.collect(w.n)
 			}
 		}
 		for _, r := range h.readers {
 			if r.iv.overlaps(iv) {
-				t.collect(n, r.n)
+				t.collect(r.n)
 			}
 		}
 		// Register as the new last writer of iv: carve iv out of existing
 		// writer and reader entries, then append.
 		h.writers = subtractFromWriters(h.writers, iv)
 		h.readers = subtractFromReaders(h.readers, iv)
-		h.writers = append(h.writers, wEntry{iv, n})
+		h.writers = append(h.writers, wEntry{iv, self})
 	}
 	t.Edges += int64(len(t.preds))
 	return t.preds
@@ -305,7 +347,7 @@ func (t *Tracker) LastWriter(obj *mem.Object, off int64) Node {
 	h := t.hist[obj.ID]
 	for _, w := range h.writers {
 		if w.iv.lo <= off && off < w.iv.hi {
-			return w.n
+			return t.slot(w.n).n
 		}
 	}
 	return nil

@@ -47,7 +47,9 @@ type Campaign struct {
 	Planner Planner
 	// Observer receives the campaign's event stream (nil = silent).
 	Observer Observer
-	// Sink receives each simulated run's tracer (nil = none).
+	// Sink receives each simulated run's tracer (nil = none). Only a
+	// campaign with a Sink traces its runs; without one, cells run
+	// untraced through Run.
 	Sink ArtifactSink
 	// Budget, if set, bounds the campaign's estimated spend: uncached
 	// cells are admitted in plan order while cost-model estimates fit
@@ -311,21 +313,25 @@ func (e *engine) workers() int {
 	return n
 }
 
-// runner resolves the traced runner every simulation goes through. A
-// custom untraced runner (the test seam) yields nil tracers, which
-// skips the sink.
+// runner resolves the runner every simulation goes through. Only a
+// campaign with a Sink traces (RunTraced); the others run untraced, as
+// does a custom untraced runner (the test seam), and their nil tracers
+// skip the sink.
 func (e *engine) runner() func(RunSpec) (RunResult, *trace.Tracer, error) {
 	if e.c.runTraced != nil {
 		return e.c.runTraced
 	}
-	if e.c.run != nil {
-		run := e.c.run
-		return func(s RunSpec) (RunResult, *trace.Tracer, error) {
-			rr, err := run(s)
-			return rr, nil, err
+	run := e.c.run
+	if run == nil {
+		if e.c.Sink != nil {
+			return RunTraced
 		}
+		run = Run
 	}
-	return RunTraced
+	return func(s RunSpec) (RunResult, *trace.Tracer, error) {
+		rr, err := run(s)
+		return rr, nil, err
+	}
 }
 
 // satisfy resolves one cell: a cache hit if available, otherwise a fresh

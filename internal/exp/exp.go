@@ -232,11 +232,15 @@ type RunResult struct {
 	Cached bool
 }
 
-// Build constructs the runtime for a spec and installs the application,
-// but does not execute it: callers that need the runtime afterwards
-// (trace extraction, energy reports, profile dumps) use Build + Execute;
-// everyone else uses Run.
-func Build(spec RunSpec) (*ompss.Runtime, error) {
+// Build constructs the traced runtime for a spec and installs the
+// application, but does not execute it: callers that need the runtime
+// afterwards (trace extraction, energy reports, profile dumps) use
+// Build + Execute; everyone else uses Run.
+func Build(spec RunSpec) (*ompss.Runtime, error) { return build(spec, true) }
+
+// build is Build with the trace optional: an untraced runtime keeps only
+// the counters Result reads.
+func build(spec RunSpec, traced bool) (*ompss.Runtime, error) {
 	spec.fillDefaults()
 	if _, err := ParseSize(string(spec.Size)); err != nil {
 		return nil, err
@@ -253,6 +257,7 @@ func Build(spec RunSpec) (*ompss.Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.NoTrace = !traced
 	r, err := ompss.NewRuntime(cfg)
 	if err != nil {
 		return nil, err
@@ -263,18 +268,25 @@ func Build(spec RunSpec) (*ompss.Runtime, error) {
 	return r, nil
 }
 
-// Run executes one spec to completion. A panicking simulation (e.g. a
-// deadlocked schedule) is recovered into an error so one bad cell cannot
-// kill a whole sweep.
+// Run executes one spec to completion, untraced: the Result's task and
+// version counts come from the runtime's counters, so no task or
+// transfer record is kept. A panicking simulation (e.g. a deadlocked
+// schedule) is recovered into an error so one bad cell cannot kill a
+// whole sweep.
 func Run(spec RunSpec) (RunResult, error) {
-	rr, _, err := RunTraced(spec)
+	rr, _, err := run(spec, false)
 	return rr, err
 }
 
-// RunTraced is Run, additionally handing back the run's tracer so
+// RunTraced is Run with a trace, handing back the run's tracer so
 // callers — Campaign artifact sinks foremost — can export per-run trace
-// artifacts without rebuilding the runtime.
-func RunTraced(spec RunSpec) (rr RunResult, tr *trace.Tracer, err error) {
+// artifacts without rebuilding the runtime. Its Result equals Run's.
+func RunTraced(spec RunSpec) (RunResult, *trace.Tracer, error) {
+	return run(spec, true)
+}
+
+// run is the shared body of Run and RunTraced; tr is nil when untraced.
+func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) {
 	spec.fillDefaults()
 	defer func() {
 		if p := recover(); p != nil {
@@ -282,7 +294,7 @@ func RunTraced(spec RunSpec) (rr RunResult, tr *trace.Tracer, err error) {
 			err = fmt.Errorf("exp: run %v panicked: %v", spec, p)
 		}
 	}()
-	r, err := Build(spec)
+	r, err := build(spec, traced)
 	if err != nil {
 		return RunResult{}, nil, err
 	}
@@ -301,7 +313,8 @@ func RunTraced(spec RunSpec) (rr RunResult, tr *trace.Tracer, err error) {
 // makespan — which is measured by a deterministic baseline pre-run
 // (itself a pure function of the spec, so the faulted run stays
 // replayable byte for byte). The baseline's wall cost folds into the
-// faulted run's Wall; its virtual results are discarded.
+// faulted run's Wall; its virtual results are discarded, so it runs
+// untraced.
 func armChaos(r *ompss.Runtime, spec RunSpec) error {
 	plan, err := chaos.Parse(spec.Chaos)
 	if err != nil {
@@ -311,7 +324,7 @@ func armChaos(r *ompss.Runtime, spec RunSpec) error {
 	if plan.NeedsHorizon() {
 		base := spec
 		base.Chaos = ""
-		br, err := Build(base)
+		br, err := build(base, false)
 		if err != nil {
 			return err
 		}

@@ -1,11 +1,13 @@
 package rt_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/deps"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/perfmodel"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -231,6 +233,91 @@ func TestDataSetSizeCountsObjectsOnce(t *testing.T) {
 	r.Run()
 	if task.DataSetSize != 1500 {
 		t.Errorf("DataSetSize = %d, want 1500", task.DataSetSize)
+	}
+}
+
+// TestDataSetSizeLongListsAndLateObjects: the epoch-stamped dedup
+// counts each object once per task across long, repetitive access lists,
+// starts afresh for every submit, and covers objects registered after
+// earlier submits.
+func TestDataSetSizeLongListsAndLateObjects(t *testing.T) {
+	r := newRT(t, 1, 0, false)
+	tt := r.DeclareTaskType("w")
+	tt.AddVersion("w_smp", machine.KindSMP, perfmodel.Fixed{D: time.Millisecond}, nil)
+	objs := make([]*mem.Object, 300)
+	for i := range objs {
+		objs[i] = r.Register("o", int64(i+1))
+	}
+	var long, again, late *rt.Task
+	r.SpawnMain(func(m *rt.Master) {
+		// Every object read, then every other one read again.
+		var accs []deps.Access
+		for _, o := range objs {
+			accs = append(accs, deps.In(o))
+		}
+		for i := 0; i < len(objs); i += 2 {
+			accs = append(accs, deps.In(objs[i]))
+		}
+		long = m.Submit(tt, accs, perfmodel.Work{}, nil)
+		again = m.Submit(tt, []deps.Access{deps.In(objs[0]), deps.In(objs[1]), deps.In(objs[0])}, perfmodel.Work{}, nil)
+		extra := r.Register("late", 1000)
+		late = m.Submit(tt, []deps.Access{deps.In(extra), deps.In(objs[2]), deps.In(extra)}, perfmodel.Work{}, nil)
+		m.Taskwait()
+	})
+	r.Run()
+	if want := int64(300 * 301 / 2); long.DataSetSize != want {
+		t.Errorf("long list DataSetSize = %d, want %d", long.DataSetSize, want)
+	}
+	if again.DataSetSize != 3 {
+		t.Errorf("repeat submit DataSetSize = %d, want 3", again.DataSetSize)
+	}
+	if late.DataSetSize != 1003 {
+		t.Errorf("late-object DataSetSize = %d, want 1003", late.DataSetSize)
+	}
+}
+
+// TestNoTraceKeepsCounts: an untraced runtime has no tracer but still
+// counts completed tasks and per-version runs, equal to what a traced
+// twin records.
+func TestNoTraceKeepsCounts(t *testing.T) {
+	run := func(noTrace bool) *rt.Runtime {
+		r := rt.New(rt.Config{
+			Machine:    machine.MinoTauro(2, 1),
+			SMPWorkers: 2,
+			GPUWorkers: 1,
+			Scheduler:  sched.NewBreadthFirst(),
+			Prefetch:   true,
+			NoTrace:    noTrace,
+		})
+		a := r.DeclareTaskType("a")
+		a.AddVersion("a_smp", machine.KindSMP, perfmodel.Fixed{D: time.Millisecond}, nil)
+		a.AddVersion("a_gpu", machine.KindCUDA, perfmodel.Fixed{D: time.Millisecond}, nil)
+		b := r.DeclareTaskType("b")
+		b.AddVersion("b_smp", machine.KindSMP, perfmodel.Fixed{D: 2 * time.Millisecond}, nil)
+		r.DeclareTaskType("never").AddVersion("never_smp", machine.KindSMP, perfmodel.Fixed{D: time.Millisecond}, nil)
+		x := r.Register("x", 1<<20)
+		r.SpawnMain(func(m *rt.Master) {
+			for i := 0; i < 10; i++ {
+				m.Submit(a, []deps.Access{deps.InOut(x)}, perfmodel.Work{}, nil)
+				m.Submit(b, []deps.Access{deps.In(x)}, perfmodel.Work{}, nil)
+			}
+			m.Taskwait()
+		})
+		r.Run()
+		return r
+	}
+	traced, untraced := run(false), run(true)
+	if untraced.Tracer() != nil {
+		t.Fatal("NoTrace runtime has a tracer")
+	}
+	if got, want := untraced.TasksCompleted(), len(traced.Tracer().Tasks); got != want || got != 20 {
+		t.Errorf("TasksCompleted = %d, traced twin recorded %d, want 20", got, want)
+	}
+	if got, want := untraced.VersionCounts(), traced.Tracer().VersionCounts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("VersionCounts = %v, traced twin recorded %v", got, want)
+	}
+	if _, ok := untraced.VersionCounts()["never"]; ok {
+		t.Error("a type that never ran appears in VersionCounts")
 	}
 }
 

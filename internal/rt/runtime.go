@@ -37,9 +37,15 @@ type Config struct {
 	RealCompute bool
 	// CreateOverhead is the master-thread cost of creating one task.
 	CreateOverhead time.Duration
-	// Tracer receives task and transfer records; if nil a fresh tracer is
-	// created (retrievable via Runtime.Tracer).
+	// Tracer receives task and transfer records. If nil, New creates a
+	// fresh tracer (retrievable via Runtime.Tracer) unless NoTrace is set.
 	Tracer *trace.Tracer
+	// NoTrace runs without a tracer: no task or transfer records are kept
+	// and Runtime.Tracer returns nil. The task count and per-version
+	// counts stay available (TasksCompleted, VersionCounts); everything
+	// that reads records — Paraver and Chrome export, energy, critical
+	// path, summaries — needs a traced runtime. A non-nil Tracer wins.
+	NoTrace bool
 }
 
 // Runtime is the task runtime instance: the analogue of one Nanos++
@@ -68,6 +74,14 @@ type Runtime struct {
 	taskArena []Task
 	// idArena hands out predID backing storage the same way.
 	idArena []int64
+	// edgeArena hands out successor-list edges the same way.
+	edgeArena []edge
+
+	// objStamp and dssEpoch dedup objects in dataSetSize: an object
+	// counts once per submit when its stamp (indexed by mem.ObjectID)
+	// equals the current epoch.
+	objStamp []uint64
+	dssEpoch uint64
 
 	// Commutative mutual exclusion (the OmpSs commutative clause): a
 	// task holding an object's commutative lock excludes every other
@@ -103,10 +117,16 @@ func New(cfg Config) *Runtime {
 	}
 	eng := sim.NewEngine()
 	tracer := cfg.Tracer
-	if tracer == nil {
+	if tracer == nil && !cfg.NoTrace {
 		tracer = trace.New()
 	}
-	fabric := xfer.NewFabric(eng, cfg.Machine, tracer)
+	// A nil *Tracer must reach the fabric as a nil Recorder, not as a
+	// typed nil that would still be called per transfer.
+	var rec xfer.Recorder
+	if tracer != nil {
+		rec = tracer
+	}
+	fabric := xfer.NewFabric(eng, cfg.Machine, rec)
 	r := &Runtime{
 		cfg:      cfg,
 		eng:      eng,
@@ -160,8 +180,40 @@ func (r *Runtime) Directory() *mem.Directory { return r.dir }
 // Fabric returns the transfer fabric.
 func (r *Runtime) Fabric() *xfer.Fabric { return r.fabric }
 
-// Tracer returns the trace sink for this run.
+// Tracer returns the trace sink for this run, or nil when the runtime
+// was built with Config.NoTrace.
 func (r *Runtime) Tracer() *trace.Tracer { return r.tracer }
+
+// TasksCompleted returns the number of tasks that have finished.
+func (r *Runtime) TasksCompleted() int {
+	n := 0
+	for _, w := range r.workers {
+		n += int(w.TasksRun)
+	}
+	return n
+}
+
+// VersionCounts returns, per task type, how many instances each version
+// ran — the counts behind the paper's Figures 8, 11, 14 and 15, kept as
+// tasks complete so they need no trace. Types and versions that never
+// ran are absent, matching trace.Tracer.VersionCounts.
+func (r *Runtime) VersionCounts() map[string]map[string]int {
+	out := make(map[string]map[string]int)
+	for name, tt := range r.types {
+		for _, v := range tt.Versions {
+			if v.runs == 0 {
+				continue
+			}
+			m, ok := out[name]
+			if !ok {
+				m = make(map[string]int)
+				out[name] = m
+			}
+			m[v.Name] = v.runs
+		}
+	}
+	return out
+}
 
 // Workers returns all workers in ID order. The slice is shared; do not
 // mutate.
@@ -208,6 +260,16 @@ func (r *Runtime) newTask() *Task {
 	return t
 }
 
+// newEdge returns a zeroed successor edge from the arena.
+func (r *Runtime) newEdge() *edge {
+	if len(r.edgeArena) == 0 {
+		r.edgeArena = make([]edge, arenaChunk)
+	}
+	e := &r.edgeArena[0]
+	r.edgeArena = r.edgeArena[1:]
+	return e
+}
+
 // allocIDs returns an n-element int64 slice from the arena, capped so
 // appends cannot bleed into the next handout.
 func (r *Runtime) allocIDs(n int) []int64 {
@@ -251,7 +313,7 @@ func (r *Runtime) submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, 
 		Accesses:    accs,
 		Work:        work,
 		Args:        args,
-		DataSetSize: computeDataSetSize(accs),
+		DataSetSize: r.dataSetSize(accs),
 		Priority:    priority,
 		state:       StatePending,
 		submitAt:    r.eng.Now(),
@@ -267,7 +329,7 @@ func (r *Runtime) submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, 
 			pt := p.(*Task)
 			t.predIDs[i] = pt.ID
 			if pt.state != StateFinished {
-				pt.succs = append(pt.succs, t)
+				pt.addSucc(r.newEdge(), t)
 				t.npred++
 			}
 		}
@@ -373,7 +435,8 @@ func (r *Runtime) pokeAll() {
 // nothing is outstanding.
 func (r *Runtime) taskDone(t *Task) {
 	r.releaseComm(t)
-	for _, s := range t.succs {
+	for e := t.succHead; e != nil; e = e.next {
+		s := e.succ
 		s.npred--
 		s.lastPredWorker = t.worker
 		if s.npred == 0 {

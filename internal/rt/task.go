@@ -65,10 +65,13 @@ type Task struct {
 	// (Section V-B2).
 	Priority int
 
-	state    State
-	npred    int     // unfinished predecessors
-	succs    []*Task // tasks waiting on this one
-	predIDs  []int64 // every dependence predecessor (finished or not)
+	state   State
+	npred   int     // unfinished predecessors
+	predIDs []int64 // every dependence predecessor (finished or not)
+	// succHead and succTail delimit the tasks waiting on this one, in
+	// the order their dependences were registered.
+	succHead, succTail *edge
+
 	onFinish []func()
 	staging  int // accesses not yet acquired (staging countdown)
 
@@ -119,22 +122,48 @@ func (t *Task) String() string {
 	return fmt.Sprintf("%s#%d(%s)", t.Type.Name, t.ID, t.state)
 }
 
-// computeDataSetSize sums the sizes of the distinct objects accessed.
-// Access lists are short (a handful of dependence clauses), so a
-// quadratic scan beats allocating a set on every submit.
-func computeDataSetSize(accs []deps.Access) int64 {
+// edge is one link of a task's successor list. Edges come from the
+// runtime's arena, so registering a dependence allocates nothing per
+// task.
+type edge struct {
+	succ *Task
+	next *edge
+}
+
+// addSucc appends s to t's successor list through the spare edge e.
+func (t *Task) addSucc(e *edge, s *Task) {
+	e.succ = s
+	if t.succTail == nil {
+		t.succHead = e
+	} else {
+		t.succTail.next = e
+	}
+	t.succTail = e
+}
+
+// dataSetSize sums the sizes of the distinct objects accessed. Access
+// lists can be long (pbpi's reduction task touches every likelihood
+// block), so objects are deduped in O(n) by stamping each ObjectID with
+// the current submit's epoch rather than rescanning the list.
+func (r *Runtime) dataSetSize(accs []deps.Access) int64 {
+	switch len(accs) {
+	case 0:
+		return 0
+	case 1:
+		return accs[0].Obj.Size
+	}
+	r.dssEpoch++
 	var sum int64
-	for i, a := range accs {
-		dup := false
-		for j := 0; j < i; j++ {
-			if accs[j].Obj.ID == a.Obj.ID {
-				dup = true
-				break
-			}
+	for _, a := range accs {
+		id := int(a.Obj.ID)
+		if id >= len(r.objStamp) {
+			r.objStamp = append(r.objStamp, make([]uint64, max(id+1, r.dir.NumObjects())-len(r.objStamp))...)
 		}
-		if !dup {
-			sum += a.Obj.Size
+		if r.objStamp[id] == r.dssEpoch {
+			continue
 		}
+		r.objStamp[id] = r.dssEpoch
+		sum += a.Obj.Size
 	}
 	return sum
 }

@@ -51,6 +51,7 @@ type Version struct {
 
 	taskType *TaskType
 	index    int
+	runs     int // completed instances (Runtime.VersionCounts)
 }
 
 // RunsOn reports whether the implementation can execute on the device

@@ -247,8 +247,9 @@ func (w *Worker) startExec(t *Task) {
 	}
 }
 
-// complete commits the task's writes, releases pins, records the trace,
-// notifies the scheduler and dependence successors, and pulls more work.
+// complete commits the task's writes, releases pins, counts the run
+// (recording it when the runtime is traced), notifies the scheduler and
+// dependence successors, and pulls more work.
 func (w *Worker) complete(t *Task) {
 	t.state = StateFinished
 	t.endAt = w.rt.eng.Now()
@@ -271,20 +272,23 @@ func (w *Worker) complete(t *Task) {
 		w.rt.dir.Release(a.Obj, w.dev.Space)
 	}
 
-	w.rt.tracer.RecordTask(trace.TaskRecord{
-		TaskID:      t.ID,
-		Type:        t.Type.Name,
-		Version:     t.version.Name,
-		Worker:      w.id,
-		Device:      w.dev.Name,
-		DeviceKind:  w.dev.Kind,
-		Submit:      t.submitAt,
-		Ready:       t.readyAt,
-		Start:       t.startAt,
-		End:         t.endAt,
-		DataSetSize: t.DataSetSize,
-		Preds:       t.predIDs,
-	})
+	t.version.runs++
+	if w.rt.tracer != nil {
+		w.rt.tracer.RecordTask(trace.TaskRecord{
+			TaskID:      t.ID,
+			Type:        t.Type.Name,
+			Version:     t.version.Name,
+			Worker:      w.id,
+			Device:      w.dev.Name,
+			DeviceKind:  w.dev.Kind,
+			Submit:      t.submitAt,
+			Ready:       t.readyAt,
+			Start:       t.startAt,
+			End:         t.endAt,
+			DataSetSize: t.DataSetSize,
+			Preds:       t.predIDs,
+		})
+	}
 
 	w.rt.sched.TaskFinished(w, t, t.version, t.ExecTime())
 	w.current = nil

@@ -11,17 +11,29 @@ import (
 )
 
 // Benchmark-regression support: parse `go test -bench` output into
-// per-benchmark ns/op figures, persist them as a committed baseline, and
-// compare a fresh run against it. The CI sweep job runs the pool
-// benchmarks with -count 3 and fails the push on a >25% slowdown.
+// per-benchmark figures, persist them as a committed baseline, and
+// compare a fresh run against it. CI runs the gated benchmarks with
+// -count 3 -benchmem and fails the push on a >25% slowdown or on any
+// allocation growth beyond a 1% jitter allowance.
+
+// BenchFigures is one benchmark's parsed result: the minimum of each
+// column across repetitions. BytesPerOp and AllocsPerOp are set only
+// when the benchmark printed the -benchmem columns (HasMem).
+type BenchFigures struct {
+	NsPerOp     float64
+	BytesPerOp  float64
+	AllocsPerOp float64
+	HasMem      bool
+}
 
 // ParseGoBench reads `go test -bench` text output and returns, per
-// benchmark (the -GOMAXPROCS suffix stripped), the minimum ns/op across
-// repetitions. The minimum — not the mean — is the stable statistic on
-// shared CI machines: noise only ever adds time, so the fastest of
-// -count N repetitions is the best estimate of the true cost.
-func ParseGoBench(r io.Reader) (map[string]float64, error) {
-	best := make(map[string]float64)
+// benchmark (the -GOMAXPROCS suffix stripped), the minimum ns/op, B/op
+// and allocs/op across repetitions. The minimum — not the mean — is the
+// stable statistic on shared CI machines: noise only ever adds time (and
+// the odd runtime allocation), so the best of -count N repetitions is the
+// best estimate of the true cost.
+func ParseGoBench(r io.Reader) (map[string]BenchFigures, error) {
+	best := make(map[string]BenchFigures)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -29,26 +41,45 @@ func ParseGoBench(r io.Reader) (map[string]float64, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := trimProcsSuffix(fields[0])
-		var nsPerOp float64
-		found := false
+		var cur BenchFigures
+		var hasNs, hasBytes, hasAllocs bool
 		for i := 2; i+1 < len(fields); i++ {
-			if fields[i+1] != "ns/op" {
+			var dst *float64
+			switch fields[i+1] {
+			case "ns/op":
+				dst, hasNs = &cur.NsPerOp, true
+			case "B/op":
+				dst, hasBytes = &cur.BytesPerOp, true
+			case "allocs/op":
+				dst, hasAllocs = &cur.AllocsPerOp, true
+			default:
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("stats: bad ns/op %q in bench line %q", fields[i], sc.Text())
+				return nil, fmt.Errorf("stats: bad %s %q in bench line %q", fields[i+1], fields[i], sc.Text())
 			}
-			nsPerOp, found = v, true
-			break
+			*dst = v
 		}
-		if !found {
+		if !hasNs {
 			continue
 		}
-		if prev, ok := best[name]; !ok || nsPerOp < prev {
-			best[name] = nsPerOp
+		cur.HasMem = hasBytes && hasAllocs
+		name := trimProcsSuffix(fields[0])
+		prev, seen := best[name]
+		if !seen {
+			best[name] = cur
+			continue
 		}
+		prev.NsPerOp = min(prev.NsPerOp, cur.NsPerOp)
+		if cur.HasMem {
+			if prev.HasMem {
+				cur.BytesPerOp = min(prev.BytesPerOp, cur.BytesPerOp)
+				cur.AllocsPerOp = min(prev.AllocsPerOp, cur.AllocsPerOp)
+			}
+			prev.BytesPerOp, prev.AllocsPerOp, prev.HasMem = cur.BytesPerOp, cur.AllocsPerOp, true
+		}
+		best[name] = prev
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("stats: reading bench output: %w", err)
@@ -78,6 +109,25 @@ type BenchBaseline struct {
 	Note string `json:"note,omitempty"`
 	// NsPerOp maps benchmark name (procs suffix stripped) to ns/op.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// AllocsPerOp maps the benchmarks whose allocation count is gated to
+	// their allocs/op. Only deterministic benchmarks belong here: the
+	// gate allows no more than jitter-sized growth.
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	// AllocsGo is the Go release (e.g. "go1.24") the allocation pins were
+	// measured with. Allocation counts change with the toolchain (map and
+	// runtime internals), so the pins gate only runs on that release.
+	AllocsGo string `json:"allocs_go,omitempty"`
+}
+
+// GoRelease trims a runtime.Version string to its release ("go1.24.3"
+// -> "go1.24"): patch releases keep allocation behaviour.
+func GoRelease(version string) string {
+	if i := strings.IndexByte(version, '.'); i >= 0 {
+		if j := strings.IndexByte(version[i+1:], '.'); j >= 0 {
+			return version[:i+1+j]
+		}
+	}
+	return version
 }
 
 // WriteBenchBaseline renders a baseline deterministically (sorted keys,
@@ -100,26 +150,32 @@ func ReadBenchBaseline(r io.Reader) (BenchBaseline, error) {
 	return b, nil
 }
 
-// BenchRegression is one benchmark that got slower than the gate allows.
+// BenchRegression is one benchmark figure that grew beyond what the gate
+// allows.
 type BenchRegression struct {
-	Name       string
-	BaselineNs float64
-	CurrentNs  float64
-	Ratio      float64 // CurrentNs / BaselineNs
+	Name     string
+	Unit     string // "ns/op" or "allocs/op"
+	Baseline float64
+	Current  float64
+	Ratio    float64 // Current / Baseline
 }
 
 func (r BenchRegression) String() string {
-	return fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f ns/op (%.2fx, %.0f%% slower)",
-		r.Name, r.CurrentNs, r.BaselineNs, r.Ratio, (r.Ratio-1)*100)
+	more := "more"
+	if r.Unit == "ns/op" {
+		more = "slower"
+	}
+	return fmt.Sprintf("%s: %.0f %s vs baseline %.0f %s (%.3gx, %.3g%% %s)",
+		r.Name, r.Current, r.Unit, r.Baseline, r.Unit, r.Ratio, (r.Ratio-1)*100, more)
 }
 
-// CompareBenchmarks gates current against a baseline: every baseline
-// benchmark must be present in current (a vanished benchmark is reported
-// in missing — deleting a benchmark must be a deliberate baseline edit,
-// not a silent gate bypass) and no slower than maxRatio times its
-// baseline ns/op (1.25 = fail beyond 25% slower). Regressions come back
-// sorted worst first.
-func CompareBenchmarks(baseline, current map[string]float64, maxRatio float64) (regressions []BenchRegression, missing []string) {
+// CompareBenchmarks gates one figure (unit names it in the report) of
+// current against a baseline: every baseline benchmark must be present
+// in current (a vanished benchmark is reported in missing — deleting a
+// benchmark must be a deliberate baseline edit, not a silent gate
+// bypass) and no larger than maxRatio times its baseline value (1.25 =
+// fail beyond 25% more). Regressions come back sorted worst first.
+func CompareBenchmarks(baseline, current map[string]float64, maxRatio float64, unit string) (regressions []BenchRegression, missing []string) {
 	for name, base := range baseline {
 		cur, ok := current[name]
 		if !ok {
@@ -131,7 +187,7 @@ func CompareBenchmarks(baseline, current map[string]float64, maxRatio float64) (
 		}
 		if ratio := cur / base; ratio > maxRatio {
 			regressions = append(regressions, BenchRegression{
-				Name: name, BaselineNs: base, CurrentNs: cur, Ratio: ratio,
+				Name: name, Unit: unit, Baseline: base, Current: cur, Ratio: ratio,
 			})
 		}
 	}

@@ -1,11 +1,13 @@
 package ompss
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/energy"
 	"repro/internal/machine"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Analysis-side re-exports: everything a user needs to postprocess a run
@@ -23,6 +25,25 @@ type (
 	// Summary is the per-worker / per-type derived statistics of a run.
 	Summary = stats.Summary
 )
+
+// traced returns the run's tracer, or an error naming the opt-out when
+// the runtime was built with Config.NoTrace.
+func (r *Runtime) traced(op string) (*trace.Tracer, error) {
+	if tr := r.Tracer(); tr != nil {
+		return tr, nil
+	}
+	return nil, fmt.Errorf("ompss: %s needs a trace, but the runtime was built with Config.NoTrace", op)
+}
+
+// mustTrace is traced for the analyses without an error result: they
+// panic with that message instead of dereferencing a nil tracer.
+func (r *Runtime) mustTrace(op string) *trace.Tracer {
+	tr, err := r.traced(op)
+	if err != nil {
+		panic(err.Error())
+	}
+	return tr
+}
 
 // MinoTauroPower returns the power model of the paper's evaluation node
 // (Xeon E5649 cores, Tesla M2090 GPUs).
@@ -47,38 +68,51 @@ func (r *Runtime) EnergyReport(m *EnergyModel) *EnergyReport {
 	if m == nil {
 		m = MinoTauroPower()
 	}
-	return energy.Compute(r.Tracer(), r.Machine(), m, r.Now().Duration())
+	return energy.Compute(r.mustTrace("EnergyReport"), r.Machine(), m, r.Now().Duration())
 }
 
 // WriteParaver writes the run's trace in Paraver .prv format (BSC tool
 // chain; view with wxparaver).
 func (r *Runtime) WriteParaver(w io.Writer) error {
-	return r.Tracer().WriteParaver(w, len(r.Workers()))
+	tr, err := r.traced("WriteParaver")
+	if err != nil {
+		return err
+	}
+	return tr.WriteParaver(w, len(r.Workers()))
 }
 
 // WriteParaverPCF writes the companion .pcf naming file for WriteParaver.
 func (r *Runtime) WriteParaverPCF(w io.Writer) error {
-	return r.Tracer().WriteParaverPCF(w)
+	tr, err := r.traced("WriteParaverPCF")
+	if err != nil {
+		return err
+	}
+	return tr.WriteParaverPCF(w)
 }
 
 // CriticalPath computes the heaviest dependence chain of the run so far.
 func (r *Runtime) CriticalPath() *CriticalPath {
-	return stats.ComputeCriticalPath(r.Tracer())
+	return stats.ComputeCriticalPath(r.mustTrace("CriticalPath"))
 }
 
 // Timeline renders an ASCII Gantt chart of the run (one row per worker,
 // one letter per task version).
 func (r *Runtime) Timeline(width int) string {
-	return stats.Timeline(r.Tracer(), width)
+	return stats.Timeline(r.mustTrace("Timeline"), width)
 }
 
 // Summarize derives per-worker and per-type statistics from the run.
 func (r *Runtime) Summarize() *Summary {
-	return stats.Summarize(r.Tracer())
+	return stats.Summarize(r.mustTrace("Summarize"))
 }
 
 // ValidateTrace runs the independent trace-consistency oracle and returns
-// every violation found (empty means consistent).
+// every violation found (empty means consistent). An untraced runtime
+// reports the missing trace as its one violation.
 func (r *Runtime) ValidateTrace() []string {
-	return stats.Validate(r.Tracer())
+	tr, err := r.traced("ValidateTrace")
+	if err != nil {
+		return []string{err.Error()}
+	}
+	return stats.Validate(tr)
 }

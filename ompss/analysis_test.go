@@ -12,7 +12,13 @@ import (
 // runtime for postprocessing.
 func analysisRun(t *testing.T) *ompss.Runtime {
 	t.Helper()
-	r, err := ompss.NewRuntime(ompss.Config{Scheduler: "versioning", SMPWorkers: 2, GPUs: 1})
+	return analysisRunConfig(t, ompss.Config{Scheduler: "versioning", SMPWorkers: 2, GPUs: 1})
+}
+
+// analysisRunConfig is analysisRun under a caller-chosen configuration.
+func analysisRunConfig(t *testing.T, cfg ompss.Config) *ompss.Runtime {
+	t.Helper()
+	r, err := ompss.NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,4 +193,58 @@ func TestFacadeCommutativeClause(t *testing.T) {
 	if res.Elapsed < 4*time.Millisecond {
 		t.Errorf("commutative group overlapped: %v", res.Elapsed)
 	}
+}
+
+// TestUntracedAnalysesFailLoud: on a runtime built with NoTrace, every
+// trace analysis fails with a message naming the opt-out instead of
+// dereferencing the missing tracer, while the Result stays complete.
+func TestUntracedAnalysesFailLoud(t *testing.T) {
+	r := analysisRunConfig(t, ompss.Config{Scheduler: "versioning", SMPWorkers: 2, GPUs: 1, NoTrace: true})
+	if r.Tracer() != nil {
+		t.Fatal("NoTrace runtime has a tracer")
+	}
+	if res := r.Result(); res.Tasks != 20 || res.VersionCounts["k"]["k_gpu"]+res.VersionCounts["k"]["k_smp"] != 20 {
+		t.Errorf("untraced result lost its counts: %+v", res)
+	}
+	const want = "Config.NoTrace"
+	panics := []struct {
+		name string
+		fn   func()
+	}{
+		{"EnergyReport", func() { r.EnergyReport(nil) }},
+		{"CriticalPath", func() { r.CriticalPath() }},
+		{"Summarize", func() { r.Summarize() }},
+		{"Timeline", func() { r.Timeline(40) }},
+	}
+	for _, c := range panics {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				p := recover()
+				if msg, ok := p.(string); !ok || !strings.Contains(msg, c.name) || !strings.Contains(msg, want) {
+					t.Errorf("panic %v, want a message naming %s and %s", p, c.name, want)
+				}
+			}()
+			c.fn()
+		})
+	}
+	errs := []struct {
+		name string
+		fn   func() error
+	}{
+		{"WriteParaver", func() error { return r.WriteParaver(&strings.Builder{}) }},
+		{"WriteParaverPCF", func() error { return r.WriteParaverPCF(&strings.Builder{}) }},
+	}
+	for _, c := range errs {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.fn(); err == nil || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), want) {
+				t.Errorf("error %v, want one naming %s and %s", err, c.name, want)
+			}
+		})
+	}
+	t.Run("ValidateTrace", func(t *testing.T) {
+		v := r.ValidateTrace()
+		if len(v) != 1 || !strings.Contains(v[0], "ValidateTrace") || !strings.Contains(v[0], want) {
+			t.Errorf("violations %q, want one naming ValidateTrace and %s", v, want)
+		}
+	})
 }

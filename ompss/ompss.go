@@ -139,6 +139,11 @@ type Config struct {
 	// NoPrefetch disables transfer/compute overlap (on by default, as in
 	// the evaluation).
 	NoPrefetch bool
+	// NoTrace runs without a trace: Execute and Result still report every
+	// figure, but the trace analyses (EnergyReport, CriticalPath,
+	// Summarize, Timeline, WriteParaver*, ValidateTrace) fail and Tracer
+	// returns nil. Runs that only need the Result are cheaper this way.
+	NoTrace bool
 	// NoiseSigma adds log-normal execution-time jitter (0 = exact).
 	NoiseSigma float64
 	// Seed seeds the jitter RNG.
@@ -221,6 +226,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Prefetch:       !cfg.NoPrefetch,
 		RealCompute:    cfg.RealCompute,
 		CreateOverhead: cfg.CreateOverhead,
+		NoTrace:        cfg.NoTrace,
 	})
 	return &Runtime{Runtime: inner, cfg: cfg, vsched: vs}, nil
 }
@@ -243,11 +249,11 @@ func (r *Runtime) Result() Result {
 		GPUs:           r.cfg.GPUs,
 		Elapsed:        r.Now().Duration(),
 		GFlops:         r.GFlops(),
-		Tasks:          len(r.Tracer().Tasks),
+		Tasks:          r.TasksCompleted(),
 		InputTxBytes:   fb.TotalBytes[xfer.CatInput],
 		OutputTxBytes:  fb.TotalBytes[xfer.CatOutput],
 		DeviceTxBytes:  fb.TotalBytes[xfer.CatDevice],
-		VersionCounts:  r.Tracer().VersionCounts(),
+		VersionCounts:  r.VersionCounts(),
 		FaultsInjected: r.FaultsInjected,
 		TasksRequeued:  r.TasksRequeued,
 		ReadaptSec:     r.ReadaptMax.Seconds(),
