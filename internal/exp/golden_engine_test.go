@@ -43,7 +43,23 @@ func goldenKnobGrid() Grid {
 	}
 }
 
-// Frozen SHA-256 fingerprints of the sweep CSV for the two golden grids,
+// goldenChaosGrid runs the mixed-grid apps and schedulers under fault
+// injection: permanent and recovering GPU drops (one and two devices)
+// and a throttle curve. It freezes the re-queue and busy-time-charge
+// paths of the schedulers, which no fault-free cell reaches.
+func goldenChaosGrid() Grid {
+	g := goldenMixedGrid()
+	g.GPUs = []int{2}
+	g.Chaos = []string{
+		"gpu0:drop@40%",
+		"gpu1:drop@30%+recover@60%",
+		"gpu0:drop@20%;gpu1:drop@50%+recover@80%",
+		"gpu0:throttle@50%x0.5",
+	}
+	return g
+}
+
+// Frozen SHA-256 fingerprints of the sweep CSV for the golden grids,
 // captured from the engine BEFORE the pooled/flattened hot-path rewrite
 // (PR 6). The optimized engine must reproduce the pre-refactor output
 // byte for byte: any change here is a simulation-behaviour change, not a
@@ -54,9 +70,14 @@ func goldenKnobGrid() Grid {
 // readapt_max_s): a rendering change, not a behaviour change — the
 // makespan/gflops/tx values are unchanged, every no-chaos cell renders
 // the new columns as empty/0, and SimBehaviorVersion stays at 1.
+//
+// The chaos fingerprint was captured before the map-free versioning
+// and allocation-free staging rewrite, so it freezes the fault paths
+// that rewrite touches.
 const (
 	goldenMixedCSVSHA = "641bfc036123b1108d2c120ec1d2dc52dacaf7dd56185e08ad3c37a5120aaebb"
 	goldenKnobCSVSHA  = "9615b8a3ac20558c6b3c68e5ac3c8b2dd67aa84315775fc316dc521babd267fc"
+	goldenChaosCSVSHA = "9b4286a7ea3831726aa557e455be00813157ddaf96d0bfb3afc051a886278dd1"
 )
 
 func sweepCSVSHA(t *testing.T, g Grid, parallel int) string {
@@ -86,5 +107,8 @@ func TestGoldenEngineFingerprint(t *testing.T) {
 	}
 	if got := sweepCSVSHA(t, goldenKnobGrid(), 2); got != goldenKnobCSVSHA {
 		t.Errorf("knob-grid CSV fingerprint changed:\n got %s\nwant %s", got, goldenKnobCSVSHA)
+	}
+	if got := sweepCSVSHA(t, goldenChaosGrid(), 2); got != goldenChaosCSVSHA {
+		t.Errorf("chaos-grid CSV fingerprint changed:\n got %s\nwant %s", got, goldenChaosCSVSHA)
 	}
 }
