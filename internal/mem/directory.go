@@ -92,6 +92,11 @@ type spaceState struct {
 	pins     int32
 	lastUse  sim.Time
 	inflight []func() // waiters on an in-progress copy-in
+	// fetch issues the copy-in of the object to this space once memory is
+	// charged, and arrive completes it. Both are bound on the first
+	// copy-in of the pair and reused: at most one copy-in per pair is in
+	// flight (later readers join inflight), so copies allocate nothing.
+	fetch, arrive func()
 }
 
 // objState is the directory entry for one object: one packed record per
@@ -227,29 +232,42 @@ func (d *Directory) Acquire(obj *Object, sp machine.SpaceID, mode AccessMode, on
 		})
 		return
 	}
-	if len(ss.inflight) > 0 {
-		ss.inflight = append(ss.inflight, onReady)
+	copying := len(ss.inflight) > 0
+	ss.inflight = append(ss.inflight, onReady)
+	if copying {
 		return
 	}
-	ss.inflight = append(ss.inflight, onReady)
-	d.ensureAllocated(st, sp, func() {
-		src := d.pickSource(st)
-		d.fabric.Transfer(src, sp, obj.Size, obj.Name, func() {
-			ss := &st.spaces[sp]
-			ss.valid = true
-			if sp == machine.HostSpace {
-				// Pulling a dirty object home is an implicit writeback:
-				// host now holds the freshest data, so a later flush
-				// must not transfer it again.
-				st.dirty = false
-			}
-			waiters := ss.inflight
-			ss.inflight = nil
-			for _, w := range waiters {
-				w()
-			}
-		})
-	})
+	if ss.fetch == nil {
+		d.bindCopyIn(st, sp)
+	}
+	d.ensureAllocated(st, sp, ss.fetch)
+}
+
+// bindCopyIn builds the (object, space) pair's copy-in continuations.
+func (d *Directory) bindCopyIn(st *objState, sp machine.SpaceID) {
+	ss := &st.spaces[sp]
+	ss.fetch = func() {
+		d.fabric.Transfer(d.pickSource(st), sp, st.obj.Size, st.obj.Name, ss.arrive)
+	}
+	ss.arrive = func() {
+		ss.valid = true
+		if sp == machine.HostSpace {
+			// Pulling a dirty object home is an implicit writeback: host
+			// now holds the freshest data, so a later flush must not
+			// transfer it again.
+			st.dirty = false
+		}
+		waiters := ss.inflight
+		ss.inflight = nil
+		for _, w := range waiters {
+			w()
+		}
+		if ss.inflight == nil {
+			// No waiter started a new copy-in: keep the capacity.
+			clear(waiters)
+			ss.inflight = waiters[:0]
+		}
+	}
 }
 
 // pickSource chooses where to copy a missing object from: host if the

@@ -441,3 +441,32 @@ func TestNegativeSizePanics(t *testing.T) {
 	}()
 	h.dir.Register("bad", -1)
 }
+
+// TestCopyInCycleAllocatesNothing pins the staging hot path: once an
+// (object, space) pair has been copied in, its continuations are bound,
+// so invalidating the copy and copying it in again allocates nothing.
+func TestCopyInCycleAllocatesNothing(t *testing.T) {
+	h := newHarness()
+	gpu := h.m.GPUSpaces()[0]
+	obj := h.dir.Register("tile", 1<<20)
+	ready := 0
+	onReady := func() { ready++ }
+	cycle := func() {
+		h.dir.Acquire(obj, gpu, Read, onReady)
+		h.dir.Acquire(obj, gpu, Read, onReady) // joins the copy in flight
+		h.eng.Run()
+		h.dir.Release(obj, gpu)
+		h.dir.Release(obj, gpu)
+		h.dir.CommitWrite(obj, machine.HostSpace) // invalidates the GPU copy
+	}
+	cycle() // binds the pair's continuations
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("invalidate/copy-in cycle allocates %.1f times, want 0", allocs)
+	}
+	if want := 2 * 102; ready != want {
+		t.Errorf("onReady fired %d times, want %d", ready, want)
+	}
+	if h.dir.ValidAt(obj, gpu) {
+		t.Error("GPU copy still valid after the host write")
+	}
+}

@@ -152,6 +152,7 @@ func New(cfg Config) *Runtime {
 	addWorker := func(dev machine.Device) {
 		w := &Worker{id: len(r.workers), dev: dev, rt: r, speed: 1}
 		w.completeFn = func() { w.complete(w.current) }
+		w.bindStagers()
 		r.workers = append(r.workers, w)
 	}
 	for i := 0; i < cfg.SMPWorkers; i++ {

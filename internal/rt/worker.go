@@ -33,6 +33,11 @@ type Worker struct {
 	// per-worker closure replaces a per-task allocation in startExec.
 	completeFn func()
 
+	// stagers are the worker's two prebound staging countdowns. At most
+	// two tasks stage on a worker at once — its current task and its
+	// prefetched one — so two suffice, and staging allocates nothing.
+	stagers [2]stager
+
 	// execEv is the pending completion event of the running task, kept so
 	// fault injection (DropWorker, SetWorkerSpeed) can cancel or reschedule
 	// an execution in flight. The generation check in sim.EventID.Cancel
@@ -160,29 +165,64 @@ func (w *Worker) checkAssignment(a Assignment) {
 	}
 }
 
-// stage pins and copies in the task's data; when the last access is
-// acquired, staged(t) runs the task (if it is, or has been promoted to,
-// the worker's current task) or marks the prefetch slot staged.
+// stager counts one staging task's outstanding acquires down. done is
+// bound once, when the worker is built, and serves every access of
+// whichever task the stager currently holds (Acquire completions are
+// simulation events, never concurrent).
+type stager struct {
+	task *Task
+	done func()
+}
+
+// bindStagers builds the worker's staging countdowns.
+func (w *Worker) bindStagers() {
+	for i := range w.stagers {
+		st := &w.stagers[i]
+		st.done = func() {
+			t := st.task
+			t.staging--
+			if t.staging == 0 {
+				// Free the stager first: staged may start the task, and
+				// starting it may prefetch (and so stage) the next one.
+				st.task = nil
+				w.staged(t)
+			}
+		}
+	}
+}
+
+// stage pins and copies in the task's data through a free stager; when
+// the last access is acquired, staged(t) runs the task (if it is, or has
+// been promoted to, the worker's current task) or marks the prefetch
+// slot staged. A task without accesses counts down from one, on an
+// immediate event.
 func (w *Worker) stage(t *Task, v *Version) {
 	t.state = StateStaging
 	t.worker = w
 	t.version = v
-	t.staging = len(t.Accesses)
-	if t.staging == 0 {
-		w.rt.eng.Immediately(func() { w.staged(t) })
+	st := w.freeStager(t)
+	st.task = t
+	if len(t.Accesses) == 0 {
+		t.staging = 1
+		w.rt.eng.Immediately(st.done)
 		return
 	}
-	// One shared countdown closure for all accesses (Acquire completions
-	// are simulation events, never concurrent).
-	done := func() {
-		t.staging--
-		if t.staging == 0 {
-			w.staged(t)
+	t.staging = len(t.Accesses)
+	for _, a := range t.Accesses {
+		w.rt.dir.Acquire(a.Obj, w.dev.Space, a.Mode, st.done)
+	}
+}
+
+// freeStager returns a stager not holding a task. Only the current and
+// the prefetched task ever stage, so running out is a runtime bug.
+func (w *Worker) freeStager(t *Task) *stager {
+	for i := range w.stagers {
+		if w.stagers[i].task == nil {
+			return &w.stagers[i]
 		}
 	}
-	for _, a := range t.Accesses {
-		w.rt.dir.Acquire(a.Obj, w.dev.Space, a.Mode, done)
-	}
+	panic(fmt.Sprintf("rt: %v cannot stage %v: already staging %v and %v",
+		w, t, w.stagers[0].task, w.stagers[1].task))
 }
 
 // staged fires when the task's data is fully resident on the worker's

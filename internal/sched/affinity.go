@@ -73,7 +73,7 @@ func (s *Affinity) TaskReady(t *rt.Task) {
 	if best == nil {
 		panic("sched: affinity found no worker for task " + t.Type.Name)
 	}
-	s.local[best.ID()] = InsertByPriority(s.local[best.ID()], t)
+	s.local[best.ID()] = InsertByPriority(s.local[best.ID()], t, taskPriority)
 }
 
 // NextTask implements rt.Scheduler.

@@ -26,7 +26,7 @@ func (s *BreadthFirst) Name() string { return "bf" }
 func (s *BreadthFirst) Init(r *rt.Runtime) { s.rt = r }
 
 // TaskReady implements rt.Scheduler.
-func (s *BreadthFirst) TaskReady(t *rt.Task) { s.queue = InsertByPriority(s.queue, t) }
+func (s *BreadthFirst) TaskReady(t *rt.Task) { s.queue = InsertByPriority(s.queue, t, taskPriority) }
 
 // NextTask implements rt.Scheduler: oldest compatible task wins.
 func (s *BreadthFirst) NextTask(w *rt.Worker) rt.Assignment {

@@ -36,10 +36,10 @@ func (s *DepAware) Init(r *rt.Runtime) { s.rt = r }
 func (s *DepAware) TaskReady(t *rt.Task) {
 	main := t.Type.Main()
 	if pw := t.LastPredWorker(); pw != nil && main.RunsOn(pw.Kind()) {
-		s.local[pw.ID()] = InsertByPriority(s.local[pw.ID()], t)
+		s.local[pw.ID()] = InsertByPriority(s.local[pw.ID()], t, taskPriority)
 		return
 	}
-	s.central = InsertByPriority(s.central, t)
+	s.central = InsertByPriority(s.central, t, taskPriority)
 }
 
 // NextTask implements rt.Scheduler.

@@ -2,29 +2,23 @@ package sched
 
 import "repro/internal/rt"
 
-// InsertByPriority inserts a task into a ready queue ordered by
-// descending priority, keeping FIFO order among equal priorities (the
-// OmpSs priority clause semantics). It returns the updated slice.
-func InsertByPriority(queue []*rt.Task, t *rt.Task) []*rt.Task {
+// InsertByPriority inserts e into a ready queue ordered by descending
+// priority, keeping FIFO order among equal priorities (the OmpSs
+// priority clause semantics). priority reads an element's priority, so
+// one helper serves plain task queues and the versioning scheduler's
+// decision queues alike. It returns the updated slice.
+func InsertByPriority[E any](queue []E, e E, priority func(E) int) []E {
+	p := priority(e)
 	i := len(queue)
-	for i > 0 && queue[i-1].Priority < t.Priority {
+	for i > 0 && priority(queue[i-1]) < p {
 		i--
 	}
-	queue = append(queue, nil)
+	var zero E
+	queue = append(queue, zero)
 	copy(queue[i+1:], queue[i:])
-	queue[i] = t
+	queue[i] = e
 	return queue
 }
 
-// InsertAssignmentByPriority is InsertByPriority for assignment queues
-// (used by the versioning scheduler's per-worker queues).
-func InsertAssignmentByPriority(queue []rt.Assignment, a rt.Assignment) []rt.Assignment {
-	i := len(queue)
-	for i > 0 && queue[i-1].Task.Priority < a.Task.Priority {
-		i--
-	}
-	queue = append(queue, rt.Assignment{})
-	copy(queue[i+1:], queue[i:])
-	queue[i] = a
-	return queue
-}
+// taskPriority is the priority of a plain task queue's element.
+func taskPriority(t *rt.Task) int { return t.Priority }

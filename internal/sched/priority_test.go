@@ -94,12 +94,13 @@ func TestInsertByPriority(t *testing.T) {
 	mk := func(id int64, prio int) *rt.Task {
 		return &rt.Task{ID: id, Priority: prio}
 	}
+	prio := func(t *rt.Task) int { return t.Priority }
 	var q []*rt.Task
-	q = sched.InsertByPriority(q, mk(1, 0))
-	q = sched.InsertByPriority(q, mk(2, 5))
-	q = sched.InsertByPriority(q, mk(3, 0))
-	q = sched.InsertByPriority(q, mk(4, 5))
-	q = sched.InsertByPriority(q, mk(5, 2))
+	q = sched.InsertByPriority(q, mk(1, 0), prio)
+	q = sched.InsertByPriority(q, mk(2, 5), prio)
+	q = sched.InsertByPriority(q, mk(3, 0), prio)
+	q = sched.InsertByPriority(q, mk(4, 5), prio)
+	q = sched.InsertByPriority(q, mk(5, 2), prio)
 	wantIDs := []int64{2, 4, 5, 1, 3}
 	for i, w := range wantIDs {
 		if q[i].ID != w {

@@ -65,14 +65,15 @@ type Versioning struct {
 	rtime *rt.Runtime
 	store *verprof.Store
 
-	queues [][]rt.Assignment // per-worker FIFO, indexed by worker ID
+	queues [][]entry // per-worker priority FIFO, indexed by worker ID
+	// held lists, per worker, the entries NextTask handed out and whose
+	// tasks have not finished: the worker's current and prefetched task.
+	// TaskFinished finds its charge here.
+	held [][]entry
 	// outstanding estimated busy time per worker (indexed by worker ID):
 	// queued + dispatched but unfinished work, in nanoseconds of estimated
 	// execution time.
 	outstanding []time.Duration
-	// estOf remembers the estimate charged per task so TaskFinished can
-	// subtract exactly what TaskReady added.
-	estOf map[*rt.Task]taskCharge
 	// assigned counts learning-phase assignments per group and version.
 	// Round-robin must cycle on assignment (not completion): when many
 	// tasks become ready in a burst, completions lag and counting only
@@ -89,13 +90,18 @@ type Versioning struct {
 	ReliableAssignments int64
 }
 
-type taskCharge struct {
-	worker int
-	est    time.Duration
+// entry is one decided task: the assignment plus the busy-time charge
+// TaskReady added to the worker whose queue (and then held list) it sits
+// in, so TaskFinished subtracts exactly that charge.
+type entry struct {
+	rt.Assignment
+	est time.Duration
 	// group is the profile group the estimate came from, so TaskFinished
 	// records into it without a second GroupFor lookup.
 	group *verprof.Group
 }
+
+func entryPriority(e entry) int { return e.Task.Priority }
 
 // New builds a versioning scheduler with the given options.
 func New(opts Options) *Versioning {
@@ -109,7 +115,6 @@ func New(opts Options) *Versioning {
 	return &Versioning{
 		opts:     opts,
 		store:    store,
-		estOf:    make(map[*rt.Task]taskCharge),
 		assigned: make(map[*verprof.Group]map[string]int64),
 	}
 }
@@ -125,22 +130,26 @@ func (s *Versioning) Store() *verprof.Store { return s.store }
 func (s *Versioning) Init(r *rt.Runtime) {
 	s.rtime = r
 	n := len(r.Workers())
-	s.queues = make([][]rt.Assignment, n)
+	s.queues = make([][]entry, n)
+	s.held = make([][]entry, n)
 	s.outstanding = make([]time.Duration, n)
 }
 
 // TaskReady implements rt.Scheduler: decide the task's version and worker
 // now, and enqueue it on that worker's own queue.
 func (s *Versioning) TaskReady(t *rt.Task) {
-	// A re-decision (fault re-queue, or a down worker's queue draining)
-	// carries a stale busy-time charge from the first decision: release it
-	// so the dead worker's outstanding work does not distort estimates.
-	if old, ok := s.estOf[t]; ok {
-		s.outstanding[old.worker] -= old.est
-		if s.outstanding[old.worker] < 0 {
-			s.outstanding[old.worker] = 0
+	// A fault re-queue bounces a task some worker had already taken: it
+	// still carries the busy-time charge of its first decision. Release
+	// it so the dead worker's outstanding work does not distort
+	// estimates. (WorkerDown releases the charges of the queue it drains
+	// itself; no other path re-decides a charged task.)
+	if t.Requeues() > 0 {
+		for w := range s.held {
+			if e, ok := s.unhold(w, t); ok {
+				s.discharge(w, e)
+				break
+			}
 		}
-		delete(s.estOf, t)
 	}
 
 	g := s.store.GroupFor(t.Type.Name, t.DataSetSize, t.Type.VersionNames())
@@ -165,10 +174,30 @@ func (s *Versioning) TaskReady(t *rt.Task) {
 		panic(fmt.Sprintf("versioning: no worker can run task %q (versions %v)", t.Type.Name, t.Type.VersionNames()))
 	}
 
-	est := s.estimate(g, choice.Version)
-	s.queues[worker.ID()] = sched.InsertAssignmentByPriority(s.queues[worker.ID()], choice)
-	s.outstanding[worker.ID()] += est
-	s.estOf[t] = taskCharge{worker: worker.ID(), est: est, group: g}
+	e := entry{Assignment: choice, est: s.estimate(g, choice.Version), group: g}
+	s.queues[worker.ID()] = sched.InsertByPriority(s.queues[worker.ID()], e, entryPriority)
+	s.outstanding[worker.ID()] += e.est
+}
+
+// discharge releases an entry's busy-time charge from worker w.
+func (s *Versioning) discharge(w int, e entry) {
+	s.outstanding[w] -= e.est
+	if s.outstanding[w] < 0 {
+		s.outstanding[w] = 0
+	}
+}
+
+// unhold removes t's entry from worker w's held list.
+func (s *Versioning) unhold(w int, t *rt.Task) (entry, bool) {
+	h := s.held[w]
+	for i, e := range h {
+		if e.Task == t {
+			s.held[w] = append(h[:i], h[i+1:]...)
+			h[len(h)-1] = entry{}
+			return e, true
+		}
+	}
+	return entry{}, false
 }
 
 // estimate is the scheduler's expected execution time for a version: its
@@ -250,6 +279,29 @@ func (s *Versioning) learningPick(t *rt.Task, g *verprof.Group) (*rt.Worker, rt.
 // versioning scheduler's device-to-device traffic in Figures 7 and 10.
 const chainSlack = 1.05
 
+// fastest is the fastest profiled version a device kind can run, and
+// its recorded mean.
+type fastest struct {
+	v    *rt.Version
+	mean time.Duration
+}
+
+// fastestByKind returns, per device kind, the fastest profiled version
+// runnable on it (v == nil if none has run), ties breaking toward
+// registration order. A decision computes it once: every worker of a
+// kind shares the answer.
+func fastestByKind(t *rt.Task, g *verprof.Group) (best [machine.NumDeviceKinds]fastest) {
+	for k := range best {
+		for _, v := range t.Type.VersionsFor(machine.DeviceKind(k)) {
+			mean, ok := g.Mean(v.Name)
+			if ok && (best[k].v == nil || mean < best[k].mean) {
+				best[k] = fastest{v, mean}
+			}
+		}
+	}
+	return best
+}
+
 // earliestExecutor implements the reliable-information phase: for every
 // worker, the best (fastest-mean) version it can run plus its estimated
 // busy time gives an estimated completion time; the minimum wins
@@ -257,6 +309,7 @@ const chainSlack = 1.05
 // LocalityAware extension, near-ties (within chainSlack) go to the
 // worker whose memory already holds the most of the task's data.
 func (s *Versioning) earliestExecutor(t *rt.Task, g *verprof.Group) (*rt.Worker, rt.Assignment) {
+	byKind := fastestByKind(t, g)
 	var bestW *rt.Worker
 	var bestV *rt.Version
 	var bestFinish time.Duration
@@ -264,12 +317,12 @@ func (s *Versioning) earliestExecutor(t *rt.Task, g *verprof.Group) (*rt.Worker,
 		if w.Down() {
 			continue
 		}
-		v, finish, ok := s.finishOn(t, g, w)
-		if !ok {
+		f := byKind[w.Kind()]
+		if f.v == nil {
 			continue
 		}
-		if bestW == nil || finish < bestFinish {
-			bestW, bestV, bestFinish = w, v, finish
+		if finish := s.busyTime(w) + f.mean; bestW == nil || finish < bestFinish {
+			bestW, bestV, bestFinish = w, f.v, finish
 		}
 	}
 	if bestW == nil {
@@ -285,28 +338,17 @@ func (s *Versioning) earliestExecutor(t *rt.Task, g *verprof.Group) (*rt.Worker,
 			if w == bestW || w.Down() {
 				continue
 			}
-			v, finish, ok := s.finishOn(t, g, w)
-			if !ok || float64(finish) > float64(bestFinish)*chainSlack {
+			f := byKind[w.Kind()]
+			if f.v == nil || float64(s.busyTime(w)+f.mean) > float64(bestFinish)*chainSlack {
 				continue
 			}
 			if m := s.missingBytes(t, w); m < bestMissing {
-				localW, localV, bestMissing = w, v, m
+				localW, localV, bestMissing = w, f.v, m
 			}
 		}
 		return localW, rt.Assignment{Task: t, Version: localV}
 	}
 	return bestW, rt.Assignment{Task: t, Version: bestV}
-}
-
-// finishOn estimates when the worker would finish the task: its busy time
-// plus the mean of the fastest profiled version its device can run.
-func (s *Versioning) finishOn(t *rt.Task, g *verprof.Group, w *rt.Worker) (*rt.Version, time.Duration, bool) {
-	v := s.fastestVersionFor(t, g, w.Kind())
-	if v == nil {
-		return nil, 0, false
-	}
-	mean, _ := g.Mean(v.Name)
-	return v, s.busyTime(w) + mean, true
 }
 
 // missingBytes is how much of the task's data is absent from the worker's
@@ -318,23 +360,6 @@ func (s *Versioning) missingBytes(t *rt.Task, w *rt.Worker) int64 {
 		b += dir.BytesNeeded(a.Obj, w.Space(), a.Mode)
 	}
 	return b
-}
-
-// fastestVersionFor returns the version with the smallest recorded mean
-// among those runnable on the device kind.
-func (s *Versioning) fastestVersionFor(t *rt.Task, g *verprof.Group, kind machine.DeviceKind) *rt.Version {
-	var best *rt.Version
-	var bestMean time.Duration
-	for _, v := range t.Type.VersionsFor(kind) {
-		m, ok := g.Mean(v.Name)
-		if !ok {
-			continue
-		}
-		if best == nil || m < bestMean {
-			best, bestMean = v, m
-		}
-	}
-	return best
 }
 
 // busyTime is the worker's estimated busy time: the sum of the estimated
@@ -389,16 +414,17 @@ func (s *Versioning) leastBusyWorker(v *rt.Version) *rt.Worker {
 }
 
 // WorkerDown implements rt.FaultAware: the device is dead, so every
-// assignment queued on it is re-decided among the survivors. TaskReady
-// releases each task's stale busy-time charge, so the dead worker's
-// profile influence drains with its queue (the profile table itself
-// keeps its recorded means — they are still valid if the device comes
-// back).
+// assignment queued on it is re-decided among the survivors. Each task's
+// stale busy-time charge is released just before its re-decision, so the
+// dead worker's profile influence drains with its queue (the profile
+// table itself keeps its recorded means — they are still valid if the
+// device comes back).
 func (s *Versioning) WorkerDown(w *rt.Worker) {
 	q := s.queues[w.ID()]
 	s.queues[w.ID()] = nil
-	for _, a := range q {
-		s.TaskReady(a.Task)
+	for _, e := range q {
+		s.discharge(w.ID(), e)
+		s.TaskReady(e.Task)
 	}
 }
 
@@ -412,23 +438,27 @@ func (s *Versioning) WorkerUp(w *rt.Worker) {
 	}
 }
 
-// NextTask implements rt.Scheduler: workers pop their own queue.
+// NextTask implements rt.Scheduler: workers pop their own queue. The
+// popped entry moves to the worker's held list, keeping its charge until
+// the task finishes or a fault re-queues it.
 func (s *Versioning) NextTask(w *rt.Worker) rt.Assignment {
 	q := s.queues[w.ID()]
 	if len(q) == 0 {
 		return rt.Assignment{}
 	}
-	a := q[0]
+	e := q[0]
+	q[0] = entry{}
 	s.queues[w.ID()] = q[1:]
-	return a
+	s.held[w.ID()] = append(s.held[w.ID()], e)
+	return e.Assignment
 }
 
 // TaskFinished implements rt.Scheduler: fold the realized execution time
 // into the profile (the scheduler never stops learning) and release the
 // worker's busy-time charge.
 func (s *Versioning) TaskFinished(w *rt.Worker, t *rt.Task, v *rt.Version, exec time.Duration) {
-	ch, ok := s.estOf[t]
-	g := ch.group
+	e, ok := s.unhold(w.ID(), t)
+	g := e.group
 	if g == nil {
 		// The charge was recorded by TaskReady; a nil group means the task
 		// never passed through it (defensive — cannot happen in practice).
@@ -436,11 +466,7 @@ func (s *Versioning) TaskFinished(w *rt.Worker, t *rt.Task, v *rt.Version, exec 
 	}
 	g.Record(v.Name, exec)
 	if ok {
-		s.outstanding[ch.worker] -= ch.est
-		if s.outstanding[ch.worker] < 0 {
-			s.outstanding[ch.worker] = 0
-		}
-		delete(s.estOf, t)
+		s.discharge(w.ID(), e)
 	}
 }
 

@@ -259,10 +259,56 @@ func TestGPUVersionUnusedWithoutGPUWorkers(t *testing.T) {
 	}
 }
 
+// TestBusyTimeBookkeepingDrains checks that every busy-time charge a
+// decision adds is released exactly once: by the task's completion, or,
+// under faults, by the re-decision of a drained or re-queued task.
 func TestBusyTimeBookkeepingDrains(t *testing.T) {
-	r, v, tt := hybridRuntime(2, 1, versioning.Options{Lambda: 2})
-	submitN(r, tt, 30, 1000)
-	r.Run()
+	t.Run("clean", func(t *testing.T) {
+		r, v, tt := hybridRuntime(2, 1, versioning.Options{Lambda: 2})
+		submitN(r, tt, 30, 1000)
+		r.Run()
+		assertDrained(t, r, v)
+	})
+	t.Run("gpu-drop-recover", func(t *testing.T) {
+		// Prefetching gives every worker a current and a queued task, and
+		// waves of submissions make later decisions charge non-zero
+		// estimates (reliable phase) that the fault must release.
+		v := versioning.New(versioning.Options{Lambda: 2})
+		r := rt.New(rt.Config{
+			Machine:    machine.MinoTauro(2, 1),
+			SMPWorkers: 2,
+			GPUWorkers: 1,
+			Scheduler:  v,
+			Prefetch:   true,
+		})
+		tt := r.DeclareTaskType("kernel")
+		tt.AddVersion("kernel_gpu", machine.KindCUDA, perfmodel.Fixed{D: 2 * time.Millisecond}, nil)
+		tt.AddVersion("kernel_smp", machine.KindSMP, perfmodel.Fixed{D: 10 * time.Millisecond}, nil)
+		r.SpawnMain(func(m *rt.Master) {
+			for wave := 0; wave < 12; wave++ {
+				for i := 0; i < 6; i++ {
+					obj := r.Register("x", 1000)
+					m.Submit(tt, []deps.Access{deps.InOut(obj)}, perfmodel.Work{}, nil)
+				}
+				m.Taskwait()
+			}
+		})
+		gpu := len(r.Workers()) - 1 // workers are SMP first, then GPU
+		r.Engine().At(r.Engine().Now().Add(41*time.Millisecond), func() { r.DropWorker(gpu) })
+		r.Engine().At(r.Engine().Now().Add(75*time.Millisecond), func() { r.RecoverWorker(gpu) })
+		r.Run()
+		assertDrained(t, r, v)
+		if r.TasksRequeued == 0 {
+			t.Error("the GPU drop re-queued no task: the fault missed the run")
+		}
+		if v.ReliableAssignments == 0 {
+			t.Error("no reliable-phase decision: every charge was zero")
+		}
+	})
+}
+
+func assertDrained(t *testing.T, r *rt.Runtime, v *versioning.Versioning) {
+	t.Helper()
 	for _, w := range r.Workers() {
 		if b := v.BusyTime(w); b != 0 {
 			t.Errorf("%v BusyTime = %v after drain, want 0", w, b)

@@ -64,12 +64,14 @@ func (s VersionStats) CV() float64 {
 	return math.Sqrt(math.Max(s.VarNs2, 0)) / s.MeanNs
 }
 
-// Group is one data-set-size group of a TaskVersionSet.
+// Group is one data-set-size group of a TaskVersionSet. Its per-version
+// records live in a slice in registration order, found by a linear scan
+// of the version names: a group holds one to three versions, and the
+// scheduler consults it on every decision, so a scan beats hashing.
 type Group struct {
-	Size     int64
-	store    *Store
-	versions []string // registration order
-	stats    map[string]*VersionStats
+	Size  int64
+	store *Store
+	stats []VersionStats // registration order
 }
 
 // Set is one TaskVersionSet: all profiling groups of one task type.
@@ -99,7 +101,7 @@ type Store struct {
 	// the paper; off by default.
 	ConfidenceCV float64
 
-	sets map[string]*Set
+	sets []*Set // creation order; Snapshot sorts by type name
 }
 
 // ConfidenceCap bounds how many extra samples the ConfidenceCV gate may
@@ -112,17 +114,20 @@ func NewStore(lambda int) *Store {
 	if lambda < 1 {
 		lambda = DefaultLambda
 	}
-	return &Store{Lambda: lambda, sets: make(map[string]*Set)}
+	return &Store{Lambda: lambda}
 }
 
 // Set returns the TaskVersionSet for a task type, creating it on first
-// use.
+// use. Applications register a handful of task types, so a linear scan
+// is cheaper than hashing the name on every scheduling decision.
 func (s *Store) Set(taskType string) *Set {
-	set, ok := s.sets[taskType]
-	if !ok {
-		set = &Set{Type: taskType}
-		s.sets[taskType] = set
+	for _, set := range s.sets {
+		if set.Type == taskType {
+			return set
+		}
 	}
+	set := &Set{Type: taskType}
+	s.sets = append(s.sets, set)
 	return set
 }
 
@@ -138,7 +143,7 @@ func (s *Store) GroupFor(taskType string, size int64, versions []string) *Group 
 			return g
 		}
 	}
-	g := &Group{Size: size, store: s, stats: make(map[string]*VersionStats)}
+	g := &Group{Size: size, store: s, stats: make([]VersionStats, 0, len(versions))}
 	g.ensureVersions(versions)
 	set.groups = append(set.groups, g)
 	return g
@@ -160,23 +165,35 @@ func (s *Store) sizeMatches(groupSize, size int64) bool {
 
 func (g *Group) ensureVersions(versions []string) {
 	for _, v := range versions {
-		if _, ok := g.stats[v]; !ok {
-			g.versions = append(g.versions, v)
-			g.stats[v] = &VersionStats{Version: v}
+		g.stat(v)
+	}
+}
+
+// find returns the version's record, or nil if it was never registered.
+func (g *Group) find(version string) *VersionStats {
+	for i := range g.stats {
+		if g.stats[i].Version == version {
+			return &g.stats[i]
 		}
 	}
+	return nil
+}
+
+// stat returns the version's record, registering it (zeroed) on first
+// use.
+func (g *Group) stat(version string) *VersionStats {
+	if st := g.find(version); st != nil {
+		return st
+	}
+	g.stats = append(g.stats, VersionStats{Version: version})
+	return &g.stats[len(g.stats)-1]
 }
 
 // Record folds one realized execution time into the version's mean. The
 // scheduler records in both phases: "the scheduler is always learning"
 // (Section IV-B).
 func (g *Group) Record(version string, d time.Duration) {
-	st, ok := g.stats[version]
-	if !ok {
-		g.versions = append(g.versions, version)
-		st = &VersionStats{Version: version}
-		g.stats[version] = st
-	}
+	st := g.stat(version)
 	st.Count++
 	x := float64(d.Nanoseconds())
 	switch {
@@ -210,12 +227,7 @@ func (g *Group) SeedWithVariance(version string, mean time.Duration, count int64
 	if varNs2 < 0 {
 		panic("verprof: negative seed variance")
 	}
-	st, ok := g.stats[version]
-	if !ok {
-		g.versions = append(g.versions, version)
-		st = &VersionStats{Version: version}
-		g.stats[version] = st
-	}
+	st := g.stat(version)
 	st.MeanNs = float64(mean.Nanoseconds())
 	st.Count = count
 	st.VarNs2 = varNs2
@@ -224,8 +236,8 @@ func (g *Group) SeedWithVariance(version string, mean time.Duration, count int64
 // Mean returns the version's mean execution time; ok is false while the
 // version has never run.
 func (g *Group) Mean(version string) (time.Duration, bool) {
-	st, ok := g.stats[version]
-	if !ok || st.Count == 0 {
+	st := g.find(version)
+	if st == nil || st.Count == 0 {
 		return 0, false
 	}
 	return st.Mean(), true
@@ -233,11 +245,10 @@ func (g *Group) Mean(version string) (time.Duration, bool) {
 
 // Count returns the version's execution count.
 func (g *Group) Count(version string) int64 {
-	st, ok := g.stats[version]
-	if !ok {
-		return 0
+	if st := g.find(version); st != nil {
+		return st.Count
 	}
-	return st.Count
+	return 0
 }
 
 // Reliable reports whether every registered version has run at least
@@ -252,8 +263,8 @@ func (g *Group) Reliable() bool {
 		lambda = g.store.Lambda
 		confidence = g.store.ConfidenceCV
 	}
-	for _, v := range g.versions {
-		st := g.stats[v]
+	for i := range g.stats {
+		st := &g.stats[i]
 		if st.Count < int64(lambda) {
 			return false
 		}
@@ -261,7 +272,7 @@ func (g *Group) Reliable() bool {
 			return false
 		}
 	}
-	return len(g.versions) > 0
+	return len(g.stats) > 0
 }
 
 // LeastExecuted returns the version with the fewest executions
@@ -270,11 +281,10 @@ func (g *Group) Reliable() bool {
 func (g *Group) LeastExecuted() string {
 	best := ""
 	var bestCount int64
-	for _, v := range g.versions {
-		c := g.stats[v].Count
-		if best == "" || c < bestCount {
-			best = v
-			bestCount = c
+	for _, st := range g.stats {
+		if best == "" || st.Count < bestCount {
+			best = st.Version
+			bestCount = st.Count
 		}
 	}
 	return best
@@ -285,13 +295,12 @@ func (g *Group) LeastExecuted() string {
 func (g *Group) Fastest() (string, bool) {
 	best := ""
 	var bestMean float64
-	for _, v := range g.versions {
-		st := g.stats[v]
+	for _, st := range g.stats {
 		if st.Count == 0 {
 			continue
 		}
 		if best == "" || st.MeanNs < bestMean {
-			best = v
+			best = st.Version
 			bestMean = st.MeanNs
 		}
 	}
@@ -300,14 +309,16 @@ func (g *Group) Fastest() (string, bool) {
 
 // Versions returns the registered version names in registration order.
 func (g *Group) Versions() []string {
-	out := make([]string, len(g.versions))
-	copy(out, g.versions)
+	out := make([]string, len(g.stats))
+	for i, st := range g.stats {
+		out[i] = st.Version
+	}
 	return out
 }
 
 // Stats returns a copy of the version's statistics.
 func (g *Group) Stats(version string) VersionStats {
-	if st, ok := g.stats[version]; ok {
+	if st := g.find(version); st != nil {
 		return *st
 	}
 	return VersionStats{Version: version}
@@ -331,21 +342,15 @@ type SetSnapshot struct {
 // versions in registration order — the layout of Table I.
 func (s *Store) Snapshot() []SetSnapshot {
 	var out []SetSnapshot
-	var names []string
-	for n := range s.sets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		set := s.sets[n]
-		ss := SetSnapshot{Type: n}
+	sets := append([]*Set(nil), s.sets...)
+	sort.Slice(sets, func(i, j int) bool { return sets[i].Type < sets[j].Type })
+	for _, set := range sets {
+		ss := SetSnapshot{Type: set.Type}
 		groups := append([]*Group(nil), set.groups...)
 		sort.Slice(groups, func(i, j int) bool { return groups[i].Size < groups[j].Size })
 		for _, g := range groups {
 			gs := GroupSnapshot{Size: g.Size}
-			for _, v := range g.versions {
-				gs.Versions = append(gs.Versions, *g.stats[v])
-			}
+			gs.Versions = append(gs.Versions, g.stats...)
 			ss.Groups = append(ss.Groups, gs)
 		}
 		out = append(out, ss)

@@ -279,3 +279,30 @@ func TestReliableThresholdProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecisionPathAllocatesNothing pins the per-decision profile
+// operations: finding an existing group, checking it, reading a mean and
+// recording an execution allocate nothing.
+func TestDecisionPathAllocatesNothing(t *testing.T) {
+	s := NewStore(2)
+	versions := []string{"smp", "cuda", "opencl"}
+	s.GroupFor("other", 1<<10, []string{"smp"})
+	s.GroupFor("kernel", 1<<10, versions)
+	decide := func() {
+		g := s.GroupFor("kernel", 1<<10, versions)
+		if g.Reliable() {
+			if _, ok := g.Mean("cuda"); !ok {
+				t.Fatal("reliable group without a cuda mean")
+			}
+		}
+		g.Record("cuda", time.Millisecond)
+		g.Record("smp", 3*time.Millisecond)
+		g.Record("opencl", 2*time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+		t.Errorf("decision path allocates %.1f times, want 0", allocs)
+	}
+	if g := s.GroupFor("kernel", 1<<10, versions); !g.Reliable() || g.Count("cuda") != 101 {
+		t.Errorf("reliable=%v count=%d after 101 decisions", g.Reliable(), g.Count("cuda"))
+	}
+}
