@@ -59,6 +59,23 @@ func goldenChaosGrid() Grid {
 	return g
 }
 
+// goldenBaselineGrid runs the baseline schedulers at paper size, where
+// the central and per-worker ready queues build real backlogs (the tiny
+// grids above barely queue anything): the GPU-main matmul and the
+// hybrid-potrf Cholesky, with and without a recovering GPU dropout. On
+// the 1-GPU shapes the chaos clause names no device and is inert.
+func goldenBaselineGrid() Grid {
+	return Grid{
+		Apps:       []string{"matmul-hyb", "cholesky-potrf-hyb"},
+		Schedulers: []string{"bf", "dep", "wf", "random"},
+		SMPWorkers: []int{2},
+		GPUs:       []int{1, 2},
+		Chaos:      []string{"none", "gpu1:drop@40%+recover@70%"},
+		Size:       SizeFull,
+		Replicas:   1,
+	}
+}
+
 // Frozen SHA-256 fingerprints of the sweep CSV for the golden grids,
 // captured from the engine BEFORE the pooled/flattened hot-path rewrite
 // (PR 6). The optimized engine must reproduce the pre-refactor output
@@ -74,10 +91,14 @@ func goldenChaosGrid() Grid {
 // The chaos fingerprint was captured before the map-free versioning
 // and allocation-free staging rewrite, so it freezes the fault paths
 // that rewrite touches.
+//
+// The baseline fingerprint was captured before the per-device-class
+// ready queues, so it freezes the baseline policies' dispatch order.
 const (
-	goldenMixedCSVSHA = "641bfc036123b1108d2c120ec1d2dc52dacaf7dd56185e08ad3c37a5120aaebb"
-	goldenKnobCSVSHA  = "9615b8a3ac20558c6b3c68e5ac3c8b2dd67aa84315775fc316dc521babd267fc"
-	goldenChaosCSVSHA = "9b4286a7ea3831726aa557e455be00813157ddaf96d0bfb3afc051a886278dd1"
+	goldenMixedCSVSHA    = "641bfc036123b1108d2c120ec1d2dc52dacaf7dd56185e08ad3c37a5120aaebb"
+	goldenKnobCSVSHA     = "9615b8a3ac20558c6b3c68e5ac3c8b2dd67aa84315775fc316dc521babd267fc"
+	goldenChaosCSVSHA    = "9b4286a7ea3831726aa557e455be00813157ddaf96d0bfb3afc051a886278dd1"
+	goldenBaselineCSVSHA = "41e1555062a92f8348b6b72531e353188c9009588fdb4ad81d0761349098c90b"
 )
 
 func sweepCSVSHA(t *testing.T, g Grid, parallel int) string {
@@ -110,5 +131,8 @@ func TestGoldenEngineFingerprint(t *testing.T) {
 	}
 	if got := sweepCSVSHA(t, goldenChaosGrid(), 2); got != goldenChaosCSVSHA {
 		t.Errorf("chaos-grid CSV fingerprint changed:\n got %s\nwant %s", got, goldenChaosCSVSHA)
+	}
+	if got := sweepCSVSHA(t, goldenBaselineGrid(), 2); got != goldenBaselineCSVSHA {
+		t.Errorf("baseline-grid CSV fingerprint changed:\n got %s\nwant %s", got, goldenBaselineCSVSHA)
 	}
 }
