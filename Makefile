@@ -5,10 +5,11 @@
 GO ?= go
 
 # BENCH_RE selects the gated benchmarks: the latency-bound pool pair
-# (SweepLatency*) and the CPU-bound engine-throughput pair
-# (EngineTaskNs / EngineCellGrid). Keep it in sync with the bench step
-# in .github/workflows/ci.yml.
-BENCH_RE = SweepLatency|EngineTaskNs|EngineCellGrid
+# (SweepLatency*), the CPU-bound engine-throughput pair
+# (EngineTaskNs / EngineCellGrid) and the baseline-scheduler cells
+# (EngineBaselineCell: bf and dep on paper-size matmul-hyb). Keep it in
+# sync with the bench step in .github/workflows/ci.yml.
+BENCH_RE = SweepLatency|EngineTaskNs|EngineCellGrid|EngineBaselineCell
 
 # PROFILE_DIR collects pprof artifacts; it is gitignored scratch space.
 PROFILE_DIR ?= profiles

@@ -144,14 +144,14 @@ func main() {
 				log.Fatal(err)
 			}
 			build(base)
-			horizon = base.Execute().Elapsed
+			horizon = execute(base).Elapsed
 		}
 		if err := plan.Arm(r.Runtime, horizon); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	res := r.Execute()
+	res := execute(r)
 	fmt.Println(res)
 	if res.FaultsInjected > 0 {
 		fmt.Printf("faults: injected=%d requeued=%d readapt=%.6fs\n",
@@ -200,6 +200,21 @@ func main() {
 		}
 		fmt.Printf("trace written to %s (open in chrome://tracing)\n", *traceF)
 	}
+}
+
+// execute runs the simulation. A run that faults stranded — a chaos
+// drop took every device able to run some queued task — exits 1 with the
+// one-line StrandedError naming those task types and the down devices.
+func execute(r *ompss.Runtime) ompss.Result {
+	defer func() {
+		if p := recover(); p != nil {
+			if se, ok := p.(*ompss.StrandedError); ok {
+				log.Fatal(se)
+			}
+			panic(p)
+		}
+	}()
+	return r.Execute()
 }
 
 func defStr(v, def string) string {

@@ -2,7 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
+
+	"repro/ompss"
 )
 
 // chaosGrid is a small real-simulation grid with a chaos axis: clean,
@@ -108,5 +112,21 @@ func TestChaosFaultEventContract(t *testing.T) {
 		if f, ok := ev.(CellFaultInjected); ok {
 			t.Errorf("cache hit delivered CellFaultInjected: %+v", f)
 		}
+	}
+}
+
+// TestStrandedRunFailsLoud: dropping the only GPU strands matmul-hyb's
+// GPU-only tile tasks in bf's central queue. The run must fail with a
+// typed error naming the stranded task type and the down device, not
+// the engine's generic deadlock panic.
+func TestStrandedRunFailsLoud(t *testing.T) {
+	spec := RunSpec{App: "matmul-hyb", Size: SizeFull, Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Chaos: "gpu0:drop@30%"}
+	_, err := Run(spec)
+	var se *ompss.StrandedError
+	if !errors.As(err, &se) {
+		t.Fatalf("Run(%v) = %v, want a StrandedError", spec, err)
+	}
+	if !slices.Equal(se.Types, []string{"matmul_tile"}) || !slices.Equal(se.Down, []string{"gpu-0"}) {
+		t.Errorf("stranded types %v, down %v; want [matmul_tile], [gpu-0]", se.Types, se.Down)
 	}
 }

@@ -74,9 +74,11 @@ func BenchmarkEngineTaskNsNoChaos(b *testing.B) {
 // grid, simulated serially (ns/op is ns/cell; cells/min is 6e10 divided
 // by it). This is the campaign-facing figure: how fast one claimant
 // retires sweep cells.
-func BenchmarkEngineCellGrid(b *testing.B) {
-	g := benchGrid()
-	specs := g.Runs()
+func BenchmarkEngineCellGrid(b *testing.B) { benchCells(b, benchGrid().Runs()) }
+
+// benchCells simulates specs serially b.N times and reports ns per cell
+// as ns/op, plus cells/min.
+func benchCells(b *testing.B, specs []RunSpec) {
 	var cells int64
 	b.ReportAllocs()
 	start := time.Now()
@@ -93,4 +95,49 @@ func BenchmarkEngineCellGrid(b *testing.B) {
 		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(cells), "ns/op")
 		b.ReportMetric(float64(cells)/elapsed.Minutes(), "cells/min")
 	}
+}
+
+// engineBaselineCells are the pinned baseline-scheduler cells: paper-size
+// matmul-hyb, whose main tile implementation is CUDA-only, under the
+// central-queue policies bf and dep with 2 SMP workers and 1 GPU. The
+// ready backlog grows to thousands of GPU tasks while the SMP workers
+// keep asking for work, so every dispatch exercises the central queue —
+// the path neither the versioning heavy cell nor the tiny grid reaches.
+func engineBaselineCells() []RunSpec {
+	var specs []RunSpec
+	for _, s := range []string{"bf", "dep"} {
+		specs = append(specs, RunSpec{
+			App: "matmul-hyb", Size: SizeFull, Scheduler: s,
+			SMPWorkers: 2, GPUs: 1, NoiseSigma: 0.05, Seed: 1,
+		})
+	}
+	return specs
+}
+
+// BenchmarkEngineBaselineCell reports ns per cell over the pinned
+// baseline-scheduler cells, simulated serially (as ns/op, for the
+// bench-regression gate).
+func BenchmarkEngineBaselineCell(b *testing.B) { benchCells(b, engineBaselineCells()) }
+
+// BenchmarkEnginePaperMix runs the paper-mix grid serially: paper-size
+// matmul-hyb and cholesky-potrf-hyb under the four compared policies,
+// 2 SMP x {1, 2} GPUs, with and without a recovering GPU dropout, over
+// four seeds (128 cells an op), reporting ns per cell. It is not gated;
+// it is the profiling target for the Section V cells (see "Profiling
+// the engine" in README.md).
+func BenchmarkEnginePaperMix(b *testing.B) {
+	var specs []RunSpec
+	for seed := int64(1); seed <= 4; seed++ {
+		specs = append(specs, Grid{
+			Apps:       []string{"matmul-hyb", "cholesky-potrf-hyb"},
+			Schedulers: DefaultSchedulers(),
+			SMPWorkers: []int{2},
+			GPUs:       []int{1, 2},
+			Chaos:      []string{"none", "gpu1:drop@40%+recover@70%"},
+			Noise:      []float64{0.05},
+			Size:       SizeFull,
+			BaseSeed:   seed,
+		}.Runs()...)
+	}
+	benchCells(b, specs)
 }

@@ -272,7 +272,8 @@ func build(spec RunSpec, traced bool) (*ompss.Runtime, error) {
 // version counts come from the runtime's counters, so no task or
 // transfer record is kept. A panicking simulation (e.g. a deadlocked
 // schedule) is recovered into an error so one bad cell cannot kill a
-// whole sweep.
+// whole sweep; a run that faults stranded returns its
+// *ompss.StrandedError wrapped.
 func Run(spec RunSpec) (RunResult, error) {
 	rr, _, err := run(spec, false)
 	return rr, err
@@ -291,6 +292,10 @@ func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) 
 	defer func() {
 		if p := recover(); p != nil {
 			rr, tr = RunResult{}, nil
+			if se, ok := p.(*ompss.StrandedError); ok {
+				err = fmt.Errorf("exp: run %v: %w", spec, se)
+				return
+			}
 			err = fmt.Errorf("exp: run %v panicked: %v", spec, p)
 		}
 	}()

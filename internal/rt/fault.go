@@ -22,6 +22,8 @@ package rt
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -37,6 +39,52 @@ type FaultAware interface {
 	// WorkerUp is called after the worker is re-admitted; the scheduler
 	// may re-route parked work to it.
 	WorkerUp(w *Worker)
+}
+
+// StrandReporter is implemented by schedulers that can name the ready
+// tasks they hold which no up worker can run. A fault that drops every
+// device able to run a task leaves it queued for good; the runtime asks
+// only once the simulation has deadlocked on it, to say why.
+type StrandReporter interface {
+	Stranded() []*Task
+}
+
+// StrandedError is the panic value of a run that deadlocked because
+// faults left ready tasks no up worker can run.
+type StrandedError struct {
+	Types []string // task types of the stranded tasks, sorted
+	Down  []string // device names of the down workers, in worker order
+}
+
+func (e *StrandedError) Error() string {
+	return fmt.Sprintf("rt: stranded: no up worker can run queued task types [%s]; down devices: [%s]",
+		strings.Join(e.Types, " "), strings.Join(e.Down, " "))
+}
+
+// explainDeadlock is the engine's deadlock hook: a StrandedError if the
+// scheduler holds stranded tasks, otherwise nil (the engine then names
+// the parked coroutines).
+func (r *Runtime) explainDeadlock() error {
+	sr, ok := r.sched.(StrandReporter)
+	if !ok {
+		return nil
+	}
+	var types []string
+	for _, t := range sr.Stranded() {
+		if i, found := slices.BinarySearch(types, t.Type.Name); !found {
+			types = slices.Insert(types, i, t.Type.Name)
+		}
+	}
+	if len(types) == 0 {
+		return nil
+	}
+	var down []string
+	for _, w := range r.workers {
+		if w.down {
+			down = append(down, w.dev.Name)
+		}
+	}
+	return &StrandedError{Types: types, Down: down}
 }
 
 // NoteFault counts one applied chaos event (diagnostics and campaign

@@ -164,6 +164,7 @@ func New(cfg Config) *Runtime {
 	if len(r.workers) == 0 {
 		panic("rt: no workers configured")
 	}
+	eng.OnDeadlock = r.explainDeadlock
 	r.sched.Init(r)
 	return r
 }

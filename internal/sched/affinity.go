@@ -20,17 +20,20 @@ import (
 // the transfer volume grows.
 type Affinity struct {
 	rt    *rt.Runtime
-	local map[int][]*rt.Task
+	local workerQueues // indexed by worker ID
 }
 
 // NewAffinity returns the policy instance.
-func NewAffinity() *Affinity { return &Affinity{local: make(map[int][]*rt.Task)} }
+func NewAffinity() *Affinity { return &Affinity{} }
 
 // Name implements rt.Scheduler.
 func (s *Affinity) Name() string { return "affinity" }
 
 // Init implements rt.Scheduler.
-func (s *Affinity) Init(r *rt.Runtime) { s.rt = r }
+func (s *Affinity) Init(r *rt.Runtime) {
+	s.rt = r
+	s.local = newWorkerQueues(r)
+}
 
 // TaskReady implements rt.Scheduler: place the task where it moves the
 // fewest bytes.
@@ -64,7 +67,7 @@ func (s *Affinity) TaskReady(t *rt.Task) {
 		}
 		better := best == nil || bytes < bestBytes ||
 			(bytes == bestBytes && bytes == totalRead &&
-				len(s.local[w.ID()]) < len(s.local[best.ID()]))
+				s.local[w.ID()].Len() < s.local[best.ID()].Len())
 		if better {
 			best = w
 			bestBytes = bytes
@@ -73,33 +76,17 @@ func (s *Affinity) TaskReady(t *rt.Task) {
 	if best == nil {
 		panic("sched: affinity found no worker for task " + t.Type.Name)
 	}
-	s.local[best.ID()] = InsertByPriority(s.local[best.ID()], t, taskPriority)
+	s.local[best.ID()].Push(t, taskPriority)
 }
 
 // NextTask implements rt.Scheduler.
 func (s *Affinity) NextTask(w *rt.Worker) rt.Assignment {
-	if q := s.local[w.ID()]; len(q) > 0 {
-		t := q[0]
-		s.local[w.ID()] = q[1:]
-		return rt.Assignment{Task: t, Version: t.Type.Main()}
+	if q := &s.local[w.ID()]; q.Len() > 0 {
+		return mainAssignment(q.PopFront())
 	}
 	// Steal from the longest compatible peer queue.
-	var victim *rt.Worker
-	longest := 0
-	for _, other := range s.rt.Workers() {
-		if other.ID() == w.ID() || other.Kind() != w.Kind() {
-			continue
-		}
-		if n := len(s.local[other.ID()]); n > longest {
-			longest = n
-			victim = other
-		}
-	}
-	if victim != nil {
-		q := s.local[victim.ID()]
-		t := q[len(q)-1]
-		s.local[victim.ID()] = q[:len(q)-1]
-		return rt.Assignment{Task: t, Version: t.Type.Main()}
+	if victim := s.local.stealVictim(s.rt, w); victim != nil {
+		return mainAssignment(victim.PopBack())
 	}
 	return rt.Assignment{}
 }
@@ -107,11 +94,5 @@ func (s *Affinity) NextTask(w *rt.Worker) rt.Assignment {
 // TaskFinished implements rt.Scheduler.
 func (s *Affinity) TaskFinished(*rt.Worker, *rt.Task, *rt.Version, time.Duration) {}
 
-// QueueLens reports per-worker queue lengths (diagnostic).
-func (s *Affinity) QueueLens() map[int]int {
-	out := make(map[int]int, len(s.local))
-	for id, q := range s.local {
-		out[id] = len(q)
-	}
-	return out
-}
+// Stranded implements rt.StrandReporter.
+func (s *Affinity) Stranded() []*rt.Task { return s.local.stranded(s.rt, upKinds(s.rt), nil) }

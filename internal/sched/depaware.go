@@ -16,68 +16,60 @@ import (
 // locality (Section V-A2).
 //
 // Idle workers drain their own queue first, then the central queue, then
-// steal from the longest compatible peer queue so no device starves.
+// steal from the longest compatible peer queue so no device starves. The
+// central queue is split by the main implementation's device set, so
+// taking its oldest compatible task costs O(device sets) rather than a
+// scan of the backlog, in the same order.
 type DepAware struct {
 	rt      *rt.Runtime
-	central []*rt.Task
-	local   map[int][]*rt.Task // worker ID -> chain queue
+	central readyQueue
+	local   workerQueues // chain queues, indexed by worker ID
 }
 
 // NewDepAware returns the policy instance.
-func NewDepAware() *DepAware { return &DepAware{local: make(map[int][]*rt.Task)} }
+func NewDepAware() *DepAware { return &DepAware{} }
 
 // Name implements rt.Scheduler.
 func (s *DepAware) Name() string { return "dep" }
 
 // Init implements rt.Scheduler.
-func (s *DepAware) Init(r *rt.Runtime) { s.rt = r }
+func (s *DepAware) Init(r *rt.Runtime) {
+	s.rt = r
+	s.local = newWorkerQueues(r)
+}
 
 // TaskReady implements rt.Scheduler: follow the releasing chain.
 func (s *DepAware) TaskReady(t *rt.Task) {
-	main := t.Type.Main()
-	if pw := t.LastPredWorker(); pw != nil && main.RunsOn(pw.Kind()) {
-		s.local[pw.ID()] = InsertByPriority(s.local[pw.ID()], t, taskPriority)
+	if pw := t.LastPredWorker(); pw != nil && t.Type.Main().RunsOn(pw.Kind()) {
+		s.local[pw.ID()].Push(t, taskPriority)
 		return
 	}
-	s.central = InsertByPriority(s.central, t, taskPriority)
+	s.central.push(t)
 }
 
 // NextTask implements rt.Scheduler.
 func (s *DepAware) NextTask(w *rt.Worker) rt.Assignment {
 	// Own chain queue first (front: oldest chain link).
-	if q := s.local[w.ID()]; len(q) > 0 {
-		t := q[0]
-		s.local[w.ID()] = q[1:]
-		return rt.Assignment{Task: t, Version: t.Type.Main()}
+	if q := &s.local[w.ID()]; q.Len() > 0 {
+		return mainAssignment(q.PopFront())
 	}
 	// Central queue: oldest compatible.
-	for i, t := range s.central {
-		if t.Type.Main().RunsOn(w.Kind()) {
-			s.central = append(s.central[:i], s.central[i+1:]...)
-			return rt.Assignment{Task: t, Version: t.Type.Main()}
-		}
+	if t := s.central.pop(w.Kind()); t != nil {
+		return mainAssignment(t)
 	}
 	// Steal from the longest compatible peer queue (back = newest, to
 	// disturb the victim's chain as little as possible).
-	var victim *rt.Worker
-	longest := 0
-	for _, other := range s.rt.Workers() {
-		if other.ID() == w.ID() || other.Kind() != w.Kind() {
-			continue
-		}
-		if n := len(s.local[other.ID()]); n > longest {
-			longest = n
-			victim = other
-		}
-	}
-	if victim != nil {
-		q := s.local[victim.ID()]
-		t := q[len(q)-1]
-		s.local[victim.ID()] = q[:len(q)-1]
-		return rt.Assignment{Task: t, Version: t.Type.Main()}
+	if victim := s.local.stealVictim(s.rt, w); victim != nil {
+		return mainAssignment(victim.PopBack())
 	}
 	return rt.Assignment{}
 }
 
 // TaskFinished implements rt.Scheduler.
 func (s *DepAware) TaskFinished(*rt.Worker, *rt.Task, *rt.Version, time.Duration) {}
+
+// Stranded implements rt.StrandReporter.
+func (s *DepAware) Stranded() []*rt.Task {
+	up := upKinds(s.rt)
+	return s.local.stranded(s.rt, up, s.central.stranded(up, nil))
+}

@@ -14,19 +14,22 @@ import (
 type Random struct {
 	rt     *rt.Runtime
 	rng    *rand.Rand
-	queues map[int][]*rt.Task
+	queues workerQueues // indexed by worker ID
 }
 
 // NewRandom returns the policy seeded with the given value.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed)), queues: make(map[int][]*rt.Task)}
+	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements rt.Scheduler.
 func (s *Random) Name() string { return "random" }
 
 // Init implements rt.Scheduler.
-func (s *Random) Init(r *rt.Runtime) { s.rt = r }
+func (s *Random) Init(r *rt.Runtime) {
+	s.rt = r
+	s.queues = newWorkerQueues(r)
+}
 
 // SetSeed reseeds the policy (used by the facade to honour Config.Seed).
 func (s *Random) SetSeed(seed int64) { s.rng = rand.New(rand.NewSource(seed)) }
@@ -45,7 +48,7 @@ func (s *Random) TaskReady(t *rt.Task) {
 		panic("sched: random: no compatible worker for task " + t.Type.Name)
 	}
 	w := candidates[s.rng.Intn(len(candidates))]
-	s.queues[w.ID()] = append(s.queues[w.ID()], t)
+	s.queues[w.ID()].Append(t)
 }
 
 // NextTask implements rt.Scheduler: pop own FIFO; steal a random
@@ -53,16 +56,15 @@ func (s *Random) TaskReady(t *rt.Task) {
 // assignment sequence could leave workers idle forever while others
 // drown).
 func (s *Random) NextTask(w *rt.Worker) rt.Assignment {
-	if q := s.queues[w.ID()]; len(q) > 0 {
-		s.queues[w.ID()] = q[1:]
-		return rt.Assignment{Task: q[0], Version: q[0].Type.Main()}
+	if q := &s.queues[w.ID()]; q.Len() > 0 {
+		return mainAssignment(q.PopFront())
 	}
 	var victims []*rt.Worker
 	for _, other := range s.rt.Workers() {
 		if other.ID() == w.ID() || other.Kind() != w.Kind() {
 			continue
 		}
-		if len(s.queues[other.ID()]) > 0 {
+		if s.queues[other.ID()].Len() > 0 {
 			victims = append(victims, other)
 		}
 	}
@@ -70,11 +72,11 @@ func (s *Random) NextTask(w *rt.Worker) rt.Assignment {
 		return rt.Assignment{}
 	}
 	v := victims[s.rng.Intn(len(victims))]
-	q := s.queues[v.ID()]
-	t := q[len(q)-1]
-	s.queues[v.ID()] = q[:len(q)-1]
-	return rt.Assignment{Task: t, Version: t.Type.Main()}
+	return mainAssignment(s.queues[v.ID()].PopBack())
 }
 
 // TaskFinished implements rt.Scheduler.
 func (s *Random) TaskFinished(*rt.Worker, *rt.Task, *rt.Version, time.Duration) {}
+
+// Stranded implements rt.StrandReporter.
+func (s *Random) Stranded() []*rt.Task { return s.queues.stranded(s.rt, upKinds(s.rt), nil) }

@@ -13,9 +13,23 @@
 //     device needing the fewest; idle workers steal, which can increase
 //     transfers under load imbalance (as the paper observes on Cholesky).
 //
-// A plain breadth-first FIFO ("bf") is included as a sanity baseline.
-// The paper's contribution, the versioning scheduler, lives in the
+// A plain breadth-first FIFO ("bf") is included as a sanity baseline,
+// and "wf" (work-first) and "random" complete the Nanos++ set. The
+// paper's contribution, the versioning scheduler, lives in the
 // versioning subpackage.
+//
+// Ready queues. Central queues (bf's, dep's FIFO, wf's LIFO stack) are
+// readyQueues: one global order — descending priority, then readiness
+// (FIFO), or newest first (LIFO) — split into one class per distinct
+// device set of the tasks' main implementations. A worker compares only
+// the heads of the classes its device kind belongs to, so dispatch costs
+// O(device sets), typically 1–3, instead of a scan of the backlog, and
+// returns exactly the task the scan of one global list would. Per-worker
+// queues are Queues indexed by worker ID, whose front pops advance a
+// head index so their capacity is reused. Every policy reports its
+// queues to rt.StrandReporter: when faults leave no up worker for a
+// class, the run that deadlocks on it fails naming the stranded task
+// types instead of the parked coroutines.
 package sched
 
 import (

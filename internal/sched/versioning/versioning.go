@@ -65,7 +65,7 @@ type Versioning struct {
 	rtime *rt.Runtime
 	store *verprof.Store
 
-	queues [][]entry // per-worker priority FIFO, indexed by worker ID
+	queues []sched.Queue[entry] // per-worker priority FIFO, indexed by worker ID
 	// held lists, per worker, the entries NextTask handed out and whose
 	// tasks have not finished: the worker's current and prefetched task.
 	// TaskFinished finds its charge here.
@@ -130,7 +130,7 @@ func (s *Versioning) Store() *verprof.Store { return s.store }
 func (s *Versioning) Init(r *rt.Runtime) {
 	s.rtime = r
 	n := len(r.Workers())
-	s.queues = make([][]entry, n)
+	s.queues = make([]sched.Queue[entry], n)
 	s.held = make([][]entry, n)
 	s.outstanding = make([]time.Duration, n)
 }
@@ -175,7 +175,7 @@ func (s *Versioning) TaskReady(t *rt.Task) {
 	}
 
 	e := entry{Assignment: choice, est: s.estimate(g, choice.Version), group: g}
-	s.queues[worker.ID()] = sched.InsertByPriority(s.queues[worker.ID()], e, entryPriority)
+	s.queues[worker.ID()].Push(e, entryPriority)
 	s.outstanding[worker.ID()] += e.est
 }
 
@@ -373,7 +373,7 @@ func (s *Versioning) busyTime(w *rt.Worker) time.Duration {
 func (s *Versioning) BusyTime(w *rt.Worker) time.Duration { return s.busyTime(w) }
 
 // QueueLen reports a worker's queue length (diagnostics/tests).
-func (s *Versioning) QueueLen(w *rt.Worker) int { return len(s.queues[w.ID()]) }
+func (s *Versioning) QueueLen(w *rt.Worker) int { return s.queues[w.ID()].Len() }
 
 func (s *Versioning) hasWorkerFor(v *rt.Version) bool {
 	for _, w := range s.rtime.Workers() {
@@ -405,7 +405,7 @@ func (s *Versioning) leastBusyWorker(v *rt.Version) *rt.Worker {
 		if w.Down() || !v.RunsOn(w.Kind()) {
 			continue
 		}
-		b := s.outstanding[w.ID()] + time.Duration(len(s.queues[w.ID()])) // queue length as epsilon tie-breaker
+		b := s.outstanding[w.ID()] + time.Duration(s.queues[w.ID()].Len()) // queue length as epsilon tie-breaker
 		if best == nil || b < bestBusy {
 			best, bestBusy = w, b
 		}
@@ -421,8 +421,8 @@ func (s *Versioning) leastBusyWorker(v *rt.Version) *rt.Worker {
 // device comes back).
 func (s *Versioning) WorkerDown(w *rt.Worker) {
 	q := s.queues[w.ID()]
-	s.queues[w.ID()] = nil
-	for _, e := range q {
+	s.queues[w.ID()] = sched.Queue[entry]{}
+	for _, e := range q.Items() {
 		s.discharge(w.ID(), e)
 		s.TaskReady(e.Task)
 	}
@@ -438,17 +438,19 @@ func (s *Versioning) WorkerUp(w *rt.Worker) {
 	}
 }
 
+// Stranded implements rt.StrandReporter: the parked tasks, none of whose
+// versions an up worker can run.
+func (s *Versioning) Stranded() []*rt.Task { return s.blocked }
+
 // NextTask implements rt.Scheduler: workers pop their own queue. The
 // popped entry moves to the worker's held list, keeping its charge until
 // the task finishes or a fault re-queues it.
 func (s *Versioning) NextTask(w *rt.Worker) rt.Assignment {
-	q := s.queues[w.ID()]
-	if len(q) == 0 {
+	q := &s.queues[w.ID()]
+	if q.Len() == 0 {
 		return rt.Assignment{}
 	}
-	e := q[0]
-	q[0] = entry{}
-	s.queues[w.ID()] = q[1:]
+	e := q.PopFront()
 	s.held[w.ID()] = append(s.held[w.ID()], e)
 	return e.Assignment
 }

@@ -12,67 +12,52 @@ import (
 // continuation runs immediately, keeping the working set hot), while idle
 // workers steal from the *bottom* of a victim's deque — the oldest, most
 // distant work, which disturbs the victim's chain the least. Dependence-
-// free tasks (the master's submissions) go to a central LIFO stack.
+// free tasks (the master's submissions) go to a central LIFO stack,
+// split by the main implementation's device set, so taking its newest
+// compatible task costs O(device sets) rather than a scan of the stack,
+// in the same order.
 //
 // Like every non-versioning OmpSs scheduler it only runs each task's main
 // implementation (the paper's footnote 1).
 type WorkFirst struct {
 	rt      *rt.Runtime
-	central []*rt.Task         // LIFO stack of chain heads
-	deques  map[int][]*rt.Task // worker ID -> deque (front = bottom, back = top)
+	central readyQueue   // LIFO stack of chain heads
+	deques  workerQueues // indexed by worker ID (front = bottom, back = top)
 }
 
 // NewWorkFirst returns the policy instance.
-func NewWorkFirst() *WorkFirst { return &WorkFirst{deques: make(map[int][]*rt.Task)} }
+func NewWorkFirst() *WorkFirst { return &WorkFirst{central: readyQueue{lifo: true}} }
 
 // Name implements rt.Scheduler.
 func (s *WorkFirst) Name() string { return "wf" }
 
 // Init implements rt.Scheduler.
-func (s *WorkFirst) Init(r *rt.Runtime) { s.rt = r }
+func (s *WorkFirst) Init(r *rt.Runtime) {
+	s.rt = r
+	s.deques = newWorkerQueues(r)
+}
 
 // TaskReady implements rt.Scheduler: continue the releasing chain on the
 // releasing worker, depth-first.
 func (s *WorkFirst) TaskReady(t *rt.Task) {
-	main := t.Type.Main()
-	if pw := t.LastPredWorker(); pw != nil && main.RunsOn(pw.Kind()) {
-		s.deques[pw.ID()] = append(s.deques[pw.ID()], t) // push top
+	if pw := t.LastPredWorker(); pw != nil && t.Type.Main().RunsOn(pw.Kind()) {
+		s.deques[pw.ID()].Append(t) // push top
 		return
 	}
-	s.central = append(s.central, t) // push stack
+	s.central.push(t)
 }
 
 // NextTask implements rt.Scheduler: own deque top, then the central
 // stack, then steal from the bottom of the deepest compatible deque.
 func (s *WorkFirst) NextTask(w *rt.Worker) rt.Assignment {
-	if q := s.deques[w.ID()]; len(q) > 0 {
-		t := q[len(q)-1]
-		s.deques[w.ID()] = q[:len(q)-1]
-		return rt.Assignment{Task: t, Version: t.Type.Main()}
+	if q := &s.deques[w.ID()]; q.Len() > 0 {
+		return mainAssignment(q.PopBack())
 	}
-	for i := len(s.central) - 1; i >= 0; i-- {
-		t := s.central[i]
-		if t.Type.Main().RunsOn(w.Kind()) {
-			s.central = append(s.central[:i], s.central[i+1:]...)
-			return rt.Assignment{Task: t, Version: t.Type.Main()}
-		}
+	if t := s.central.pop(w.Kind()); t != nil {
+		return mainAssignment(t)
 	}
-	var victim *rt.Worker
-	deepest := 0
-	for _, other := range s.rt.Workers() {
-		if other.ID() == w.ID() || other.Kind() != w.Kind() {
-			continue
-		}
-		if n := len(s.deques[other.ID()]); n > deepest {
-			deepest = n
-			victim = other
-		}
-	}
-	if victim != nil {
-		q := s.deques[victim.ID()]
-		t := q[0] // steal bottom (oldest)
-		s.deques[victim.ID()] = q[1:]
-		return rt.Assignment{Task: t, Version: t.Type.Main()}
+	if victim := s.deques.stealVictim(s.rt, w); victim != nil {
+		return mainAssignment(victim.PopFront()) // steal bottom (oldest)
 	}
 	return rt.Assignment{}
 }
@@ -80,5 +65,8 @@ func (s *WorkFirst) NextTask(w *rt.Worker) rt.Assignment {
 // TaskFinished implements rt.Scheduler.
 func (s *WorkFirst) TaskFinished(*rt.Worker, *rt.Task, *rt.Version, time.Duration) {}
 
-// DequeDepth reports a worker's deque depth (diagnostics/tests).
-func (s *WorkFirst) DequeDepth(w *rt.Worker) int { return len(s.deques[w.ID()]) }
+// Stranded implements rt.StrandReporter.
+func (s *WorkFirst) Stranded() []*rt.Task {
+	up := upKinds(s.rt)
+	return s.deques.stranded(s.rt, up, s.central.stranded(up, nil))
+}

@@ -98,6 +98,11 @@ type Engine struct {
 
 	// EventCount is the total number of events executed so far.
 	EventCount uint64
+
+	// OnDeadlock, if set, explains a deadlock: when Run drains with
+	// coroutines still parked, a non-nil error it returns is Run's panic
+	// value instead of the generic diagnostic.
+	OnDeadlock func() error
 }
 
 // NewEngine returns an engine with the clock at zero and no pending
@@ -216,7 +221,8 @@ func (e *Engine) heapPop() heapEntry {
 //
 // If Run drains all events while some coroutine is still parked, the
 // simulation has deadlocked; Run panics with a diagnostic listing the
-// parked coroutines, since silently returning would hide lost wake-ups.
+// parked coroutines (or the error OnDeadlock returns), since silently
+// returning would hide lost wake-ups.
 func (e *Engine) Run() Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -259,6 +265,11 @@ func (e *Engine) Run() Time {
 			}
 		}
 		if len(parked) > 0 {
+			if e.OnDeadlock != nil {
+				if err := e.OnDeadlock(); err != nil {
+					panic(err)
+				}
+			}
 			panic(fmt.Sprintf("sim: deadlock: event queue empty but coroutines still parked: %v", parked))
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -71,6 +73,29 @@ func TestProcDeadlockPanics(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestOnDeadlockExplains: a non-nil error from the OnDeadlock hook is
+// the deadlock's panic value; a nil one keeps the generic diagnostic.
+func TestOnDeadlockExplains(t *testing.T) {
+	why := errors.New("stranded")
+	for _, explain := range []error{why, nil} {
+		e := NewEngine()
+		e.Spawn("stuck", func(p *Proc) { p.Park() })
+		e.OnDeadlock = func() error { return explain }
+		func() {
+			defer func() {
+				p := recover()
+				if explain != nil && p != explain {
+					t.Errorf("panic value %v, want the hook's error", p)
+				}
+				if s, ok := p.(string); explain == nil && (!ok || !strings.Contains(s, "[stuck]")) {
+					t.Errorf("panic value %v, want the parked-coroutine diagnostic", p)
+				}
+			}()
+			e.Run()
+		}()
+	}
 }
 
 func TestUnparkNotParkedPanics(t *testing.T) {

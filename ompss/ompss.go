@@ -66,6 +66,9 @@ type (
 	Master = rt.Master
 	// ExecContext is passed to real Go implementations.
 	ExecContext = rt.ExecContext
+	// StrandedError is the panic value of Execute when faults leave
+	// ready tasks that no up worker can run.
+	StrandedError = rt.StrandedError
 	// Object is a registered data region.
 	Object = mem.Object
 	// Throughput models a compute-bound kernel (GFLOP/s + overhead).
