@@ -135,7 +135,7 @@ func main() {
 
 	if !plan.Empty() {
 		var horizon time.Duration
-		if plan.NeedsHorizon() {
+		if plan.NeedsHorizonOn(r.Runtime) {
 			// Percent points are fractions of the no-chaos makespan, so
 			// resolve them against a deterministic baseline pre-run of the
 			// exact same configuration (same seed, same noise, no faults).

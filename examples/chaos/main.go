@@ -44,7 +44,7 @@ func run(spec string) ompss.Result {
 		// no-chaos makespan of the same spec: a deterministic baseline
 		// pre-run resolves the horizon.
 		var horizon time.Duration
-		if plan.NeedsHorizon() {
+		if plan.NeedsHorizonOn(r.Runtime) {
 			base, err := ompss.NewRuntime(ompss.Config{
 				Scheduler: "versioning", SMPWorkers: 8, GPUs: 2,
 			})

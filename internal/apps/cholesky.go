@@ -146,21 +146,22 @@ func BuildCholesky(r *ompss.Runtime, cfg CholeskyConfig) (*Cholesky, error) {
 	if cfg.PotrfPriority {
 		potrfPrio = 1
 	}
+	tasks := newTileTasks(app.TaskCount())
 	r.Main(func(m *ompss.Master) {
 		for k := 0; k < t; k++ {
-			m.SubmitPriority(potrf, []ompss.Access{ompss.InOut(obj[k][k])},
-				ompss.Work{Flops: potrfFlops, Bytes: tileBytes}, [3]int{k, k, k}, potrfPrio)
+			acc, idx := tasks.add([3]int{k, k, k}, ompss.InOut(obj[k][k]))
+			m.SubmitPriority(potrf, acc, ompss.Work{Flops: potrfFlops, Bytes: tileBytes}, idx, potrfPrio)
 			for i := k + 1; i < t; i++ {
-				m.Submit(trsm, []ompss.Access{ompss.In(obj[k][k]), ompss.InOut(obj[i][k])},
-					ompss.Work{Flops: trsmFlops, Bytes: 2 * tileBytes}, [3]int{i, k, k})
+				acc, idx := tasks.add([3]int{i, k, k}, ompss.In(obj[k][k]), ompss.InOut(obj[i][k]))
+				m.Submit(trsm, acc, ompss.Work{Flops: trsmFlops, Bytes: 2 * tileBytes}, idx)
 			}
 			for i := k + 1; i < t; i++ {
 				for j := k + 1; j < i; j++ {
-					m.Submit(gemm, []ompss.Access{ompss.In(obj[i][k]), ompss.In(obj[j][k]), ompss.InOut(obj[i][j])},
-						ompss.Work{Flops: gemmFlops, Bytes: 3 * tileBytes}, [3]int{i, j, k})
+					acc, idx := tasks.add([3]int{i, j, k}, ompss.In(obj[i][k]), ompss.In(obj[j][k]), ompss.InOut(obj[i][j]))
+					m.Submit(gemm, acc, ompss.Work{Flops: gemmFlops, Bytes: 3 * tileBytes}, idx)
 				}
-				m.Submit(syrk, []ompss.Access{ompss.In(obj[i][k]), ompss.InOut(obj[i][i])},
-					ompss.Work{Flops: syrkFlops, Bytes: 2 * tileBytes}, [3]int{i, i, k})
+				acc, idx := tasks.add([3]int{i, i, k}, ompss.In(obj[i][k]), ompss.InOut(obj[i][i]))
+				m.Submit(syrk, acc, ompss.Work{Flops: syrkFlops, Bytes: 2 * tileBytes}, idx)
 			}
 		}
 		m.Taskwait()
@@ -232,7 +233,7 @@ func (a *Cholesky) realPotrf(ctx *ompss.ExecContext) {
 	if a.a == nil {
 		return
 	}
-	idx := ctx.Task.Args.([3]int)
+	idx := ctx.Task.Args.(*[3]int)
 	potrfKernel(a.tile(idx[0], idx[1]), a.cfg.BS)
 }
 
@@ -242,7 +243,7 @@ func (a *Cholesky) realTrsm(ctx *ompss.ExecContext) {
 	if a.a == nil {
 		return
 	}
-	idx := ctx.Task.Args.([3]int)
+	idx := ctx.Task.Args.(*[3]int)
 	i, k := idx[0], idx[1]
 	trsmKernel(a.tile(k, k), a.tile(i, k), a.cfg.BS)
 }
@@ -252,7 +253,7 @@ func (a *Cholesky) realSyrk(ctx *ompss.ExecContext) {
 	if a.a == nil {
 		return
 	}
-	idx := ctx.Task.Args.([3]int)
+	idx := ctx.Task.Args.(*[3]int)
 	i, k := idx[0], idx[2]
 	syrkKernel(a.tile(i, k), a.tile(i, i), a.cfg.BS)
 }
@@ -262,7 +263,7 @@ func (a *Cholesky) realGemm(ctx *ompss.ExecContext) {
 	if a.a == nil {
 		return
 	}
-	idx := ctx.Task.Args.([3]int)
+	idx := ctx.Task.Args.(*[3]int)
 	i, j, k := idx[0], idx[1], idx[2]
 	gemmNTKernel(a.tile(i, k), a.tile(j, k), a.tile(i, j), a.cfg.BS)
 }

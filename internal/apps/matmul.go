@@ -127,22 +127,43 @@ func BuildMatmul(r *ompss.Runtime, cfg MatmulConfig) (*Matmul, error) {
 		app.initData()
 	}
 
+	tasks := newTileTasks(app.TaskCount())
 	r.Main(func(m *ompss.Master) {
 		for i := 0; i < t; i++ {
 			for j := 0; j < t; j++ {
 				for k := 0; k < t; k++ {
-					m.Submit(tt, []ompss.Access{
-						ompss.In(objA[i][k]),
-						ompss.In(objB[k][j]),
-						ompss.InOut(objC[i][j]),
-					}, ompss.Work{Flops: tileFlops, Bytes: 3 * tileBytes},
-						[3]int{i, j, k})
+					acc, idx := tasks.add([3]int{i, j, k},
+						ompss.In(objA[i][k]), ompss.In(objB[k][j]), ompss.InOut(objC[i][j]))
+					m.Submit(tt, acc, ompss.Work{Flops: tileFlops, Bytes: 3 * tileBytes}, idx)
 				}
 			}
 		}
 		m.Taskwait()
 	})
 	return app, nil
+}
+
+// tileTasks hands out the tiled apps' per-task accesses and tile indices
+// from one backing array each, so a build's submit loop allocates
+// nothing per task: a task's accesses are a full-capacity slice of accs
+// (an append through it cannot reach the next task's), and its args a
+// pointer into args (a pointer in an interface does not allocate).
+type tileTasks struct {
+	accs []ompss.Access
+	args [][3]int
+}
+
+// newTileTasks sizes the arrays for n tasks of at most 3 accesses each.
+func newTileTasks(n int) *tileTasks {
+	return &tileTasks{accs: make([]ompss.Access, 0, 3*n), args: make([][3]int, 0, n)}
+}
+
+// add records one task's tile indices and accesses.
+func (b *tileTasks) add(idx [3]int, acc ...ompss.Access) ([]ompss.Access, *[3]int) {
+	lo := len(b.accs)
+	b.accs = append(b.accs, acc...)
+	b.args = append(b.args, idx)
+	return b.accs[lo:len(b.accs):len(b.accs)], &b.args[len(b.args)-1]
 }
 
 // TaskCount returns the number of tile tasks the app submits.
@@ -190,7 +211,7 @@ func (a *Matmul) realTile(ctx *ompss.ExecContext) {
 	if a.a == nil {
 		return
 	}
-	idx := ctx.Task.Args.([3]int)
+	idx := ctx.Task.Args.(*[3]int)
 	i, j, k := idx[0], idx[1], idx[2]
 	t := a.tiles
 	dgemmAcc(a.a[i*t+k], a.b[k*t+j], a.c[i*t+j], a.cfg.BS)

@@ -75,7 +75,6 @@ type RandDAGEdge struct{ From, To int }
 type RandDAG struct {
 	cfg   RandDAGConfig
 	edges []RandDAGEdge
-	types []string
 }
 
 // RandDAGTaskType names the task type with the given index.
@@ -96,7 +95,6 @@ func BuildRandDAG(r *ompss.Runtime, cfg RandDAGConfig) (*RandDAG, error) {
 	tts := make([]*ompss.TaskType, cfg.Types)
 	for t := 0; t < cfg.Types; t++ {
 		name := RandDAGTaskType(t)
-		app.types = append(app.types, name)
 		tt := r.DeclareTaskType(name)
 		base := time.Duration(t+1) * cfg.MeanTaskTime
 		switch {
@@ -167,6 +165,3 @@ func (a *RandDAG) TaskCount() int { return a.cfg.Layers * a.cfg.Width }
 // (task IDs in the trace are 1-based in submission order, so trace ID =
 // index + 1). The slice is shared; do not mutate.
 func (a *RandDAG) Edges() []RandDAGEdge { return a.edges }
-
-// TypeNames returns the declared task-type names.
-func (a *RandDAG) TypeNames() []string { return a.types }

@@ -26,7 +26,9 @@
 // run and passes to Arm. Absolute points need no horizon. Device
 // indices name the i-th worker of that kind in worker-ID order; a
 // clause whose device does not exist on the machine is inert, so one
-// chaos axis can cross a grid whose GPU counts vary.
+// chaos axis can cross a grid whose GPU counts vary. Inert clauses cost
+// no baseline run either: NeedsHorizonOn asks for the horizon only when
+// a percent point acts on the runtime being armed.
 package chaos
 
 import (
@@ -140,6 +142,43 @@ func (p *Plan) NeedsHorizon() bool {
 	for _, b := range p.Blackouts {
 		if b.At.IsPct {
 			return true
+		}
+	}
+	return false
+}
+
+// NeedsHorizonOn reports whether arming the plan on r needs the horizon:
+// some percent point belongs to a clause that acts on one of r's
+// workers, or to an inert dropout that mixes a percent and an absolute
+// point (Arm checks such a dropout's recover-after-drop order on
+// resolved times). A plan whose percent points all target devices r
+// lacks arms without a baseline run.
+func (p *Plan) NeedsHorizonOn(r *rt.Runtime) bool {
+	if p == nil {
+		return false
+	}
+	for _, d := range p.Dropouts {
+		if !d.At.IsPct && (d.Recover == nil || !d.Recover.IsPct) {
+			continue
+		}
+		mixed := d.Recover != nil && d.Recover.IsPct != d.At.IsPct
+		if mixed || len(workerIDs(r, d.Device)) > 0 {
+			return true
+		}
+	}
+	for _, th := range p.Throttles {
+		if len(workerIDs(r, th.Device)) == 0 {
+			continue
+		}
+		for _, s := range th.Curve {
+			if s.At.IsPct {
+				return true
+			}
+		}
+	}
+	for _, b := range p.Blackouts {
+		if b.At.IsPct {
+			return true // "all" always selects a worker
 		}
 	}
 	return false
@@ -372,14 +411,14 @@ func workerIDs(r *rt.Runtime, sel string) []int {
 
 // Arm schedules the plan's events on the runtime's virtual clock. For
 // percent points, horizon is the no-chaos baseline makespan (required
-// iff NeedsHorizon). Events at equal times apply in Dropouts,
+// iff NeedsHorizonOn(r)). Events at equal times apply in Dropouts,
 // Throttles, Stragglers, Blackouts order, each slice in spec order —
 // fixed, so arming is deterministic. Call once, before Runtime.Run.
 func (p *Plan) Arm(r *rt.Runtime, horizon time.Duration) error {
 	if p.Empty() {
 		return nil
 	}
-	if p.NeedsHorizon() && horizon <= 0 {
+	if p.NeedsHorizonOn(r) && horizon <= 0 {
 		return fmt.Errorf("chaos: plan %q has percent points but no horizon", p.Spec)
 	}
 	eng := r.Engine()
@@ -391,8 +430,14 @@ func (p *Plan) Arm(r *rt.Runtime, horizon time.Duration) error {
 		var rec time.Duration
 		if d.Recover != nil {
 			rec = at(*d.Recover)
-			if rec <= drop {
-				return fmt.Errorf("chaos: %s: recover at %v not after drop at %v", d.Device, rec, drop)
+			// Pure-percent dropouts compare their percentages: an inert
+			// one is armed without a horizon, where both resolve to 0.
+			late := rec > drop
+			if d.At.IsPct && d.Recover.IsPct {
+				late = d.Recover.Pct > d.At.Pct
+			}
+			if !late {
+				return fmt.Errorf("chaos: %s: recover at %v not after drop at %v", d.Device, d.Recover, d.At)
 			}
 		}
 		for _, id := range ids {

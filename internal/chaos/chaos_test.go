@@ -398,3 +398,72 @@ func TestInertClauseOnAbsentDevice(t *testing.T) {
 		t.Errorf("FaultsInjected = %d, want 0 (inert clause)", r.FaultsInjected)
 	}
 }
+
+// TestNeedsHorizonOn: a plan needs the baseline horizon on a runtime
+// only when one of its percent points acts there, or when an inert
+// dropout mixes percent and absolute points (Arm orders those on
+// resolved times). Every plan that needs none must arm with horizon 0.
+func TestNeedsHorizonOn(t *testing.T) {
+	for _, c := range []struct {
+		spec       string
+		gpu1, gpu2 bool // want, on 2 SMP + 1 GPU and 2 SMP + 2 GPUs
+	}{
+		{"", false, false},
+		{"gpu1:drop@40%+recover@70%", false, true},
+		{"gpu0:drop@40%", true, true},
+		{"gpu1:drop@5s+recover@9s", false, false},
+		{"gpu1:drop@40%+recover@9s", true, true},
+		{"gpu1:drop@5s+recover@70%", true, true},
+		{"gpu1:throttle@50%x0.5", false, true},
+		{"gpu1:throttle@1sx0.5@9%x1", false, true},
+		{"gpu0:throttle@1sx0.5", false, false},
+		{"core1:drop@40%", true, true},
+		{"core2:drop@40%", false, false},
+		{"gpu1:stragglex0.5", false, false},
+		{"all:blackout@30%+1s", true, true},
+		{"all:blackout@3s+1s", false, false},
+		{"gpu1:drop@40%;gpu0:throttle@2sx0.5", false, true},
+		{"gpu1:drop@40%;core0:drop@20%+recover@60%", true, true},
+	} {
+		p, err := chaos.Parse(c.spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.spec, err)
+		}
+		for gpus, want := range map[int]bool{1: c.gpu1, 2: c.gpu2} {
+			r := newRT(2, gpus, sched.NewBreadthFirst())
+			if got := p.NeedsHorizonOn(r); got != want {
+				t.Errorf("NeedsHorizonOn(%q) on %d GPU(s) = %v, want %v", c.spec, gpus, got, want)
+			}
+			if !want {
+				if err := p.Arm(r, 0); err != nil {
+					t.Errorf("Arm(%q) on %d GPU(s) without horizon: %v", c.spec, gpus, err)
+				}
+			}
+		}
+	}
+}
+
+// TestArmRejectsRecoverBeforeDrop: a dropout must recover after it
+// drops, whether or not its device exists; pure-percent dropouts are
+// ordered by percentage, so the check holds without a horizon.
+func TestArmRejectsRecoverBeforeDrop(t *testing.T) {
+	for _, c := range []struct {
+		spec    string
+		horizon time.Duration
+	}{
+		{"gpu0:drop@70%+recover@40%", 10 * time.Second},
+		{"gpu5:drop@70%+recover@40%", 0},
+		{"gpu5:drop@40%+recover@40%", 0},
+		{"gpu0:drop@9s+recover@5s", 0},
+		{"gpu5:drop@50%+recover@1s", 10 * time.Second},
+	} {
+		p, err := chaos.Parse(c.spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.spec, err)
+		}
+		err = p.Arm(newRT(1, 1, sched.NewBreadthFirst()), c.horizon)
+		if err == nil || !strings.Contains(err.Error(), "not after drop") {
+			t.Errorf("Arm(%q, %v): err = %v, want a recover-order error", c.spec, c.horizon, err)
+		}
+	}
+}

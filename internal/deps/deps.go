@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/slab"
 )
 
 // Node is the opaque handle the runtime registers tasks under (the
@@ -149,6 +150,12 @@ type nodeSlot struct {
 // nodeChunk registered nodes instead of being copied on doubling.
 const nodeChunk = 256
 
+// nodeSlabs is the free list Release returns node slabs to and register
+// draws from before it allocates. The task runtime registers one node
+// per task, so the cap matches its task-slab cap: one pinned pbpi cell
+// (pbpi-hyb at quick size, 6,625 tasks) fills 26 slabs.
+var nodeSlabs = slab.New[nodeSlot](nodeChunk, 26)
+
 // Tracker incrementally builds the task dependence graph.
 type Tracker struct {
 	// hist is indexed by the dense mem.ObjectID and grown on demand.
@@ -195,12 +202,22 @@ func (t *Tracker) slot(id nodeID) *nodeSlot {
 // epoch, so the node never collects itself.
 func (t *Tracker) register(n Node) nodeID {
 	if t.count%nodeChunk == 0 {
-		t.nodes = append(t.nodes, make([]nodeSlot, nodeChunk))
+		t.nodes = append(t.nodes, nodeSlabs.Get())
 	}
 	id := nodeID(t.count)
 	t.count++
 	*t.slot(id) = nodeSlot{n: n, stamp: t.epoch}
 	return id
+}
+
+// Release returns the tracker's node slabs, zeroed, to the free list the
+// next tracker in the process draws from. The tracker is empty
+// afterwards; call it only once nothing needs the dependence graph.
+func (t *Tracker) Release() {
+	for _, s := range t.nodes {
+		nodeSlabs.Put(s)
+	}
+	*t = Tracker{}
 }
 
 // collect appends node p to the pending preds unless this Add already

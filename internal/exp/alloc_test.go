@@ -9,14 +9,17 @@ import (
 // loop allocation-free (see internal/sim), Run keeps no trace, staging
 // goes through per-worker prebound countdowns and per-(object, space)
 // copy-in continuations, and the versioning scheduler carries its
-// busy-time charges in its queue entries. What remains is per-cell and
-// amortized setup — arena chunk refills (tasks, successor edges, pred
-// IDs), dependence history growth, object registration and app build —
-// about 0.6 allocations per simulated task (3.9 with per-task staging
-// closures, ~7 when every run also recorded a full trace). The budget
-// keeps ~5x headroom: it exists to catch a reintroduced per-task or
-// per-copy allocation, not to pin the exact figure, which the
-// allocs_per_op entries of BENCH_baseline.json gate.
+// busy-time charges in its queue entries. AllocsPerRun's warm-up run
+// fills the slab free lists, so every measured run draws its task,
+// edge, pred-ID and dependence-node slabs from the previous run instead
+// of allocating them. What remains is per-cell setup — dependence
+// history growth, object registration and the app build — about 0.55
+// allocations per simulated task warm (0.6 when each run allocated its
+// own slabs, 3.9 with per-task staging closures, ~7 when every run also
+// recorded a full trace). The budget keeps ~5x headroom: it exists to
+// catch a reintroduced per-task or per-copy allocation, not to pin the
+// exact figure, which the allocs_per_op entries of BENCH_baseline.json
+// gate at its warm value.
 func TestEngineAllocsPerTaskBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-cell run in -short mode")

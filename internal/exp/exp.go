@@ -310,23 +310,25 @@ func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) 
 		}
 	}
 	res := r.Execute()
+	r.Release()
 	return RunResult{Spec: spec, Result: res, Wall: time.Since(start)}, r.Tracer(), nil
 }
 
 // armChaos compiles the spec's chaos plan and schedules it on the
-// runtime. Percent points need a horizon — the same cell's no-chaos
-// makespan — which is measured by a deterministic baseline pre-run
-// (itself a pure function of the spec, so the faulted run stays
-// replayable byte for byte). The baseline's wall cost folds into the
+// runtime. Percent points that act on this machine need a horizon — the
+// same cell's no-chaos makespan — which is measured by a deterministic
+// baseline pre-run (itself a pure function of the spec, so the faulted
+// run stays replayable byte for byte); a plan whose percent clauses are
+// all inert here skips it. The baseline's wall cost folds into the
 // faulted run's Wall; its virtual results are discarded, so it runs
-// untraced.
+// untraced and releases its slabs to the faulted run.
 func armChaos(r *ompss.Runtime, spec RunSpec) error {
 	plan, err := chaos.Parse(spec.Chaos)
 	if err != nil {
 		return err
 	}
 	var horizon time.Duration
-	if plan.NeedsHorizon() {
+	if plan.NeedsHorizonOn(r.Runtime) {
 		base := spec
 		base.Chaos = ""
 		br, err := build(base, false)
@@ -334,6 +336,7 @@ func armChaos(r *ompss.Runtime, spec RunSpec) error {
 			return err
 		}
 		horizon = br.Execute().Elapsed
+		br.Release()
 	}
 	return plan.Arm(r.Runtime, horizon)
 }

@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -325,14 +324,3 @@ func typeCheck(fset *token.FileSet, files []*ast.File, cfg *Config) (*types.Pack
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// Sorted returns analyzer names in stable order (used by callers that
-// print the suite's composition).
-func Sorted(analyzers []*analysis.Analyzer) []string {
-	var names []string
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
-}

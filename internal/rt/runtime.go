@@ -9,6 +9,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/trace"
 	"repro/internal/xfer"
 )
@@ -68,14 +69,22 @@ type Runtime struct {
 	outstanding int
 	waiters     []func()
 
-	// taskArena hands out Task records from chunked slabs: one allocation
-	// per arenaChunk submits instead of one per task. Slots are never
-	// reused, so *Task pointers stay valid for the run's lifetime.
+	// taskArena hands out Task records from chunked slabs: one slab per
+	// arenaChunk submits instead of one allocation per task. Slots are
+	// never reused within a run, so *Task pointers stay valid for the
+	// run's lifetime. Slabs come from the process-wide free lists (see
+	// Release) before they are allocated; slabs records every slab the
+	// run drew so Release can return them.
 	taskArena []Task
 	// idArena hands out predID backing storage the same way.
 	idArena []int64
 	// edgeArena hands out successor-list edges the same way.
 	edgeArena []edge
+	slabs     struct {
+		tasks [][]Task
+		ids   [][]int64
+		edges [][]edge
+	}
 
 	// objStamp and dssEpoch dedup objects in dataSetSize: an object
 	// counts once per submit when its stamp (indexed by mem.ObjectID)
@@ -249,13 +258,31 @@ func (r *Runtime) TaskType(name string) *TaskType { return r.types[name] }
 // Outstanding returns the number of submitted-but-unfinished tasks.
 func (r *Runtime) Outstanding() int { return r.outstanding }
 
-// arenaChunk is how many Task records each arena slab holds.
-const arenaChunk = 256
+// arenaChunk is how many Task records (and successor edges) each arena
+// slab holds; pred-ID slabs hold idChunk IDs.
+const (
+	arenaChunk = 256
+	idChunk    = 4 * arenaChunk
+)
 
-// newTask returns a zeroed Task slot from the arena.
+// The free lists finished runs return their slabs to (see Release). Each
+// cap is the number of slabs one pinned pbpi cell (pbpi-hyb at quick
+// size: 6,625 tasks, ~32k dependence edges) draws: 26 task, 125 edge and
+// 33 pred-ID slabs. A serial campaign of cells up to that size allocates
+// no slab after its first cell, and a process retains at most ~2.4 MB of
+// them, and none once it stops simulating (see package slab).
+var (
+	taskSlabs = slab.New[Task](arenaChunk, 26)
+	edgeSlabs = slab.New[edge](arenaChunk, 125)
+	idSlabs   = slab.New[int64](idChunk, 33)
+)
+
+// newTask returns a Task slot from the arena; the caller overwrites it
+// whole.
 func (r *Runtime) newTask() *Task {
 	if len(r.taskArena) == 0 {
-		r.taskArena = make([]Task, arenaChunk)
+		r.taskArena = taskSlabs.Get()
+		r.slabs.tasks = append(r.slabs.tasks, r.taskArena)
 	}
 	t := &r.taskArena[0]
 	r.taskArena = r.taskArena[1:]
@@ -265,26 +292,56 @@ func (r *Runtime) newTask() *Task {
 // newEdge returns a zeroed successor edge from the arena.
 func (r *Runtime) newEdge() *edge {
 	if len(r.edgeArena) == 0 {
-		r.edgeArena = make([]edge, arenaChunk)
+		r.edgeArena = edgeSlabs.Get()
+		r.slabs.edges = append(r.slabs.edges, r.edgeArena)
 	}
 	e := &r.edgeArena[0]
 	r.edgeArena = r.edgeArena[1:]
+	*e = edge{}
 	return e
 }
 
 // allocIDs returns an n-element int64 slice from the arena, capped so
-// appends cannot bleed into the next handout.
+// appends cannot bleed into the next handout. A request larger than a
+// slab gets a one-off slab of its own, which Release leaves to the
+// garbage collector.
 func (r *Runtime) allocIDs(n int) []int64 {
 	if n > len(r.idArena) {
-		size := 4 * arenaChunk
-		if n > size {
-			size = n
+		if n > idChunk {
+			r.idArena = make([]int64, n)
+		} else {
+			r.idArena = idSlabs.Get()
 		}
-		r.idArena = make([]int64, size)
+		r.slabs.ids = append(r.slabs.ids, r.idArena)
 	}
 	out := r.idArena[:n:n]
 	r.idArena = r.idArena[n:]
 	return out
+}
+
+// Release returns the run's task, edge and pred-ID slabs, and its
+// dependence tracker's node slabs, to the free lists the next runtime in
+// the process draws from. Call it only after Run has returned normally
+// (never after a panic, which may leave tasks referenced mid-flight),
+// and only when nothing will read the runtime's tasks again: the slabs
+// are zeroed and handed to other runs. Counters, version counts and the
+// tracer stay readable; a traced runtime keeps its pred-ID slabs,
+// because its trace's task records alias them. A second call is a no-op.
+func (r *Runtime) Release() {
+	for _, s := range r.slabs.tasks {
+		taskSlabs.Put(s)
+	}
+	for _, s := range r.slabs.edges {
+		edgeSlabs.Put(s)
+	}
+	if r.tracer == nil {
+		for _, s := range r.slabs.ids {
+			idSlabs.Put(s)
+		}
+	}
+	r.tracker.Release()
+	r.slabs.tasks, r.slabs.edges, r.slabs.ids = nil, nil, nil
+	r.taskArena, r.edgeArena, r.idArena = nil, nil, nil
 }
 
 // submit creates a task instance, wires its dependences and hands it to
@@ -462,9 +519,6 @@ func (r *Runtime) taskDone(t *Task) {
 // Run executes the simulation to completion and returns the final virtual
 // time.
 func (r *Runtime) Run() sim.Time { return r.eng.Run() }
-
-// ElapsedSeconds returns the current virtual time in seconds.
-func (r *Runtime) ElapsedSeconds() float64 { return r.eng.Now().Seconds() }
 
 // GFlops returns achieved GFLOP/s over the whole run so far.
 func (r *Runtime) GFlops() float64 {

@@ -8,7 +8,6 @@ package rt
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -184,10 +183,4 @@ func (tt *TaskType) VersionNames() []string {
 		}
 	}
 	return tt.names
-}
-
-// EstimateMain returns the main version's modelled duration for the given
-// work (a helper for schedulers without profiling).
-func (tt *TaskType) EstimateMain(w perfmodel.Work) time.Duration {
-	return tt.Main().Model.Estimate(w)
 }

@@ -73,21 +73,8 @@ func (w *Worker) Idle() bool { return w.current == nil }
 // Down reports whether the device has been removed by fault injection.
 func (w *Worker) Down() bool { return w.down }
 
-// Speed returns the device's current speed multiplier (1 = nominal).
-func (w *Worker) Speed() float64 { return w.speed }
-
 // Current returns the task occupying the worker, if any.
 func (w *Worker) Current() *Task { return w.current }
-
-// BusyRemaining returns the time until the currently executing task
-// completes (zero if idle or still staging).
-func (w *Worker) BusyRemaining() sim.Duration {
-	now := w.rt.eng.Now()
-	if w.current == nil || w.busyUntil <= now {
-		return 0
-	}
-	return w.busyUntil.Sub(now)
-}
 
 func (w *Worker) String() string {
 	return fmt.Sprintf("worker-%d(%s)", w.id, w.dev.Name)
