@@ -14,7 +14,7 @@ import (
 )
 
 // BenchmarkSchedulerComparisonRandDAG runs the same irregular random DAG
-// under every registered policy. Reported sim-s is the virtual makespan:
+// under every policy. Reported sim-s is the virtual makespan:
 // lower = better schedule; wall-clock ns/op measures scheduler decision
 // cost on the identical workload.
 func BenchmarkSchedulerComparisonRandDAG(b *testing.B) {

@@ -181,7 +181,7 @@ func main() {
 		fmt.Println()
 		fmt.Print(stats.Summarize(r.Tracer()).Format())
 	}
-	if *hintsF != "" && cfg.Scheduler == "versioning" {
+	if *hintsF != "" && r.ProfileStore() != nil {
 		if err := r.SaveHints(*hintsF); err != nil {
 			log.Fatal(err)
 		}

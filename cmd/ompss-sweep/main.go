@@ -103,9 +103,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	// Register the http/https store schemes with exp.OpenStore, so
-	// -store http://host:port reaches an ompss-sweepd coordinator.
-	_ "repro/internal/sweepd"
+	"repro/internal/sweepd"
 )
 
 func main() {
@@ -227,7 +225,7 @@ func main() {
 	}
 	var store exp.CellStore
 	if target != "" {
-		store, err = exp.OpenStore(target)
+		store, err = sweepd.OpenStore(target)
 		if err != nil {
 			fatal(err)
 		}
@@ -591,7 +589,7 @@ func watch(target string, grid exp.Grid, interval, ttl time.Duration) {
 			fatal(fmt.Errorf("-watch %s: %w", target, err))
 		}
 	}
-	store, err := exp.OpenStore(target)
+	store, err := sweepd.OpenStore(target)
 	if err != nil {
 		fatal(err)
 	}
@@ -652,7 +650,7 @@ func replay(target string, opt replayOptions) {
 			fatal(fmt.Errorf("-replay %s: %w", target, err))
 		}
 	}
-	store, err := exp.OpenStore(target)
+	store, err := sweepd.OpenStore(target)
 	if err != nil {
 		fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sched/versioning"
+	"repro/internal/verprof"
 )
 
 func TestParseClauses(t *testing.T) {
@@ -302,7 +303,7 @@ func TestBlackoutStallsEverything(t *testing.T) {
 // task to surviving devices — and the run must still complete with an
 // exactly-once trace.
 func TestVersioningReadaptsAfterDropout(t *testing.T) {
-	r := newRT(2, 1, versioning.New(versioning.Options{Lambda: 2}))
+	r := newRT(2, 1, versioning.New(versioning.Options{Store: verprof.NewStore(2)}))
 	tt := r.DeclareTaskType("k")
 	// The GPU version is the main implementation, so the post-learning
 	// burst (no recorded means yet) lands on the GPU, keeping it busy
@@ -335,7 +336,7 @@ func TestVersioningReadaptsAfterDropout(t *testing.T) {
 // TestVersioningParksGPUOnlyTasks: tasks whose only version is CUDA
 // must park while every GPU is down and complete after recovery.
 func TestVersioningParksGPUOnlyTasks(t *testing.T) {
-	r := newRT(1, 1, versioning.New(versioning.Options{Lambda: 1}))
+	r := newRT(1, 1, versioning.New(versioning.Options{Store: verprof.NewStore(1)}))
 	tt := r.DeclareTaskType("gpuonly")
 	tt.AddVersion("k_gpu", machine.KindCUDA, perfmodel.Fixed{D: 5 * time.Millisecond}, nil)
 	obj := r.Register("x", 1<<10)
@@ -358,7 +359,7 @@ func TestVersioningParksGPUOnlyTasks(t *testing.T) {
 // virtual end times, fault counts and traces.
 func TestDeterminism(t *testing.T) {
 	run := func() (time.Duration, int64, int64, int) {
-		r := newRT(2, 1, versioning.New(versioning.Options{Lambda: 2}))
+		r := newRT(2, 1, versioning.New(versioning.Options{Store: verprof.NewStore(2)}))
 		tt := r.DeclareTaskType("k")
 		tt.AddVersion("k_gpu", machine.KindCUDA, perfmodel.Fixed{D: 5 * time.Millisecond}, nil)
 		tt.AddVersion("k_smp", machine.KindSMP, perfmodel.Fixed{D: 20 * time.Millisecond}, nil)

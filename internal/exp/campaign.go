@@ -234,10 +234,8 @@ func (s RunSpec) validate() error {
 		return fmt.Errorf("exp: app %q needs at least %d GPU(s), spec has %d",
 			s.App, app.MinGPUs, s.GPUs)
 	}
-	if s.Scheduler != "versioning" { // versioning is built by the ompss facade
-		if _, err := sched.New(s.Scheduler); err != nil {
-			return fmt.Errorf("exp: spec references unknown scheduler: %w", err)
-		}
+	if err := sched.CheckName(s.Scheduler); err != nil {
+		return fmt.Errorf("exp: spec references unknown scheduler: %w", err)
 	}
 	canon, err := ParseMachineSpec(string(s.Machine))
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -29,7 +28,7 @@ import (
 	"repro/ompss"
 )
 
-// Size selects a problem-size tier for every registered application.
+// Size selects a problem-size tier for every application.
 type Size string
 
 const (
@@ -56,7 +55,7 @@ func ParseSize(s string) (Size, error) {
 	return "", fmt.Errorf("exp: unknown size %q (have tiny, quick, full)", s)
 }
 
-// App is a registered application: a named builder that declares task
+// App is a sweepable application: a named builder that declares task
 // types and the master function on a fresh runtime at a given size.
 type App struct {
 	Name string
@@ -67,41 +66,22 @@ type App struct {
 	Build   func(r *ompss.Runtime, size Size) error
 }
 
-var (
-	appMu   sync.RWMutex
-	appReg  = make(map[string]App)
-	appList []string // registration order
-)
-
-// RegisterApp adds an application to the sweep registry. Registering the
-// same name twice panics, mirroring the scheduler plug-in registry.
-func RegisterApp(a App) {
-	if a.Name == "" || a.Build == nil {
-		panic("exp: RegisterApp needs a name and a builder")
-	}
-	appMu.Lock()
-	defer appMu.Unlock()
-	if _, dup := appReg[a.Name]; dup {
-		panic(fmt.Sprintf("exp: duplicate app %q", a.Name))
-	}
-	appReg[a.Name] = a
-	appList = append(appList, a.Name)
-}
-
-// LookupApp finds a registered application.
+// LookupApp finds an application in the app table.
 func LookupApp(name string) (App, bool) {
-	appMu.RLock()
-	defer appMu.RUnlock()
-	a, ok := appReg[name]
-	return a, ok
+	for _, a := range appTable {
+		if a.Name == name {
+			return a, true
+		}
+	}
+	return App{}, false
 }
 
-// AppNames lists the registered applications, sorted.
+// AppNames lists the applications, sorted.
 func AppNames() []string {
-	appMu.RLock()
-	defer appMu.RUnlock()
-	out := make([]string, len(appList))
-	copy(out, appList)
+	out := make([]string, len(appTable))
+	for i, a := range appTable {
+		out[i] = a.Name
+	}
 	sort.Strings(out)
 	return out
 }
@@ -111,7 +91,7 @@ func AppNames() []string {
 // (no pointers), so specs are comparable, JSON-serializable, and have a
 // stable content hash (see Hash) that keys the on-disk result cache.
 type RunSpec struct {
-	// App names a registered application (see AppNames).
+	// App names an application (see AppNames).
 	App string `json:"app"`
 	// Size selects the problem-size tier (default tiny).
 	Size Size `json:"size"`

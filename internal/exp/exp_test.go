@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/ompss"
 )
 
@@ -626,13 +627,56 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterAppDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterApp did not panic")
+// TestTables checks the compile-time scheduler and app tables: every
+// listed scheduler builds through the facade under its own name, app
+// names are unique, and an unknown scheduler is rejected on every path
+// with the full list of names.
+func TestTables(t *testing.T) {
+	names := sched.Names()
+	if len(names) != 6 {
+		t.Errorf("sched.Names() = %v, want six policies", names)
+	}
+	for _, n := range names {
+		r, err := ompss.NewRuntime(ompss.Config{Scheduler: n, SMPWorkers: 1, GPUs: 1})
+		if err != nil {
+			t.Errorf("NewRuntime(%s): %v", n, err)
+			continue
 		}
-	}()
-	RegisterApp(App{Name: "matmul-hyb", Build: func(*ompss.Runtime, Size) error { return nil }})
+		if got := r.Config().Scheduler.Name(); got != n {
+			t.Errorf("scheduler %q builds a policy named %q", n, got)
+		}
+	}
+
+	seen := map[string]bool{}
+	for _, a := range appTable {
+		if seen[a.Name] {
+			t.Errorf("duplicate app %q", a.Name)
+		}
+		seen[a.Name] = true
+		if got, ok := LookupApp(a.Name); !ok || got.Name != a.Name {
+			t.Errorf("LookupApp(%q) = %v, %v", a.Name, got.Name, ok)
+		}
+	}
+	if len(AppNames()) != len(appTable) {
+		t.Errorf("AppNames() = %v, want %d names", AppNames(), len(appTable))
+	}
+
+	_, facadeErr := ompss.NewRuntime(ompss.Config{Scheduler: "nope", SMPWorkers: 1, GPUs: 1})
+	for what, err := range map[string]error{
+		"grid":   Grid{Schedulers: []string{"nope"}}.Validate(),
+		"spec":   RunSpec{App: "matmul-hyb", Size: SizeTiny, Scheduler: "nope", SMPWorkers: 1, GPUs: 1}.validate(),
+		"facade": facadeErr,
+	} {
+		if err == nil {
+			t.Errorf("%s: unknown scheduler accepted", what)
+			continue
+		}
+		for _, n := range names {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("%s: error %q does not list %q", what, err, n)
+			}
+		}
+	}
 }
 
 // TestCSVIdenticalAcrossParallelism runs a real (simulated) sweep twice —

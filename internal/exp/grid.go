@@ -153,10 +153,7 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, s := range g.Schedulers {
-		if s == "versioning" {
-			continue // built by the ompss facade, not the plug-in registry
-		}
-		if _, err := sched.New(s); err != nil {
+		if err := sched.CheckName(s); err != nil {
 			return fmt.Errorf("exp: grid references unknown scheduler: %w", err)
 		}
 	}

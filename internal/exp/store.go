@@ -1,10 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/journal"
@@ -16,7 +12,7 @@ import (
 // behind one interface, so the engine, the watcher and the budget code
 // are agnostic about whether claimants coordinate through a shared
 // filesystem (DirStore) or through an ompss-sweepd coordinator over
-// HTTP (internal/sweepd.Client). A fleet can even mix the two against
+// HTTP (internal/sweepd.HTTPStore). A fleet can even mix the two against
 // one campaign: the daemon serves a DirStore, so dir:// claimants on
 // the coordinator's host and http:// claimants elsewhere share the
 // same cells, leases and journal.
@@ -109,75 +105,4 @@ type StoreSnapshot struct {
 	// Cells maps each settled cell's spec hash to its manifest entry.
 	// The map is shared with the store: read-only, do not retain.
 	Cells map[string]ManifestEntry
-}
-
-// storeSchemes is the pluggable URL-scheme registry behind OpenStore.
-// The dir scheme is built in; internal/sweepd registers http/https so
-// importing the daemon package teaches every CLI the network scheme —
-// the same plug-in pattern as the scheduler and app registries.
-var (
-	storeSchemeMu sync.RWMutex
-	storeSchemes  = make(map[string]func(url string) (CellStore, error))
-)
-
-// RegisterStoreScheme installs an opener for a store URL scheme
-// ("http", "https"). Registering a duplicate or the built-in "dir"
-// panics, mirroring the other registries.
-func RegisterStoreScheme(scheme string, open func(url string) (CellStore, error)) {
-	if scheme == "" || open == nil {
-		panic("exp: RegisterStoreScheme needs a scheme and an opener")
-	}
-	storeSchemeMu.Lock()
-	defer storeSchemeMu.Unlock()
-	if scheme == "dir" {
-		panic("exp: the dir store scheme is built in")
-	}
-	if _, dup := storeSchemes[scheme]; dup {
-		panic(fmt.Sprintf("exp: duplicate store scheme %q", scheme))
-	}
-	storeSchemes[scheme] = open
-}
-
-// storeSchemeNames lists the registered schemes plus the built-in dir,
-// sorted, for error messages.
-func storeSchemeNames() []string {
-	storeSchemeMu.RLock()
-	defer storeSchemeMu.RUnlock()
-	names := []string{"dir"}
-	for s := range storeSchemes {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// OpenStore resolves a store URL:
-//
-//	dir:///shared/cache   — directory store (shared-filesystem campaigns)
-//	/shared/cache         — bare paths are dir:// (the -cache alias)
-//	http://host:8080      — an ompss-sweepd coordinator (requires the
-//	                        scheme's opener to be linked in; the
-//	                        ompss-sweep CLI always links internal/sweepd)
-//
-// Everything after dir:// is the directory path, so dir:///x names /x
-// and dir://rel names the relative path rel.
-func OpenStore(url string) (CellStore, error) {
-	if url == "" {
-		return nil, fmt.Errorf("exp: store URL must not be empty")
-	}
-	scheme, rest, ok := strings.Cut(url, "://")
-	if !ok {
-		return OpenDirStore(url)
-	}
-	if scheme == "dir" {
-		return OpenDirStore(rest)
-	}
-	storeSchemeMu.RLock()
-	open := storeSchemes[scheme]
-	storeSchemeMu.RUnlock()
-	if open == nil {
-		return nil, fmt.Errorf("exp: unknown store scheme %q in %q (have %v)",
-			scheme, url, storeSchemeNames())
-	}
-	return open(url)
 }

@@ -6,7 +6,6 @@ package exp_test
 // defines what "implements CellStore" means.
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -27,55 +26,4 @@ func TestDirStoreConformance(t *testing.T) {
 			SetRotate:  ds.SetJournalRotateBytes,
 		}
 	})
-}
-
-func TestOpenStoreSchemes(t *testing.T) {
-	dir := t.TempDir()
-
-	// A bare path is the -cache alias: a dir store.
-	s, err := exp.OpenStore(dir)
-	if err != nil {
-		t.Fatalf("OpenStore(bare path): %v", err)
-	}
-	defer s.Close()
-	if _, ok := s.(*exp.DirStore); !ok {
-		t.Fatalf("OpenStore(bare path) = %T, want *exp.DirStore", s)
-	}
-	if got := s.Description(); got != "dir://"+dir {
-		t.Errorf("Description() = %q, want %q", got, "dir://"+dir)
-	}
-
-	// The explicit dir:// spelling names the same store.
-	s2, err := exp.OpenStore("dir://" + dir)
-	if err != nil {
-		t.Fatalf("OpenStore(dir://): %v", err)
-	}
-	defer s2.Close()
-	if s2.Description() != s.Description() {
-		t.Errorf("dir:// and bare path opened different stores: %q vs %q",
-			s2.Description(), s.Description())
-	}
-
-	if _, err := exp.OpenStore(""); err == nil {
-		t.Error("OpenStore(\"\") did not fail")
-	}
-	_, err = exp.OpenStore("gopher://example")
-	if err == nil || !strings.Contains(err.Error(), "unknown store scheme") {
-		t.Errorf("OpenStore(gopher://) error = %v, want unknown-scheme", err)
-	}
-}
-
-func TestRegisterStoreSchemePanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	open := func(string) (exp.CellStore, error) { return nil, nil }
-	mustPanic("registering dir", func() { exp.RegisterStoreScheme("dir", open) })
-	mustPanic("registering empty scheme", func() { exp.RegisterStoreScheme("", open) })
-	mustPanic("nil opener", func() { exp.RegisterStoreScheme("x-test", nil) })
 }

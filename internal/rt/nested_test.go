@@ -9,7 +9,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/rt"
 	"repro/internal/sched"
-	_ "repro/internal/sched/versioning" // register the versioning policy
+	"repro/internal/sched/versioning"
 )
 
 func TestNestedTaskSubmission(t *testing.T) {
@@ -162,15 +162,11 @@ func TestMultiDeviceVersionValidation(t *testing.T) {
 func TestVersioningWithMultiDeviceVersion(t *testing.T) {
 	// A single implementation targeting both kinds under the versioning
 	// scheduler: the profile has one version but two possible executors.
-	s, err := sched.New("versioning")
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rt.New(rt.Config{
 		Machine:    machine.MinoTauro(1, 1),
 		SMPWorkers: 1,
 		GPUWorkers: 1,
-		Scheduler:  s,
+		Scheduler:  versioning.New(versioning.Options{}),
 	})
 	tt := r.DeclareTaskType("anywhere")
 	tt.AddMultiDeviceVersion("anywhere_any",

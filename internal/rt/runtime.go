@@ -38,14 +38,12 @@ type Config struct {
 	RealCompute bool
 	// CreateOverhead is the master-thread cost of creating one task.
 	CreateOverhead time.Duration
-	// Tracer receives task and transfer records. If nil, New creates a
-	// fresh tracer (retrievable via Runtime.Tracer) unless NoTrace is set.
-	Tracer *trace.Tracer
 	// NoTrace runs without a tracer: no task or transfer records are kept
 	// and Runtime.Tracer returns nil. The task count and per-version
 	// counts stay available (TasksCompleted, VersionCounts); everything
 	// that reads records — Paraver and Chrome export, energy, critical
-	// path, summaries — needs a traced runtime. A non-nil Tracer wins.
+	// path, summaries — needs a traced runtime. Without it, New creates
+	// a fresh tracer (retrievable via Runtime.Tracer).
 	NoTrace bool
 }
 
@@ -125,14 +123,12 @@ func New(cfg Config) *Runtime {
 		panic("rt: invalid machine: " + err.Error())
 	}
 	eng := sim.NewEngine()
-	tracer := cfg.Tracer
-	if tracer == nil && !cfg.NoTrace {
-		tracer = trace.New()
-	}
+	var tracer *trace.Tracer
 	// A nil *Tracer must reach the fabric as a nil Recorder, not as a
 	// typed nil that would still be called per transfer.
 	var rec xfer.Recorder
-	if tracer != nil {
+	if !cfg.NoTrace {
+		tracer = trace.New()
 		rec = tracer
 	}
 	fabric := xfer.NewFabric(eng, cfg.Machine, rec)

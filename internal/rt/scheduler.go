@@ -27,8 +27,9 @@ func (a Assignment) Empty() bool { return a.Task == nil }
 //     realized execution time (this is where the versioning scheduler
 //     updates its profiles).
 //
-// Mirroring the OmpSs plug-in mechanism, concrete policies register
-// themselves in internal/sched's registry and are selected by name.
+// As with OmpSs's NX_SCHEDULE, a run selects its policy by name: the
+// names are listed by sched.Names and built by sched.New or, for
+// "versioning", by the ompss facade.
 type Scheduler interface {
 	Name() string
 	Init(rt *Runtime)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/rt"
 	"repro/internal/sched"
+	"repro/internal/sched/versioning"
 	"repro/internal/stats"
 )
 
@@ -39,9 +40,12 @@ func TestRandomDAGStress(t *testing.T) {
 func runRandomDAG(t *testing.T, schedName string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	s, err := sched.New(schedName)
-	if err != nil {
-		t.Fatal(err)
+	var s rt.Scheduler = versioning.New(versioning.Options{})
+	if schedName != "versioning" {
+		var err error
+		if s, err = sched.New(schedName); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := rt.New(rt.Config{
 		Machine:    machine.MinoTauro(3, 2),

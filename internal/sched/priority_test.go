@@ -9,7 +9,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/rt"
 	"repro/internal/sched"
-	_ "repro/internal/sched/versioning" // register the versioning policy
+	"repro/internal/sched/versioning"
 )
 
 // TestPriorityOrdersReadyQueue submits low-priority tasks first, then one
@@ -19,9 +19,12 @@ import (
 func TestPriorityOrdersReadyQueue(t *testing.T) {
 	for _, schedName := range []string{"bf", "dep", "affinity", "versioning"} {
 		t.Run(schedName, func(t *testing.T) {
-			s, err := sched.New(schedName)
-			if err != nil {
-				t.Fatal(err)
+			var s rt.Scheduler = versioning.New(versioning.Options{})
+			if schedName != "versioning" {
+				var err error
+				if s, err = sched.New(schedName); err != nil {
+					t.Fatal(err)
+				}
 			}
 			r := rt.New(rt.Config{
 				Machine:    machine.MinoTauro(1, 0),

@@ -1,7 +1,7 @@
-// Package sched provides the OmpSs scheduling-policy plug-ins the paper
-// evaluates against, plus the plug-in registry that mirrors OmpSs's
-// runtime-selectable schedulers (NX_SCHEDULE): policies are registered by
-// name and instantiated per run without recompiling anything.
+// Package sched provides the OmpSs scheduling policies the paper
+// evaluates against. As with OmpSs's NX_SCHEDULE, a run selects its
+// policy by name: Names is the fixed list of every policy, New builds
+// the ones defined here, and the ompss facade builds "versioning".
 //
 // The two baselines from Section V-A2 live here:
 //
@@ -34,64 +34,50 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
 import "repro/internal/rt"
 
-// Factory builds a fresh scheduler instance.
-type Factory func() rt.Scheduler
-
-var (
-	regMu    sync.Mutex
-	registry = make(map[string]Factory)
-)
-
-// Register adds a named policy to the registry. Registering the same
-// name twice panics (plug-in name collisions are programming errors).
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: duplicate scheduler %q", name))
-	}
-	registry[name] = f
-}
-
-// New instantiates a registered policy by name.
-func New(name string) (rt.Scheduler, error) {
-	regMu.Lock()
-	f, ok := registry[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (have %v)", name, Names())
-	}
-	return f(), nil
-}
-
-// Names lists the registered policies, sorted.
+// Names lists every policy a run can select, sorted. New builds all of
+// them but "versioning", which lives in the versioning subpackage (it
+// imports this one) and which the ompss facade builds with its profile
+// store.
 func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	return []string{"affinity", "bf", "dep", "random", "versioning", "wf"}
+}
+
+// CheckName reports whether name is one of Names, without building a
+// policy. Its error lists every name.
+func CheckName(name string) error {
+	if slices.Contains(Names(), name) {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return fmt.Errorf("sched: unknown scheduler %q (have %v)", name, Names())
+}
+
+// New builds one of this package's policies by name.
+func New(name string) (rt.Scheduler, error) {
+	switch name {
+	case "bf":
+		return NewBreadthFirst(), nil
+	case "dep":
+		return NewDepAware(), nil
+	case "affinity":
+		return NewAffinity(), nil
+	case "wf":
+		return NewWorkFirst(), nil
+	case "random":
+		return NewRandom(0), nil
+	}
+	if err := CheckName(name); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("sched: %q is built by its own package, not sched.New", name)
 }
 
 // Seedable is implemented by policies whose decisions involve randomness;
 // the facade reseeds them from Config.Seed so runs stay reproducible.
 type Seedable interface {
 	SetSeed(seed int64)
-}
-
-func init() {
-	Register("bf", func() rt.Scheduler { return NewBreadthFirst() })
-	Register("dep", func() rt.Scheduler { return NewDepAware() })
-	Register("affinity", func() rt.Scheduler { return NewAffinity() })
-	Register("wf", func() rt.Scheduler { return NewWorkFirst() })
-	Register("random", func() rt.Scheduler { return NewRandom(0) })
 }

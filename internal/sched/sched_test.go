@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestRegistry(t *testing.T) {
 		delete(want, n)
 	}
 	if len(want) != 0 {
-		t.Errorf("missing registered schedulers: %v (have %v)", want, names)
+		t.Errorf("missing schedulers: %v (have %v)", want, names)
 	}
 	s, err := sched.New("bf")
 	if err != nil || s.Name() != "bf" {
@@ -28,15 +29,9 @@ func TestRegistry(t *testing.T) {
 	if _, err := sched.New("nope"); err == nil {
 		t.Error("unknown scheduler should error")
 	}
-}
-
-func TestDuplicateRegisterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	sched.Register("bf", func() rt.Scheduler { return sched.NewBreadthFirst() })
+	if _, err := sched.New("versioning"); err == nil || strings.Contains(err.Error(), "unknown") {
+		t.Errorf("New(versioning) = %v, want a not-built-here error", err)
+	}
 }
 
 // buildChain submits `chains` independent chains of `depth` dependent

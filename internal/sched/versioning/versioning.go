@@ -34,21 +34,10 @@ import (
 
 // Options configure the versioning scheduler.
 type Options struct {
-	// Lambda is the learning threshold (minimum executions per version
-	// per size group); < 1 selects verprof.DefaultLambda.
-	Lambda int
-	// SizeTolerance enables the future-work size-range grouping
-	// extension (0 = paper's exact matching).
-	SizeTolerance float64
-	// EWMAAlpha enables the future-work weighted-mean extension
-	// (0 = paper's arithmetic mean).
-	EWMAAlpha float64
-	// ConfidenceCV enables the confidence-gated reliability extension:
-	// noisy versions stay in the learning phase until their coefficient
-	// of variation falls below this bound (0 = paper's fixed lambda).
-	ConfidenceCV float64
-	// Store, if non-nil, is used instead of a fresh profile store —
-	// this is how XML hints warm-start the scheduler (Section VII).
+	// Store is the profile store (Table I). It carries the learning
+	// threshold and the profiling extensions, and XML hints warm-start
+	// the scheduler through it (Section VII). Nil selects
+	// verprof.NewStore(0): the paper's defaults.
 	Store *verprof.Store
 	// LocalityAware enables the future-work data-locality extension
 	// (Section VII: "we are going to provide the versioning scheduler
@@ -107,10 +96,7 @@ func entryPriority(e entry) int { return e.Task.Priority }
 func New(opts Options) *Versioning {
 	store := opts.Store
 	if store == nil {
-		store = verprof.NewStore(opts.Lambda)
-		store.SizeTolerance = opts.SizeTolerance
-		store.EWMAAlpha = opts.EWMAAlpha
-		store.ConfidenceCV = opts.ConfidenceCV
+		store = verprof.NewStore(0)
 	}
 	return &Versioning{
 		opts:     opts,
@@ -470,8 +456,4 @@ func (s *Versioning) TaskFinished(w *rt.Worker, t *rt.Task, v *rt.Version, exec 
 	if ok {
 		s.discharge(w.ID(), e)
 	}
-}
-
-func init() {
-	sched.Register("versioning", func() rt.Scheduler { return New(Options{}) })
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/rt"
-	"repro/internal/sched"
 	"repro/internal/sched/versioning"
 	"repro/internal/verprof"
 )
@@ -46,18 +45,8 @@ func submitN(r *rt.Runtime, tt *rt.TaskType, n int, size int64) {
 	})
 }
 
-func TestRegisteredInSchedRegistry(t *testing.T) {
-	s, err := sched.New("versioning")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "versioning" {
-		t.Errorf("Name = %q", s.Name())
-	}
-}
-
 func TestLearningPhaseRunsEveryVersionLambdaTimes(t *testing.T) {
-	r, v, tt := hybridRuntime(2, 1, versioning.Options{Lambda: 3})
+	r, v, tt := hybridRuntime(2, 1, versioning.Options{Store: verprof.NewStore(3)})
 	// A dependence chain: tasks become ready one at a time, so the
 	// scheduler passes through learning into the reliable phase.
 	r.SpawnMain(func(m *rt.Master) {
@@ -90,7 +79,7 @@ func TestLearningPhaseRunsEveryVersionLambdaTimes(t *testing.T) {
 func TestReliablePhasePrefersFastVersion(t *testing.T) {
 	// With a single worker of each kind and GPU 5x faster, the GPU should
 	// take the bulk of the work after learning.
-	r, _, tt := hybridRuntime(1, 1, versioning.Options{Lambda: 2})
+	r, _, tt := hybridRuntime(1, 1, versioning.Options{Store: verprof.NewStore(2)})
 	submitN(r, tt, 100, 1000)
 	r.Run()
 
@@ -158,7 +147,7 @@ func TestEarliestExecutorFigure5(t *testing.T) {
 }
 
 func TestNewDataSetSizeReopensLearning(t *testing.T) {
-	r, v, tt := hybridRuntime(1, 1, versioning.Options{Lambda: 2})
+	r, v, tt := hybridRuntime(1, 1, versioning.Options{Store: verprof.NewStore(2)})
 	r.SpawnMain(func(m *rt.Master) {
 		for i := 0; i < 20; i++ {
 			obj := r.Register("x", 1000)
@@ -185,7 +174,7 @@ func TestNewDataSetSizeReopensLearning(t *testing.T) {
 }
 
 func TestProfileMeansConvergeToModel(t *testing.T) {
-	r, v, tt := hybridRuntime(1, 1, versioning.Options{Lambda: 2})
+	r, v, tt := hybridRuntime(1, 1, versioning.Options{Store: verprof.NewStore(2)})
 	submitN(r, tt, 60, 1000)
 	r.Run()
 
@@ -201,7 +190,9 @@ func TestProfileMeansConvergeToModel(t *testing.T) {
 }
 
 func TestSizeToleranceExtensionMergesGroups(t *testing.T) {
-	r, v, tt := hybridRuntime(1, 1, versioning.Options{Lambda: 2, SizeTolerance: 0.10})
+	store := verprof.NewStore(2)
+	store.SizeTolerance = 0.10
+	r, v, tt := hybridRuntime(1, 1, versioning.Options{Store: store})
 	r.SpawnMain(func(m *rt.Master) {
 		for i := 0; i < 10; i++ {
 			// Sizes 1000 and 1050 within 10%: one group.
@@ -222,7 +213,7 @@ func TestSizeToleranceExtensionMergesGroups(t *testing.T) {
 }
 
 func TestSMPOnlyTaskTypeWorks(t *testing.T) {
-	v := versioning.New(versioning.Options{Lambda: 2})
+	v := versioning.New(versioning.Options{Store: verprof.NewStore(2)})
 	r := rt.New(rt.Config{
 		Machine:    machine.MinoTauro(2, 1),
 		SMPWorkers: 2,
@@ -241,7 +232,7 @@ func TestSMPOnlyTaskTypeWorks(t *testing.T) {
 func TestGPUVersionUnusedWithoutGPUWorkers(t *testing.T) {
 	// Hybrid task on a CPU-only runtime: learning must skip versions with
 	// no compatible worker instead of stalling.
-	v := versioning.New(versioning.Options{Lambda: 2})
+	v := versioning.New(versioning.Options{Store: verprof.NewStore(2)})
 	r := rt.New(rt.Config{
 		Machine:    machine.MinoTauro(2, 0),
 		SMPWorkers: 2,
@@ -264,7 +255,7 @@ func TestGPUVersionUnusedWithoutGPUWorkers(t *testing.T) {
 // under faults, by the re-decision of a drained or re-queued task.
 func TestBusyTimeBookkeepingDrains(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
-		r, v, tt := hybridRuntime(2, 1, versioning.Options{Lambda: 2})
+		r, v, tt := hybridRuntime(2, 1, versioning.Options{Store: verprof.NewStore(2)})
 		submitN(r, tt, 30, 1000)
 		r.Run()
 		assertDrained(t, r, v)
@@ -273,7 +264,7 @@ func TestBusyTimeBookkeepingDrains(t *testing.T) {
 		// Prefetching gives every worker a current and a queued task, and
 		// waves of submissions make later decisions charge non-zero
 		// estimates (reliable phase) that the fault must release.
-		v := versioning.New(versioning.Options{Lambda: 2})
+		v := versioning.New(versioning.Options{Store: verprof.NewStore(2)})
 		r := rt.New(rt.Config{
 			Machine:    machine.MinoTauro(2, 1),
 			SMPWorkers: 2,
@@ -320,7 +311,7 @@ func assertDrained(t *testing.T, r *rt.Runtime, v *versioning.Versioning) {
 }
 
 func TestTwoGPUsShareLoad(t *testing.T) {
-	r, _, tt := hybridRuntime(1, 2, versioning.Options{Lambda: 1})
+	r, _, tt := hybridRuntime(1, 2, versioning.Options{Store: verprof.NewStore(1)})
 	submitN(r, tt, 60, 1000)
 	r.Run()
 	perWorker := make(map[int]int)
@@ -345,7 +336,7 @@ func TestTwoGPUsShareLoad(t *testing.T) {
 // types and verifying continued Record calls update means in the
 // reliable phase too.
 func TestRecordingNeverStops(t *testing.T) {
-	r, v, tt := hybridRuntime(1, 1, versioning.Options{Lambda: 1})
+	r, v, tt := hybridRuntime(1, 1, versioning.Options{Store: verprof.NewStore(1)})
 	submitN(r, tt, 50, 1000)
 	r.Run()
 	g := v.Store().GroupFor("kernel", 1000, nil)

@@ -9,12 +9,16 @@ import "fmt"
 // {engine, coroutine} is executing. This keeps the simulation fully
 // deterministic while letting application code be written in plain
 // blocking style (submit tasks, call taskwait, loop).
+//
+// A panic in the body is recovered on the coroutine goroutine, handed
+// back over yield and re-panicked unchanged on the engine goroutine, so
+// the caller of Engine.Run can recover it like any other run failure.
 type Proc struct {
 	e        *Engine
 	name     string
 	body     func(p *Proc)
 	resume   chan struct{} // engine -> coroutine
-	yield    chan struct{} // coroutine -> engine
+	yield    chan any      // coroutine -> engine: nil, or the body's panic value
 	started  bool
 	finished bool
 	parked   bool
@@ -34,7 +38,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		name:   name,
 		body:   body,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+		yield:  make(chan any),
 	}
 	p.unparkFn = p.Unpark
 	e.procs = append(e.procs, p)
@@ -46,19 +50,24 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 func (p *Proc) start() {
 	p.started = true
 	go func() {
+		defer func() {
+			v := recover()
+			p.finished = true
+			p.yield <- v
+		}()
 		<-p.resume
 		p.body(p)
-		p.finished = true
-		p.yield <- struct{}{}
 	}()
 	p.transferToCoroutine()
 }
 
 // transferToCoroutine hands control to the coroutine and blocks until it
-// parks or finishes. Engine side only.
+// parks or finishes, re-panicking a panic of the body. Engine side only.
 func (p *Proc) transferToCoroutine() {
 	p.resume <- struct{}{}
-	<-p.yield
+	if v := <-p.yield; v != nil {
+		panic(v)
+	}
 }
 
 // Park suspends the coroutine until some event handler calls Unpark.
@@ -68,7 +77,7 @@ func (p *Proc) Park() {
 		panic("sim: Park on finished proc")
 	}
 	p.parked = true
-	p.yield <- struct{}{}
+	p.yield <- nil
 	<-p.resume
 }
 
@@ -82,9 +91,6 @@ func (p *Proc) Unpark() {
 	p.parked = false
 	p.transferToCoroutine()
 }
-
-// Parked reports whether the coroutine is currently suspended in Park.
-func (p *Proc) Parked() bool { return p.parked }
 
 // Finished reports whether the coroutine body has returned.
 func (p *Proc) Finished() bool { return p.finished }

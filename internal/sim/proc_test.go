@@ -161,3 +161,27 @@ func TestProcName(t *testing.T) {
 	}
 	e.Run()
 }
+
+// TestProcPanicReachesRunCaller checks that a panic in a coroutine body,
+// first run or after a park, surfaces unchanged from Engine.Run on the
+// caller's goroutine, where a deferred recover can catch it.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	boom := errors.New("boom")
+	for _, afterPark := range []bool{false, true} {
+		e := NewEngine()
+		e.Spawn("main", func(p *Proc) {
+			if afterPark {
+				p.Sleep(time.Millisecond)
+			}
+			panic(boom)
+		})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			e.Run()
+			return nil
+		}()
+		if got != boom {
+			t.Errorf("afterPark=%v: Run recovered %v, want the body's panic value", afterPark, got)
+		}
+	}
+}

@@ -15,20 +15,39 @@ import (
 	"repro/internal/journal"
 )
 
-// The http/https store schemes: importing this package (the ompss-sweep
-// CLI always does) teaches exp.OpenStore to dial an ompss-sweepd
-// coordinator, the same way importing an app package registers its
-// task-graph builder.
-func init() {
-	open := func(rawURL string) (exp.CellStore, error) {
-		s, err := Dial(rawURL)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
+// OpenStore resolves a store URL:
+//
+//	dir:///shared/cache   — directory store (shared-filesystem campaigns)
+//	/shared/cache         — bare paths are dir:// (the -cache alias)
+//	http://host:8080      — an ompss-sweepd coordinator (https too)
+//
+// Everything after dir:// is the directory path, so dir:///x names /x
+// and dir://rel names the relative path rel. Any other scheme is an
+// error.
+func OpenStore(rawURL string) (exp.CellStore, error) {
+	if rawURL == "" {
+		return nil, fmt.Errorf("sweepd: store URL must not be empty")
 	}
-	exp.RegisterStoreScheme("http", open)
-	exp.RegisterStoreScheme("https", open)
+	scheme, rest, ok := strings.Cut(rawURL, "://")
+	if !ok {
+		scheme, rest = "dir", rawURL
+	}
+	switch scheme {
+	case "dir":
+		return cellStore(exp.OpenDirStore(rest))
+	case "http", "https":
+		return cellStore(Dial(rawURL))
+	}
+	return nil, fmt.Errorf("sweepd: unknown store scheme %q in %q (have [dir http https])", scheme, rawURL)
+}
+
+// cellStore converts an opener's result without turning a failed open's
+// nil pointer into a non-nil interface.
+func cellStore[S exp.CellStore](s S, err error) (exp.CellStore, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // HTTPStore implements exp.CellStore against an ompss-sweepd

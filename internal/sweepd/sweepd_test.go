@@ -53,11 +53,46 @@ func TestHTTPStoreConformance(t *testing.T) {
 	})
 }
 
-// TestOpenStoreHTTPScheme proves the init() registration: a plain
-// exp.OpenStore of an http URL reaches the daemon.
+func TestOpenStoreSchemes(t *testing.T) {
+	dir := t.TempDir()
+
+	// A bare path is the -cache alias: a dir store.
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("OpenStore(bare path): %v", err)
+	}
+	defer s.Close()
+	if _, ok := s.(*exp.DirStore); !ok {
+		t.Fatalf("OpenStore(bare path) = %T, want *exp.DirStore", s)
+	}
+	if got := s.Description(); got != "dir://"+dir {
+		t.Errorf("Description() = %q, want %q", got, "dir://"+dir)
+	}
+
+	// The explicit dir:// spelling names the same store.
+	s2, err := OpenStore("dir://" + dir)
+	if err != nil {
+		t.Fatalf("OpenStore(dir://): %v", err)
+	}
+	defer s2.Close()
+	if s2.Description() != s.Description() {
+		t.Errorf("dir:// and bare path opened different stores: %q vs %q",
+			s2.Description(), s.Description())
+	}
+
+	if _, err := OpenStore(""); err == nil {
+		t.Error("OpenStore(\"\") did not fail")
+	}
+	_, err = OpenStore("gopher://example")
+	if err == nil || !strings.Contains(err.Error(), "unknown store scheme") {
+		t.Errorf("OpenStore(gopher://) error = %v, want unknown-scheme", err)
+	}
+}
+
+// TestOpenStoreHTTPScheme proves an http URL reaches the daemon.
 func TestOpenStoreHTTPScheme(t *testing.T) {
 	_, _, ts, _ := startDaemon(t, time.Hour)
-	s, err := exp.OpenStore(ts.URL)
+	s, err := OpenStore(ts.URL)
 	if err != nil {
 		t.Fatalf("OpenStore(%s): %v", ts.URL, err)
 	}

@@ -275,38 +275,6 @@ func (g *Group) Reliable() bool {
 	return len(g.stats) > 0
 }
 
-// LeastExecuted returns the version with the fewest executions
-// (registration order breaks ties): the round-robin pick of the learning
-// phase.
-func (g *Group) LeastExecuted() string {
-	best := ""
-	var bestCount int64
-	for _, st := range g.stats {
-		if best == "" || st.Count < bestCount {
-			best = st.Version
-			bestCount = st.Count
-		}
-	}
-	return best
-}
-
-// Fastest returns the version with the smallest mean among those that
-// have run ("fastest executor" basis); ok is false if none has run.
-func (g *Group) Fastest() (string, bool) {
-	best := ""
-	var bestMean float64
-	for _, st := range g.stats {
-		if st.Count == 0 {
-			continue
-		}
-		if best == "" || st.MeanNs < bestMean {
-			best = st.Version
-			bestMean = st.MeanNs
-		}
-	}
-	return best, best != ""
-}
-
 // Versions returns the registered version names in registration order.
 func (g *Group) Versions() []string {
 	out := make([]string, len(g.stats))

@@ -106,35 +106,6 @@ func TestReliableRequiresLambdaForAllVersions(t *testing.T) {
 	}
 }
 
-func TestLeastExecutedRoundRobins(t *testing.T) {
-	s := NewStore(3)
-	g := s.GroupFor("t", 100, []string{"a", "b", "c"})
-	order := []string{}
-	for i := 0; i < 9; i++ {
-		v := g.LeastExecuted()
-		order = append(order, v)
-		g.Record(v, time.Millisecond)
-	}
-	want := "a b c a b c a b c"
-	if got := strings.Join(order, " "); got != want {
-		t.Errorf("round-robin order = %q, want %q", got, want)
-	}
-}
-
-func TestFastest(t *testing.T) {
-	s := NewStore(3)
-	g := s.GroupFor("t", 100, []string{"slow", "fast"})
-	if _, ok := g.Fastest(); ok {
-		t.Error("no executions: no fastest")
-	}
-	g.Record("slow", 30*time.Millisecond)
-	g.Record("fast", 18*time.Millisecond)
-	f, ok := g.Fastest()
-	if !ok || f != "fast" {
-		t.Errorf("Fastest = %q, %v", f, ok)
-	}
-}
-
 func TestSeedActsAsHints(t *testing.T) {
 	s := NewStore(3)
 	g := s.GroupFor("t", 100, []string{"a", "b"})
@@ -143,8 +114,10 @@ func TestSeedActsAsHints(t *testing.T) {
 	if !g.Reliable() {
 		t.Error("seeded group should be reliable immediately")
 	}
-	if f, _ := g.Fastest(); f != "a" {
-		t.Errorf("Fastest = %q", f)
+	ma, okA := g.Mean("a")
+	mb, okB := g.Mean("b")
+	if !okA || !okB || ma != 5*time.Millisecond || mb != 9*time.Millisecond {
+		t.Errorf("seeded means = %v/%v, %v/%v, want 5ms and 9ms", ma, okA, mb, okB)
 	}
 	// Recording after seeding folds into the seeded mean.
 	g.Record("a", 15*time.Millisecond)

@@ -45,6 +45,31 @@ func TestUnknownSchedulerRejected(t *testing.T) {
 	}
 }
 
+// TestMasterPanicIsRecoverable submits a CUDA-only task on a GPU-less
+// runtime: the submit panics on the master coroutine, and Execute's
+// caller must be able to recover that panic instead of losing the
+// process.
+func TestMasterPanicIsRecoverable(t *testing.T) {
+	r, err := ompss.NewRuntime(ompss.Config{SMPWorkers: 1, GPUs: 0, Scheduler: "bf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := r.DeclareTaskType("k")
+	k.AddVersion("k_gpu", ompss.CUDA, ompss.Fixed{D: time.Millisecond}, nil)
+	r.Main(func(m *ompss.Master) {
+		m.Submit(k, nil, ompss.Work{}, nil)
+		m.Taskwait()
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		r.Execute()
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, `task "k" has no version runnable`) {
+		t.Errorf("recovered %v, want the no-runnable-version panic", got)
+	}
+}
+
 func TestExecuteAndResult(t *testing.T) {
 	r, err := ompss.NewRuntime(ompss.Config{SMPWorkers: 2, GPUs: 1})
 	if err != nil {
