@@ -117,20 +117,16 @@ func (iv interval) subtract(cut interval) (pieces [2]interval, n int) {
 // entries hold it instead of the Node itself.
 type nodeID int32
 
-type wEntry struct {
-	iv interval
-	n  nodeID
-}
-
-type rEntry struct {
+// entry is one history record: node n last wrote (or read) iv.
+type entry struct {
 	iv interval
 	n  nodeID
 }
 
 // objHist is the access history of one object.
 type objHist struct {
-	writers []wEntry // non-overlapping: each byte has at most one last writer
-	readers []rEntry // readers since the last write of each byte
+	writers []entry // non-overlapping: each byte has at most one last writer
+	readers []entry // readers since the last write of each byte
 	// comm is the open commutative group: members carry no edges among
 	// themselves. Any non-commutative access closes the group by folding
 	// every member into writers (as co-last-writers of the whole object),
@@ -145,25 +141,40 @@ type nodeSlot struct {
 	stamp uint64
 }
 
-// nodeChunk is how many nodeSlots each slab holds. Slabs are appended,
-// never reallocated, so the storage grows by a fixed step per
-// nodeChunk registered nodes instead of being copied on doubling.
-const nodeChunk = 256
+// The slab sizes and the free lists Release returns slabs to. Slabs are
+// appended, never reallocated, so node and history storage grows by a
+// fixed step instead of being copied on doubling. Each cap covers the
+// larger of two cells: the pinned pbpi cell (pbpi-hyb at quick size:
+// 6,625 tasks, one node each, so 26 node slabs) and the largest
+// paper-size Section V cell (matmul-hyb at full size: 768 objects, so 3
+// history slabs, and 4,096 tasks whose A and B tiles are each read by 16
+// of them: 4 entry slabs).
+const (
+	nodeChunk  = 256
+	histChunk  = 256
+	entryChunk = 4096
+)
 
-// nodeSlabs is the free list Release returns node slabs to and register
-// draws from before it allocates. The task runtime registers one node
-// per task, so the cap matches its task-slab cap: one pinned pbpi cell
-// (pbpi-hyb at quick size, 6,625 tasks) fills 26 slabs.
-var nodeSlabs = slab.New[nodeSlot](nodeChunk, 26)
+var (
+	nodeSlabs  = slab.New[nodeSlot](nodeChunk, 26)
+	histSlabs  = slab.New[objHist](histChunk, 3)
+	entrySlabs = slab.New[entry](entryChunk, 4)
+)
+
+// minWindow is the capacity of an object's first reader or writer window.
+const minWindow = 4
 
 // Tracker incrementally builds the task dependence graph.
 type Tracker struct {
-	// hist is indexed by the dense mem.ObjectID and grown on demand.
-	hist []*objHist
+	// hist holds each object's history by value, indexed by the dense
+	// mem.ObjectID and grown on demand; nhist objects have one.
+	hist  slab.Arena[objHist]
+	nhist int
+	// entries holds the histories' reader and writer windows.
+	entries slab.Arena[entry]
 
-	// nodes holds every registered node's slot, indexed by nodeID in
-	// nodeChunk-sized slabs.
-	nodes [][]nodeSlot
+	// nodes holds every registered node's slot, indexed by nodeID.
+	nodes slab.Arena[nodeSlot]
 	count int // registered nodes
 	// epoch numbers Add calls; a slot stamped with the current epoch is
 	// already in preds (or is the node being added).
@@ -179,45 +190,60 @@ type Tracker struct {
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{}
+	return &Tracker{
+		hist:    slab.NewArena(histSlabs),
+		entries: slab.NewArena(entrySlabs),
+		nodes:   slab.NewArena(nodeSlabs),
+	}
 }
 
 func (t *Tracker) histFor(obj *mem.Object) *objHist {
 	id := int(obj.ID)
-	for id >= len(t.hist) {
-		t.hist = append(t.hist, nil)
+	for id >= t.nhist {
+		t.hist.New()
+		t.nhist++
 	}
-	if t.hist[id] == nil {
-		t.hist[id] = &objHist{}
+	return t.hist.At(id)
+}
+
+// push appends e to s. A full s first moves into a window of twice its
+// capacity carved from the entry slabs (or, past a slab's size, from the
+// heap); the old window is not reused before Release.
+func (t *Tracker) push(s []entry, e entry) []entry {
+	if len(s) == cap(s) {
+		s = t.widen(s)
 	}
-	return t.hist[id]
+	return append(s, e)
+}
+
+// widen stays out of line so push inlines into Add.
+//
+//go:noinline
+func (t *Tracker) widen(s []entry) []entry {
+	w := t.entries.Alloc(max(2*cap(s), minWindow))
+	return w[:copy(w, s)]
 }
 
 // slot returns the record of node id.
-func (t *Tracker) slot(id nodeID) *nodeSlot {
-	return &t.nodes[id/nodeChunk][id%nodeChunk]
-}
+func (t *Tracker) slot(id nodeID) *nodeSlot { return t.nodes.At(int(id)) }
 
 // register gives n the next dense index and stamps it with the current
 // epoch, so the node never collects itself.
 func (t *Tracker) register(n Node) nodeID {
-	if t.count%nodeChunk == 0 {
-		t.nodes = append(t.nodes, nodeSlabs.Get())
-	}
-	id := nodeID(t.count)
+	*t.nodes.New() = nodeSlot{n: n, stamp: t.epoch}
 	t.count++
-	*t.slot(id) = nodeSlot{n: n, stamp: t.epoch}
-	return id
+	return nodeID(t.count - 1)
 }
 
-// Release returns the tracker's node slabs, zeroed, to the free list the
-// next tracker in the process draws from. The tracker is empty
-// afterwards; call it only once nothing needs the dependence graph.
+// Release returns the tracker's slabs, zeroed, to the free lists the
+// next tracker in the process draws from. The tracker is empty and
+// reusable afterwards; call it only once nothing needs the dependence
+// graph.
 func (t *Tracker) Release() {
-	for _, s := range t.nodes {
-		nodeSlabs.Put(s)
-	}
-	*t = Tracker{}
+	t.hist.Release()
+	t.entries.Release()
+	t.nodes.Release()
+	*t = Tracker{hist: t.hist, entries: t.entries, nodes: t.nodes}
 }
 
 // collect appends node p to the pending preds unless this Add already
@@ -273,10 +299,10 @@ func (t *Tracker) Add(n Node, accs []Access) []Node {
 			// writer entries are deliberate — subsequent accesses must
 			// depend on all of them.
 			whole := interval{0, maxInt64(a.Obj.Size, 1)}
-			h.writers = subtractFromWriters(h.writers, whole)
-			h.readers = subtractFromReaders(h.readers, whole)
+			h.writers = t.subtract(h.writers, whole)
+			h.readers = t.subtract(h.readers, whole)
 			for _, m := range h.comm {
-				h.writers = append(h.writers, wEntry{whole, m})
+				h.writers = t.push(h.writers, entry{whole, m})
 			}
 			h.comm = nil
 		}
@@ -288,7 +314,7 @@ func (t *Tracker) Add(n Node, accs []Access) []Node {
 					t.collect(w.n)
 				}
 			}
-			h.readers = append(h.readers, rEntry{iv, self})
+			h.readers = t.push(h.readers, entry{iv, self})
 			continue
 		}
 
@@ -305,17 +331,19 @@ func (t *Tracker) Add(n Node, accs []Access) []Node {
 		}
 		// Register as the new last writer of iv: carve iv out of existing
 		// writer and reader entries, then append.
-		h.writers = subtractFromWriters(h.writers, iv)
-		h.readers = subtractFromReaders(h.readers, iv)
-		h.writers = append(h.writers, wEntry{iv, self})
+		h.writers = t.subtract(h.writers, iv)
+		h.readers = t.subtract(h.readers, iv)
+		h.writers = t.push(h.writers, entry{iv, self})
 	}
 	t.Edges += int64(len(t.preds))
 	return t.preds
 }
 
-func subtractFromWriters(entries []wEntry, cut interval) []wEntry {
+// subtract carves cut out of every entry in place. An entry split in two
+// keeps its first piece in place; the second pieces follow at the end.
+func (t *Tracker) subtract(entries []entry, cut interval) []entry {
 	out := entries[:0]
-	var extra []wEntry
+	var extra []entry
 	for _, e := range entries {
 		pieces, np := e.iv.subtract(cut)
 		if np == 0 {
@@ -324,27 +352,13 @@ func subtractFromWriters(entries []wEntry, cut interval) []wEntry {
 		e.iv = pieces[0]
 		out = append(out, e)
 		if np > 1 {
-			extra = append(extra, wEntry{pieces[1], e.n})
+			extra = append(extra, entry{pieces[1], e.n})
 		}
 	}
-	return append(out, extra...)
-}
-
-func subtractFromReaders(entries []rEntry, cut interval) []rEntry {
-	out := entries[:0]
-	var extra []rEntry
-	for _, e := range entries {
-		pieces, np := e.iv.subtract(cut)
-		if np == 0 {
-			continue
-		}
-		e.iv = pieces[0]
-		out = append(out, e)
-		if np > 1 {
-			extra = append(extra, rEntry{pieces[1], e.n})
-		}
+	for _, e := range extra {
+		out = t.push(out, e)
 	}
-	return append(out, extra...)
+	return out
 }
 
 func maxInt64(a, b int64) int64 {
@@ -358,10 +372,10 @@ func maxInt64(a, b int64) int64 {
 // object, or nil. Used by locality-aware schedulers to find the producer
 // of a task's inputs.
 func (t *Tracker) LastWriter(obj *mem.Object, off int64) Node {
-	if int(obj.ID) >= len(t.hist) || t.hist[obj.ID] == nil {
+	if int(obj.ID) >= t.nhist {
 		return nil
 	}
-	h := t.hist[obj.ID]
+	h := t.hist.At(int(obj.ID))
 	for _, w := range h.writers {
 		if w.iv.lo <= off && off < w.iv.hi {
 			return t.slot(w.n).n

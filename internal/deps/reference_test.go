@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/slab"
 )
 
 // refTracker is the straightforward dependence tracker the epoch-stamped
@@ -145,25 +146,45 @@ func randomAccesses(rng *rand.Rand, objs []*mem.Object) []Access {
 // same order after every Add, and the same LastWriter answers.
 func TestAddMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		objs := make([]*mem.Object, 2+rng.Intn(12))
-		for i := range objs {
-			objs[i] = obj(i, 16+rng.Int63n(48))
+		matchReference(t, NewTracker(), seed)
+	}
+}
+
+// TestRecycledTrackerMatchesReference reuses trackers after Release, so
+// each stream runs on history, entry and node slabs an earlier stream
+// (over another number of objects) filled and returned. It must agree
+// with the reference exactly as a fresh tracker does.
+func TestRecycledTrackerMatchesReference(t *testing.T) {
+	slab.Drain()
+	trs := []*Tracker{NewTracker(), NewTracker()}
+	for seed := int64(1); seed <= 40; seed++ {
+		tr := trs[seed%2]
+		matchReference(t, tr, seed)
+		tr.Release()
+	}
+}
+
+// matchReference runs seed's submit stream through tr and the reference.
+func matchReference(t *testing.T, tr *Tracker, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]*mem.Object, 2+rng.Intn(12))
+	for i := range objs {
+		objs[i] = obj(i, 16+rng.Int63n(48))
+	}
+	ref := newRefTracker()
+	for i := 0; i < 150; i++ {
+		n := &task{i}
+		accs := randomAccesses(rng, objs)
+		got := tr.Add(n, accs)
+		want := ref.add(n, accs)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d task %d (%d accesses): preds %v, reference %v", seed, i, len(accs), got, want)
 		}
-		tr, ref := NewTracker(), newRefTracker()
-		for i := 0; i < 150; i++ {
-			n := &task{i}
-			accs := randomAccesses(rng, objs)
-			got := tr.Add(n, accs)
-			want := ref.add(n, accs)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("seed %d task %d (%d accesses): preds %v, reference %v", seed, i, len(accs), got, want)
-			}
-			o := objs[rng.Intn(len(objs))]
-			off := rng.Int63n(o.Size)
-			if g, w := tr.LastWriter(o, off), ref.lastWriter(o, off); g != w {
-				t.Fatalf("seed %d task %d: LastWriter(%d, %d) = %v, reference %v", seed, i, o.ID, off, g, w)
-			}
+		o := objs[rng.Intn(len(objs))]
+		off := rng.Int63n(o.Size)
+		if g, w := tr.LastWriter(o, off), ref.lastWriter(o, off); g != w {
+			t.Fatalf("seed %d task %d: LastWriter(%d, %d) = %v, reference %v", seed, i, o.ID, off, g, w)
 		}
 	}
 }
@@ -203,7 +224,7 @@ func TestLongAddSteadyStateZeroAlloc(t *testing.T) {
 	}
 	room := nodeChunk - tr.count%nodeChunk
 	for i := 0; i < width; i++ {
-		h := tr.hist[i]
+		h := tr.hist.At(i)
 		room = min(room, cap(h.readers)-len(h.readers))
 	}
 	runs := room - 1 // AllocsPerRun makes one extra warm-up call

@@ -7,16 +7,16 @@ import (
 // TestEngineAllocsPerTaskBudget bounds whole-cell allocation on the
 // pinned profiling cell. The pooled engine runs the steady-state event
 // loop allocation-free (see internal/sim), Run keeps no trace, staging
-// goes through per-worker prebound countdowns and per-(object, space)
-// copy-in continuations, and the versioning scheduler carries its
-// busy-time charges in its queue entries. AllocsPerRun's warm-up run
-// fills the slab free lists, so every measured run draws its task,
-// edge, pred-ID and dependence-node slabs from the previous run instead
-// of allocating them. What remains is per-cell setup — dependence
-// history growth, object registration and the app build — about 0.55
-// allocations per simulated task warm (0.6 when each run allocated its
+// goes through per-worker prebound countdowns and pooled copy-in
+// records, and the versioning scheduler carries its busy-time charges
+// in its queue entries. AllocsPerRun's warm-up run fills the slab free
+// lists, so every measured run draws its task, edge, pred-ID,
+// dependence-node, history and entry slabs and its directory slabs from
+// the previous run instead of allocating them. What remains is the app
+// build, about 0.31 allocations per simulated task warm (0.55 before
+// per-object state moved into slabs, 0.6 when each run allocated its
 // own slabs, 3.9 with per-task staging closures, ~7 when every run also
-// recorded a full trace). The budget keeps ~5x headroom: it exists to
+// recorded a full trace). The budget keeps headroom: it exists to
 // catch a reintroduced per-task or per-copy allocation, not to pin the
 // exact figure, which the allocs_per_op entries of BENCH_baseline.json
 // gate at its warm value.

@@ -12,9 +12,13 @@
 // written back to host first.
 //
 // The directory sits on the scheduler's hot path (BytesNeeded is called
-// per candidate worker per scheduling decision), so per-object state is a
-// single slice of packed per-space records indexed by the dense
-// machine.SpaceID — no maps, no per-access allocation.
+// per candidate worker per scheduling decision), so each object's entry
+// is stored by value in fixed-size slabs indexed by the dense ObjectID,
+// with its packed per-space records (indexed by the dense
+// machine.SpaceID) carved from shared slabs: no maps, no per-object heap
+// record, no per-access allocation. A copy-in in flight borrows a record
+// from the directory's pool, whose continuations are bound once. Recycle
+// hands the slabs to the next directory in the process.
 package mem
 
 import (
@@ -23,6 +27,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/xfer"
 )
 
@@ -91,20 +96,26 @@ type spaceState struct {
 	reserved bool
 	pins     int32
 	lastUse  sim.Time
-	inflight []func() // waiters on an in-progress copy-in
-	// fetch issues the copy-in of the object to this space once memory is
-	// charged, and arrive completes it. Both are bound on the first
-	// copy-in of the pair and reused: at most one copy-in per pair is in
-	// flight (later readers join inflight), so copies allocate nothing.
-	fetch, arrive func()
+	copy     *copyIn // the copy-in to this space in flight, or nil
 }
 
-// objState is the directory entry for one object: one packed record per
-// memory space, indexed by the dense SpaceID.
+// objState is the directory entry for one object: the object itself and
+// one packed record per memory space, indexed by the dense SpaceID.
 type objState struct {
-	obj    *Object
+	obj    Object
 	dirty  bool // the unique valid copy is a device copy newer than host
 	spaces []spaceState
+}
+
+// copyIn is one copy-in of an object to a space. Readers that find the
+// copy in flight join its waiters. Records come from the directory's
+// pool, and each binds its continuations once: fetch issues the transfer
+// once memory is charged, and arrive completes it.
+type copyIn struct {
+	st            *objState
+	sp            machine.SpaceID
+	waiters       []func()
+	fetch, arrive func()
 }
 
 func (s *objState) dirtyOwner() machine.SpaceID {
@@ -120,15 +131,34 @@ func (s *objState) dirtyOwner() machine.SpaceID {
 			return machine.SpaceID(sp)
 		}
 	}
-	panic(fmt.Sprintf("mem: object %v marked dirty but no device copy", s.obj))
+	panic(fmt.Sprintf("mem: object %v marked dirty but no device copy", &s.obj))
 }
 
-// pendingAlloc is an allocation waiting for device memory to free up.
+// pendingAlloc is an allocation of st's size in space sp waiting for
+// device memory to free up; fn runs once it is charged.
 type pendingAlloc struct {
-	space machine.SpaceID
-	size  int64
-	fn    func()
+	st *objState
+	sp machine.SpaceID
+	fn func()
 }
+
+// The slab sizes and the free lists Recycle returns slabs to. The
+// largest paper-size Section V cell, matmul-hyb at full size, registers
+// 768 objects on 3 memory spaces (2 GPUs): 3 object-entry slabs and 3
+// space-record slabs (2,304 records). Objects register when a runtime
+// is built, so a chaos cell's baseline pre-run fills a second directory
+// while the faulted run's holds its slabs; the caps hold both (6 and 6,
+// ~240 KB in all). A serial campaign of cells up to that size draws no
+// directory slab after its first cell.
+const (
+	objChunk   = 256
+	spaceChunk = 1024
+)
+
+var (
+	objSlabs   = slab.New[objState](objChunk, 6)
+	spaceSlabs = slab.New[spaceState](spaceChunk, 6)
+)
 
 // Directory is the coherence directory for all registered objects.
 type Directory struct {
@@ -136,12 +166,22 @@ type Directory struct {
 	mach   *machine.Machine
 	fabric *xfer.Fabric
 
-	objects []*objState
-	used    []int64 // bytes charged per space, indexed by SpaceID
-	pending []pendingAlloc
+	// objects holds every registered object's entry, indexed by ObjectID;
+	// spaces holds their per-space records, len(mach.Spaces) per object.
+	objects slab.Arena[objState]
+	spaces  slab.Arena[spaceState]
+	count   int // registered objects
 
-	// Evictions counts LRU evictions per space, for diagnostics.
-	Evictions map[machine.SpaceID]int64
+	used []int64 // bytes charged per space, indexed by SpaceID
+	// pending holds the parked allocations; retryPending swaps it with
+	// retry so re-parking allocates nothing.
+	pending, retry []pendingAlloc
+	// copies is the pool of idle copy-in records.
+	copies []*copyIn
+
+	// Evictions counts LRU evictions per space, indexed by SpaceID, for
+	// diagnostics.
+	Evictions []int64
 }
 
 // NewDirectory builds an empty directory over the given fabric.
@@ -150,42 +190,55 @@ func NewDirectory(e *sim.Engine, m *machine.Machine, f *xfer.Fabric) *Directory 
 		eng:       e,
 		mach:      m,
 		fabric:    f,
+		objects:   slab.NewArena(objSlabs),
+		spaces:    slab.NewArena(spaceSlabs),
 		used:      make([]int64, len(m.Spaces)),
-		Evictions: make(map[machine.SpaceID]int64),
+		Evictions: make([]int64, len(m.Spaces)),
 	}
 }
 
-// Register creates a new object resident (valid) in host memory.
+// Recycle returns the directory's slabs, zeroed, to the free lists the
+// next directory in the process draws from. The directory and every
+// *Object it registered are unusable afterwards; call it only once
+// nothing will read them again.
+func (d *Directory) Recycle() {
+	d.objects.Release()
+	d.spaces.Release()
+}
+
+// Register creates a new object resident (valid) in host memory. The
+// returned pointer stays valid until Recycle.
 func (d *Directory) Register(name string, size int64) *Object {
 	if size < 0 {
 		panic("mem: negative object size")
 	}
-	obj := &Object{ID: ObjectID(len(d.objects)), Name: name, Size: size}
-	st := &objState{
-		obj:    obj,
-		spaces: make([]spaceState, len(d.mach.Spaces)),
-	}
+	st := d.objects.New()
+	st.obj = Object{ID: ObjectID(d.count), Name: name, Size: size}
+	st.spaces = d.spaces.Alloc(len(d.mach.Spaces))
+	d.count++
 	host := &st.spaces[machine.HostSpace]
 	host.valid = true
 	host.reserved = true
-	d.objects = append(d.objects, st)
 	d.used[machine.HostSpace] += size
-	return obj
+	return &st.obj
 }
 
+// state returns the entry of the object with the given ID.
+func (d *Directory) state(id ObjectID) *objState { return d.objects.At(int(id)) }
+
 // Object returns the registered object with the given ID.
-func (d *Directory) Object(id ObjectID) *Object { return d.objects[id].obj }
+func (d *Directory) Object(id ObjectID) *Object { return &d.state(id).obj }
 
 // NumObjects returns how many objects are registered.
-func (d *Directory) NumObjects() int { return len(d.objects) }
+func (d *Directory) NumObjects() int { return d.count }
 
 // ValidAt reports whether the object has an up-to-date copy in the space.
 func (d *Directory) ValidAt(obj *Object, sp machine.SpaceID) bool {
-	return d.objects[obj.ID].spaces[sp].valid
+	return d.state(obj.ID).spaces[sp].valid
 }
 
 // Dirty reports whether the freshest copy of the object is a device copy.
-func (d *Directory) Dirty(obj *Object) bool { return d.objects[obj.ID].dirty }
+func (d *Directory) Dirty(obj *Object) bool { return d.state(obj.ID).dirty }
 
 // UsedBytes returns the bytes currently charged against a space.
 func (d *Directory) UsedBytes(sp machine.SpaceID) int64 { return d.used[sp] }
@@ -198,8 +251,8 @@ func (d *Directory) BytesNeeded(obj *Object, sp machine.SpaceID, mode AccessMode
 	if !mode.Reads() {
 		return 0
 	}
-	ss := &d.objects[obj.ID].spaces[sp]
-	if ss.valid || len(ss.inflight) > 0 {
+	ss := &d.state(obj.ID).spaces[sp]
+	if ss.valid || ss.copy != nil {
 		return 0
 	}
 	return obj.Size
@@ -213,7 +266,7 @@ func (d *Directory) Acquire(obj *Object, sp machine.SpaceID, mode AccessMode, on
 	if onReady == nil {
 		onReady = func() {}
 	}
-	st := d.objects[obj.ID]
+	st := d.state(obj.ID)
 	ss := &st.spaces[sp]
 	ss.pins++
 	ss.lastUse = d.eng.Now()
@@ -232,42 +285,52 @@ func (d *Directory) Acquire(obj *Object, sp machine.SpaceID, mode AccessMode, on
 		})
 		return
 	}
-	copying := len(ss.inflight) > 0
-	ss.inflight = append(ss.inflight, onReady)
-	if copying {
+	if ss.copy != nil {
+		ss.copy.waiters = append(ss.copy.waiters, onReady)
 		return
 	}
-	if ss.fetch == nil {
-		d.bindCopyIn(st, sp)
-	}
-	d.ensureAllocated(st, sp, ss.fetch)
+	c := d.newCopyIn()
+	c.st, c.sp = st, sp
+	c.waiters = append(c.waiters, onReady)
+	ss.copy = c
+	d.ensureAllocated(st, sp, c.fetch)
 }
 
-// bindCopyIn builds the (object, space) pair's copy-in continuations.
-func (d *Directory) bindCopyIn(st *objState, sp machine.SpaceID) {
+// newCopyIn returns an idle copy-in record from the pool, or a new one
+// with its continuations bound.
+func (d *Directory) newCopyIn() *copyIn {
+	if n := len(d.copies); n > 0 {
+		c := d.copies[n-1]
+		d.copies = d.copies[:n-1]
+		return c
+	}
+	c := &copyIn{}
+	c.fetch = func() {
+		d.fabric.Transfer(d.pickSource(c.st), c.sp, c.st.obj.Size, c.st.obj.Name, c.arrive)
+	}
+	c.arrive = func() { d.arrive(c) }
+	return c
+}
+
+// arrive completes copy-in c: the space's copy turns valid, the waiters
+// run, and the record returns to the pool.
+func (d *Directory) arrive(c *copyIn) {
+	st, sp := c.st, c.sp
 	ss := &st.spaces[sp]
-	ss.fetch = func() {
-		d.fabric.Transfer(d.pickSource(st), sp, st.obj.Size, st.obj.Name, ss.arrive)
+	ss.valid = true
+	ss.copy = nil
+	if sp == machine.HostSpace {
+		// Pulling a dirty object home is an implicit writeback: host
+		// now holds the freshest data, so a later flush must not
+		// transfer it again.
+		st.dirty = false
 	}
-	ss.arrive = func() {
-		ss.valid = true
-		if sp == machine.HostSpace {
-			// Pulling a dirty object home is an implicit writeback: host
-			// now holds the freshest data, so a later flush must not
-			// transfer it again.
-			st.dirty = false
-		}
-		waiters := ss.inflight
-		ss.inflight = nil
-		for _, w := range waiters {
-			w()
-		}
-		if ss.inflight == nil {
-			// No waiter started a new copy-in: keep the capacity.
-			clear(waiters)
-			ss.inflight = waiters[:0]
-		}
+	for _, w := range c.waiters {
+		w()
 	}
+	clear(c.waiters)
+	c.waiters, c.st = c.waiters[:0], nil
+	d.copies = append(d.copies, c)
 }
 
 // pickSource chooses where to copy a missing object from: host if the
@@ -279,14 +342,13 @@ func (d *Directory) pickSource(st *objState) machine.SpaceID {
 			return machine.SpaceID(sp)
 		}
 	}
-	panic(fmt.Sprintf("mem: object %v has no valid copy anywhere", st.obj))
+	panic(fmt.Sprintf("mem: object %v has no valid copy anywhere", &st.obj))
 }
 
 // Release unpins the object from a space, making its copy evictable, and
 // retries any allocations that were waiting for memory.
 func (d *Directory) Release(obj *Object, sp machine.SpaceID) {
-	st := d.objects[obj.ID]
-	ss := &st.spaces[sp]
+	ss := &d.state(obj.ID).spaces[sp]
 	if ss.pins <= 0 {
 		panic(fmt.Sprintf("mem: Release of unpinned object %v at space %d", obj, sp))
 	}
@@ -299,7 +361,7 @@ func (d *Directory) Release(obj *Object, sp machine.SpaceID) {
 // object: sp now holds the only valid copy and every other replica is
 // invalidated (and its device memory freed).
 func (d *Directory) CommitWrite(obj *Object, sp machine.SpaceID) {
-	st := d.objects[obj.ID]
+	st := d.state(obj.ID)
 	for other := range st.spaces {
 		os := &st.spaces[other]
 		if !os.valid || machine.SpaceID(other) == sp {
@@ -325,8 +387,8 @@ func (d *Directory) CommitWrite(obj *Object, sp machine.SpaceID) {
 // as an event.
 func (d *Directory) FlushAll(onDone func()) {
 	var dirtyObjs []*objState
-	for _, st := range d.objects {
-		if st.dirty {
+	for id := range d.count {
+		if st := d.state(ObjectID(id)); st.dirty {
 			dirtyObjs = append(dirtyObjs, st)
 		}
 	}
@@ -335,7 +397,7 @@ func (d *Directory) FlushAll(onDone func()) {
 
 // FlushObject writes one object back if dirty (taskwait on(x)).
 func (d *Directory) FlushObject(obj *Object, onDone func()) {
-	st := d.objects[obj.ID]
+	st := d.state(obj.ID)
 	if st.dirty {
 		d.flushSet([]*objState{st}, onDone)
 	} else {
@@ -343,6 +405,8 @@ func (d *Directory) FlushObject(obj *Object, onDone func()) {
 	}
 }
 
+// flushSet writes set back to host. Callers pass it in ObjectID order,
+// which is the order the writebacks are issued in.
 func (d *Directory) flushSet(set []*objState, onDone func()) {
 	if len(set) == 0 {
 		d.eng.Immediately(func() {
@@ -352,10 +416,8 @@ func (d *Directory) flushSet(set []*objState, onDone func()) {
 		})
 		return
 	}
-	sort.Slice(set, func(i, j int) bool { return set[i].obj.ID < set[j].obj.ID })
 	remaining := len(set)
 	for _, st := range set {
-		st := st
 		owner := st.dirtyOwner()
 		d.fabric.Transfer(owner, machine.HostSpace, st.obj.Size, st.obj.Name, func() {
 			st.spaces[machine.HostSpace].valid = true
@@ -372,8 +434,8 @@ func (d *Directory) flushSet(set []*objState, onDone func()) {
 // a device (i.e. what a flush would move).
 func (d *Directory) DirtyBytes() int64 {
 	var sum int64
-	for _, st := range d.objects {
-		if st.dirty {
+	for id := range d.count {
+		if st := d.state(ObjectID(id)); st.dirty {
 			sum += st.obj.Size
 		}
 	}
@@ -430,9 +492,7 @@ func (d *Directory) ensureAllocated(st *objState, sp machine.SpaceID, fn func())
 		fn()
 		return
 	}
-	d.pending = append(d.pending, pendingAlloc{space: sp, size: st.obj.Size, fn: func() {
-		d.ensureAllocated(st, sp, fn)
-	}})
+	d.pending = append(d.pending, pendingAlloc{st: st, sp: sp, fn: fn})
 }
 
 // evictLRU frees at least `need` bytes in the space by dropping the least
@@ -446,9 +506,9 @@ func (d *Directory) evictLRU(sp machine.SpaceID, need int64) {
 		last sim.Time
 	}
 	var victims []victim
-	for _, st := range d.objects {
-		ss := &st.spaces[sp]
-		if ss.valid && ss.pins == 0 && len(ss.inflight) == 0 {
+	for id := range d.count {
+		st := d.state(ObjectID(id))
+		if ss := &st.spaces[sp]; ss.valid && ss.pins == 0 && ss.copy == nil {
 			victims = append(victims, victim{st, ss.lastUse})
 		}
 	}
@@ -483,10 +543,12 @@ func (d *Directory) retryPending() {
 		return
 	}
 	pend := d.pending
-	d.pending = nil
+	d.pending, d.retry = d.retry[:0], nil
 	for _, p := range pend {
-		p.fn() // re-enters ensureAllocated, which re-parks if still full
+		d.ensureAllocated(p.st, p.sp, p.fn) // re-parks if still full
 	}
+	clear(pend)
+	d.retry = pend[:0]
 }
 
 // PendingAllocs reports how many allocation requests are parked waiting

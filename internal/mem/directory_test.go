@@ -442,9 +442,10 @@ func TestNegativeSizePanics(t *testing.T) {
 	h.dir.Register("bad", -1)
 }
 
-// TestCopyInCycleAllocatesNothing pins the staging hot path: once an
-// (object, space) pair has been copied in, its continuations are bound,
-// so invalidating the copy and copying it in again allocates nothing.
+// TestCopyInCycleAllocatesNothing pins the staging hot path: once the
+// directory's pool holds a copy-in record, its continuations are bound
+// and its waiter list sized, so invalidating the copy and copying it in
+// again allocates nothing.
 func TestCopyInCycleAllocatesNothing(t *testing.T) {
 	h := newHarness()
 	gpu := h.m.GPUSpaces()[0]
@@ -459,7 +460,7 @@ func TestCopyInCycleAllocatesNothing(t *testing.T) {
 		h.dir.Release(obj, gpu)
 		h.dir.CommitWrite(obj, machine.HostSpace) // invalidates the GPU copy
 	}
-	cycle() // binds the pair's continuations
+	cycle() // fills the copy-in pool
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("invalidate/copy-in cycle allocates %.1f times, want 0", allocs)
 	}
@@ -468,5 +469,45 @@ func TestCopyInCycleAllocatesNothing(t *testing.T) {
 	}
 	if h.dir.ValidAt(obj, gpu) {
 		t.Error("GPU copy still valid after the host write")
+	}
+}
+
+// TestParkedRetryAllocatesNothing pins the parked-allocation path: a
+// request parked on a full GPU space re-parks on every Release that
+// frees too little, and that retry must allocate nothing.
+func TestParkedRetryAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine()
+	m := machine.New("tiny", 0)
+	spGPU := m.AddSpace("gpu-mem", 1000)
+	m.AddDevice("gpu", machine.KindCUDA, spGPU, 1)
+	m.AddLink(machine.HostSpace, spGPU, 1e9, 0)
+	m.AddLink(spGPU, machine.HostSpace, 1e9, 0)
+	d := NewDirectory(e, m, xfer.NewFabric(e, m, nil))
+	a := d.Register("a", 600)
+	b := d.Register("b", 600)
+
+	// Pin a once per Release to come: one warm-up, the measured ones
+	// (AllocsPerRun calls once more than it measures) and the last.
+	const runs = 100
+	for i := 0; i < runs+3; i++ {
+		d.Acquire(a, spGPU, Read, nil)
+	}
+	e.Run()
+	gotB := false
+	d.Acquire(b, spGPU, Read, func() { gotB = true })
+	if d.PendingAllocs() != 1 {
+		t.Fatalf("PendingAllocs = %d, want 1", d.PendingAllocs())
+	}
+	d.Release(a, spGPU) // first retry sizes the retry buffer
+	if allocs := testing.AllocsPerRun(runs, func() { d.Release(a, spGPU) }); allocs != 0 {
+		t.Errorf("retrying a parked allocation allocates %.1f times, want 0", allocs)
+	}
+	if d.PendingAllocs() != 1 || gotB {
+		t.Fatalf("b left the queue while a is still pinned (pending %d)", d.PendingAllocs())
+	}
+	d.Release(a, spGPU)
+	e.Run()
+	if !gotB {
+		t.Error("b never arrived after a's last pin was released")
 	}
 }

@@ -67,22 +67,15 @@ type Runtime struct {
 	outstanding int
 	waiters     []func()
 
-	// taskArena hands out Task records from chunked slabs: one slab per
+	// tasks hands out Task records from chunked slabs: one slab per
 	// arenaChunk submits instead of one allocation per task. Slots are
 	// never reused within a run, so *Task pointers stay valid for the
 	// run's lifetime. Slabs come from the process-wide free lists (see
-	// Release) before they are allocated; slabs records every slab the
-	// run drew so Release can return them.
-	taskArena []Task
-	// idArena hands out predID backing storage the same way.
-	idArena []int64
-	// edgeArena hands out successor-list edges the same way.
-	edgeArena []edge
-	slabs     struct {
-		tasks [][]Task
-		ids   [][]int64
-		edges [][]edge
-	}
+	// Release) before they are allocated. ids hands out predID backing
+	// storage and edges successor-list edges the same way.
+	tasks slab.Arena[Task]
+	ids   slab.Arena[int64]
+	edges slab.Arena[edge]
 
 	// objStamp and dssEpoch dedup objects in dataSetSize: an object
 	// counts once per submit when its stamp (indexed by mem.ObjectID)
@@ -139,6 +132,9 @@ func New(cfg Config) *Runtime {
 		fabric:   fabric,
 		dir:      mem.NewDirectory(eng, cfg.Machine, fabric),
 		tracker:  deps.NewTracker(),
+		tasks:    slab.NewArena(taskSlabs),
+		ids:      slab.NewArena(idSlabs),
+		edges:    slab.NewArena(edgeSlabs),
 		sched:    cfg.Scheduler,
 		noise:    perfmodel.NewNoise(cfg.NoiseSigma, cfg.Seed),
 		tracer:   tracer,
@@ -273,71 +269,24 @@ var (
 	idSlabs   = slab.New[int64](idChunk, 33)
 )
 
-// newTask returns a Task slot from the arena; the caller overwrites it
-// whole.
-func (r *Runtime) newTask() *Task {
-	if len(r.taskArena) == 0 {
-		r.taskArena = taskSlabs.Get()
-		r.slabs.tasks = append(r.slabs.tasks, r.taskArena)
-	}
-	t := &r.taskArena[0]
-	r.taskArena = r.taskArena[1:]
-	return t
-}
-
-// newEdge returns a zeroed successor edge from the arena.
-func (r *Runtime) newEdge() *edge {
-	if len(r.edgeArena) == 0 {
-		r.edgeArena = edgeSlabs.Get()
-		r.slabs.edges = append(r.slabs.edges, r.edgeArena)
-	}
-	e := &r.edgeArena[0]
-	r.edgeArena = r.edgeArena[1:]
-	*e = edge{}
-	return e
-}
-
-// allocIDs returns an n-element int64 slice from the arena, capped so
-// appends cannot bleed into the next handout. A request larger than a
-// slab gets a one-off slab of its own, which Release leaves to the
-// garbage collector.
-func (r *Runtime) allocIDs(n int) []int64 {
-	if n > len(r.idArena) {
-		if n > idChunk {
-			r.idArena = make([]int64, n)
-		} else {
-			r.idArena = idSlabs.Get()
-		}
-		r.slabs.ids = append(r.slabs.ids, r.idArena)
-	}
-	out := r.idArena[:n:n]
-	r.idArena = r.idArena[n:]
-	return out
-}
-
-// Release returns the run's task, edge and pred-ID slabs, and its
-// dependence tracker's node slabs, to the free lists the next runtime in
-// the process draws from. Call it only after Run has returned normally
-// (never after a panic, which may leave tasks referenced mid-flight),
-// and only when nothing will read the runtime's tasks again: the slabs
-// are zeroed and handed to other runs. Counters, version counts and the
-// tracer stay readable; a traced runtime keeps its pred-ID slabs,
-// because its trace's task records alias them. A second call is a no-op.
+// Release returns the run's task, edge and pred-ID slabs, its
+// dependence tracker's slabs and its directory's slabs to the free lists
+// the next runtime in the process draws from. Call it only after Run has
+// returned normally (never after a panic, which may leave tasks
+// referenced mid-flight), and only when nothing will read the runtime's
+// tasks or data objects again: the slabs are zeroed and handed to other
+// runs, so every *Task and *mem.Object of the run is invalid once it
+// returns. Counters, version counts and the tracer stay readable; a
+// traced runtime keeps its pred-ID slabs, because its trace's task
+// records alias them. A second call is a no-op.
 func (r *Runtime) Release() {
-	for _, s := range r.slabs.tasks {
-		taskSlabs.Put(s)
-	}
-	for _, s := range r.slabs.edges {
-		edgeSlabs.Put(s)
-	}
+	r.tasks.Release()
+	r.edges.Release()
 	if r.tracer == nil {
-		for _, s := range r.slabs.ids {
-			idSlabs.Put(s)
-		}
+		r.ids.Release()
 	}
 	r.tracker.Release()
-	r.slabs.tasks, r.slabs.edges, r.slabs.ids = nil, nil, nil
-	r.taskArena, r.edgeArena, r.idArena = nil, nil, nil
+	r.dir.Recycle()
 }
 
 // submit creates a task instance, wires its dependences and hands it to
@@ -361,7 +310,7 @@ func (r *Runtime) submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, 
 	}
 
 	r.taskSeq++
-	t := r.newTask()
+	t := r.tasks.New()
 	*t = Task{
 		ID:          r.taskSeq,
 		Type:        tt,
@@ -379,12 +328,12 @@ func (r *Runtime) submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, 
 
 	preds := r.tracker.Add(t, accs)
 	if len(preds) > 0 {
-		t.predIDs = r.allocIDs(len(preds))
+		t.predIDs = r.ids.Alloc(len(preds))
 		for i, p := range preds {
 			pt := p.(*Task)
 			t.predIDs[i] = pt.ID
 			if pt.state != StateFinished {
-				pt.addSucc(r.newEdge(), t)
+				pt.addSucc(r.edges.New(), t)
 				t.npred++
 			}
 		}

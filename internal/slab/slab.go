@@ -1,10 +1,12 @@
 // Package slab keeps the bounded free lists through which a finished
 // run's arena slabs reach the next runtime in the process. The task
-// runtime and the dependence tracker hand out their per-task records
-// from fixed-size slabs; a run that finishes cleanly returns them here,
-// and the next runtime draws from the list before it allocates, so a
-// campaign's serial cells stop allocating, zeroing and garbage-collecting
-// the same few megabytes per cell.
+// runtime (tasks, successor edges, pred IDs), the dependence tracker
+// (nodes, per-object histories and their reader/writer entries) and the
+// memory directory (per-object entries and their per-space records) hand
+// out their records from fixed-size slabs through an Arena; a run that
+// finishes cleanly returns them here, and the next runtime draws from the
+// list before it allocates, so a campaign's serial cells stop allocating,
+// zeroing and garbage-collecting the same few megabytes per cell.
 //
 // A FreeList is a mutex-guarded stack, not a sync.Pool: the garbage
 // collector does not empty it while runs use it, so warm allocation
@@ -16,6 +18,8 @@
 package slab
 
 import (
+	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -71,8 +75,12 @@ func watchGC() {
 }
 
 // New returns an empty free list of size-element slabs holding at most
-// max of them.
+// max of them. size must be a power of two, so Arena.At can index
+// without dividing.
 func New[T any](size, max int) *FreeList[T] {
+	if size <= 0 || size&(size-1) != 0 {
+		panic(fmt.Sprintf("slab: slab size %d is not a power of two", size))
+	}
 	f := &FreeList[T]{size: size, max: max}
 	regMu.Lock()
 	registry = append(registry, f)
@@ -146,4 +154,69 @@ func Drain() int {
 		n += f.drain()
 	}
 	return n
+}
+
+// Arena hands out single elements and capped windows from slabs it draws
+// from one FreeList, and returns every slab it drew on Release. Slots are
+// never reused before Release, so pointers into them stay valid until
+// then. The zero Arena has no list; build one with NewArena.
+type Arena[T any] struct {
+	list  *FreeList[T]
+	slabs [][]T // every slab drawn, in order
+	rest  []T   // the unused tail of the last one
+	shift int   // log2 of the slab size
+}
+
+// NewArena returns an empty arena drawing from list.
+func NewArena[T any](list *FreeList[T]) Arena[T] {
+	return Arena[T]{list: list, shift: bits.TrailingZeros(uint(list.size))}
+}
+
+func (a *Arena[T]) grow() {
+	a.rest = a.list.Get()
+	a.slabs = append(a.slabs, a.rest)
+}
+
+// New returns a zeroed element.
+func (a *Arena[T]) New() *T {
+	if len(a.rest) == 0 {
+		a.grow()
+	}
+	p := &a.rest[0]
+	a.rest = a.rest[1:]
+	return p
+}
+
+// Alloc returns a zeroed n-element window, capped so appends cannot
+// bleed into the next handout. A window that does not fit in the rest of
+// the current slab starts the next one; a window larger than a slab is
+// allocated on its own and left to the garbage collector.
+func (a *Arena[T]) Alloc(n int) []T {
+	if n > len(a.rest) {
+		if n > a.list.size {
+			return make([]T, n)
+		}
+		a.grow()
+	}
+	w := a.rest[:n:n]
+	a.rest = a.rest[n:]
+	return w
+}
+
+// At returns the i-th element New handed out. It is meaningful only for
+// an arena that hands out nothing but single elements, which fill each
+// slab in order.
+func (a *Arena[T]) At(i int) *T {
+	return &a.slabs[i>>a.shift][i&(1<<a.shift-1)]
+}
+
+// Release returns every slab the arena drew, zeroed, to its free list
+// and leaves the arena empty and ready for reuse. Nothing it handed out
+// may be used afterwards.
+func (a *Arena[T]) Release() {
+	for _, s := range a.slabs {
+		a.list.Put(s)
+	}
+	clear(a.slabs)
+	a.slabs, a.rest = a.slabs[:0], nil
 }

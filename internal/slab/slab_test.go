@@ -105,3 +105,47 @@ func TestIdleListDropsItsSlabs(t *testing.T) {
 		t.Errorf("busy list holds %d slabs, want 1", held(busy))
 	}
 }
+
+// TestArenaHandsOutAndReturnsSlabs: New fills slabs in order (so At
+// finds each element), Alloc caps its windows and starts a new slab for
+// one that does not fit, an oversized window bypasses the list, and
+// Release returns exactly the slabs drawn and leaves the arena reusable.
+func TestArenaHandsOutAndReturnsSlabs(t *testing.T) {
+	f := New[int](4, 8)
+	defer f.drain()
+	a := NewArena(f)
+	for i := 0; i < 6; i++ {
+		*a.New() = i
+	}
+	for i := 0; i < 6; i++ {
+		if got := *a.At(i); got != i {
+			t.Fatalf("At(%d) = %d, want %d", i, got, i)
+		}
+	}
+	w := a.Alloc(3) // 2 left in the second slab: starts a third
+	if len(w) != 3 || cap(w) != 3 {
+		t.Errorf("Alloc(3) has len %d cap %d, want 3 and 3", len(w), cap(w))
+	}
+	w[0] = 7
+	if big := a.Alloc(5); len(big) != 5 {
+		t.Errorf("oversized Alloc has len %d, want 5", len(big))
+	}
+	a.Release()
+	if *a.New() != 0 { // the third slab, last returned
+		t.Error("released arena handed out a dirty element")
+	}
+	a.Release()
+	if n := f.drain(); n != 3 {
+		t.Errorf("the list holds %d slabs, want the 3 drawn", n)
+	}
+}
+
+// TestNewRejectsNonPowerOfTwoSizes: At indexes by shift and mask.
+func TestNewRejectsNonPowerOfTwoSizes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted slab size 3")
+		}
+	}()
+	New[int](3, 1)
+}
