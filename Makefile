@@ -14,7 +14,7 @@ BENCH_RE = SweepLatency|EngineTaskNs|EngineCellGrid|EngineBaselineCell
 # PROFILE_DIR collects pprof artifacts; it is gitignored scratch space.
 PROFILE_DIR ?= profiles
 
-.PHONY: test bench profile bench-baseline bench-gate lint
+.PHONY: test bench profile bench-baseline bench-gate lint linedelta
 
 test:
 	$(GO) build ./...
@@ -80,3 +80,18 @@ bench-gate:
 bench-baseline:
 	$(GO) test -bench '$(BENCH_RE)' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/exp/ \
 		| $(GO) run ./cmd/ompss-benchdiff -write BENCH_baseline.json
+
+# linedelta prints the net Go line delta of the working tree against
+# BASE (default main), split into non-test and _test.go files; the lint
+# analyzers' testdata is excluded. Every change reports this figure.
+# New files count once git tracks them (git add, or git add -N).
+BASE ?= main
+linedelta:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)internal/lint/testdata' | awk ' \
+		{ k = ($$3 ~ /_test\.go$$/) ? "test" : "non-test"; add[k] += $$1; del[k] += $$2 } \
+		END { \
+			printf "%-9s %8s %8s %8s\n", "go lines", "added", "removed", "net"; \
+			n = split("non-test test", ks, " "); \
+			for (i = 1; i <= n; i++) { k = ks[i]; ta += add[k]; td += del[k]; \
+				printf "%-9s %8d %8d %+8d\n", k, add[k], del[k], add[k] - del[k] } \
+			printf "%-9s %8d %8d %+8d\n", "total", ta, td, ta - td }'

@@ -319,7 +319,7 @@ func main() {
 		// One cost model, built once, shared by the planner and the
 		// budget, so what the plan prefers and what the budget charges
 		// can never disagree.
-		model, err := store.CostModel()
+		model, err := exp.LoadCostModel(store)
 		if err != nil {
 			fatal(err)
 		}

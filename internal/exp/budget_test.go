@@ -178,10 +178,8 @@ func TestBudgetDeterminismClaimMode(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			camp := newBudgetCampaign(cache, 2, &ClaimOptions{
-				Owner:     fmt.Sprintf("budget-claimant-%d", i),
-				TTL:       time.Second,
-				Heartbeat: 50 * time.Millisecond,
-				Poll:      10 * time.Millisecond,
+				Owner: fmt.Sprintf("budget-claimant-%d", i),
+				TTL:   time.Second,
 			})
 			camp.Planner = barrierPlanner{Planner: camp.Planner, ready: &planned}
 			results[i], statsAll[i] = executeBudgetCampaign(t, camp)

@@ -51,9 +51,9 @@ const CacheFormatVersion = 1
 //
 // Alongside the cells, the store maintains a denormalized campaign
 // manifest (manifest.jsonl; see manifest.go) listing every settled
-// cell's hash, wall cost and spec, so Snapshot and CostModel answer
-// from one small file instead of re-reading every cell — watch polls
-// over an idle store read zero cell files.
+// cell's hash, wall cost and spec, so Snapshot (and LoadCostModel over
+// it) answers from one small file instead of re-reading every cell —
+// watch polls over an idle store read zero cell files.
 type DirStore struct {
 	dir string
 
@@ -157,8 +157,8 @@ func (c *DirStore) path(hash string) string {
 }
 
 // LoadCell implements CellStore: it looks up a default-filled spec by
-// its precomputed hash (the claim loop rescans pending cells every poll
-// pass and must not pay canonicalization + SHA-256 each time). Any
+// its precomputed hash (claim mode re-checks peer-held cells every
+// poll and must not pay canonicalization + SHA-256 each time). Any
 // failure — missing file, unparsable JSON, format-version skew, hash
 // mismatch — is reported as a miss so the caller falls back to
 // simulation; the store never fails a campaign on the read side.

@@ -23,9 +23,10 @@ import (
 //     Paraver export and other artifacts).
 //
 // Every mode — in-process pool, resumable store, multi-process claim
-// fleet — shares one resolution path and renders byte-identical output:
-// results are committed by expansion index regardless of planner,
-// parallelism or which process simulated a cell.
+// fleet — runs through one dispatch loop (claim mode only adds a lease
+// step before each cell) and renders byte-identical output: results are
+// committed by expansion index regardless of planner, parallelism or
+// which process simulated a cell.
 type Campaign struct {
 	// Grid declares the campaign as a cartesian product (the common
 	// case). Exactly one of Grid and Specs must be set.
@@ -58,8 +59,8 @@ type Campaign struct {
 	// cache later completes the grid byte-identically.
 	Budget *BudgetOptions
 	// Claim, if set, runs the campaign cooperatively with other claimant
-	// processes over the shared Store (lease protocol) instead of the
-	// private in-process pool.
+	// processes over the shared Store: every cell is leased before it is
+	// dispatched (see ClaimOptions).
 	Claim *ClaimOptions
 
 	// run is the injectable runner for tests (nil = Run). It yields no
@@ -70,26 +71,22 @@ type Campaign struct {
 	runTraced func(RunSpec) (RunResult, *trace.Tracer, error)
 }
 
-// ClaimOptions configure claim mode: the campaign leases uncached cells
-// through Store.Claim, simulates them, stores the results and releases
-// the leases. N claimants — goroutines, `ompss-sweep -procs N` workers,
-// or hand-launched `ompss-sweep -claim` workers on hosts sharing the
-// store — partition one grid with the store as the only coordination
-// substrate. Execute returns once every run is stored, whoever computed
-// it, so each claimant's result is byte-identical to a single-process
-// campaign.
+// ClaimOptions configure claim mode: before dispatching a cell, the
+// campaign re-checks the store and leases the cell through Store.Claim,
+// heartbeating the lease every TTL/4 until the cell is stored and the
+// lease released. N claimants — goroutines, `ompss-sweep -procs N`
+// workers, or hand-launched `ompss-sweep -claim` workers on hosts
+// sharing the store — partition one grid with the store as the only
+// coordination substrate. Execute returns once every run is stored,
+// whoever computed it, so each claimant's result is byte-identical to a
+// single-process campaign.
 type ClaimOptions struct {
 	// Owner tags this claimant's leases and stats (default host:pid).
 	Owner string
 	// TTL is the lease staleness threshold (default DefaultLeaseTTL).
-	// All claimants of one grid should agree on it.
+	// All claimants of one grid should agree on it. Cells a live peer
+	// holds are revisited every min(100ms, TTL/4).
 	TTL time.Duration
-	// Heartbeat is the lease-refresh period for in-flight cells
-	// (default TTL/4; always clamped below TTL).
-	Heartbeat time.Duration
-	// Poll is how long to wait between scans when every remaining cell
-	// is leased by peers (default 100ms).
-	Poll time.Duration
 }
 
 // ClaimStats accounts for how a campaign was satisfied. On success
@@ -153,7 +150,7 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 		// options value prices every campaign with current store costs.
 		e.budgetModel = c.Budget.Model
 		if e.budgetModel == nil && c.Store != nil {
-			m, err := c.Store.CostModel()
+			m, err := LoadCostModel(c.Store)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -161,20 +158,15 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 		}
 	}
 	if c.Store != nil {
-		// Hashes are immutable per spec but the claim loop revisits
-		// pending cells every poll pass; precompute them once instead of
-		// re-running canonicalization + SHA-256 per cell per pass.
+		// Hashes are immutable per spec but claim mode revisits
+		// peer-held cells every poll; precompute them once instead of
+		// re-running canonicalization + SHA-256 per cell per visit.
 		e.hashes = make([]string, len(specs))
 		for i := range specs {
 			e.hashes[i] = specs[i].Hash()
 		}
 	}
-	if c.Claim != nil {
-		stats, err = e.claim()
-	} else {
-		stats, err = e.pool()
-	}
-	if err != nil {
+	if stats, err = e.dispatch(); err != nil {
 		return nil, stats, err
 	}
 	return &SweepResult{
@@ -250,8 +242,7 @@ func (s RunSpec) validate() error {
 	return nil
 }
 
-// engine is one Execute call's mutable state, shared by the pool and
-// claim modes.
+// engine is one Execute call's mutable state.
 type engine struct {
 	c       *Campaign
 	specs   []RunSpec
@@ -334,11 +325,11 @@ func (e *engine) runner() func(RunSpec) (RunResult, *trace.Tracer, error) {
 
 // satisfy resolves one cell: a cache hit if available, otherwise a fresh
 // simulation fed to the sink and persisted back to the cache. This is
-// the single resolution path shared by the in-process pool and the
-// claim loop, so both modes have identical hit semantics and
-// store-failure handling: a store failure (disk full, unwritable dir)
-// fails the campaign, because a silently unpersisted result is exactly
-// what the cache exists to prevent.
+// the single resolution path of every dispatched cell, so both modes
+// have identical hit semantics and store-failure handling: a store
+// failure (disk full, unwritable dir) fails the campaign, because a
+// silently unpersisted result is exactly what the cache exists to
+// prevent.
 func (e *engine) satisfy(idx int, run func(RunSpec) (RunResult, *trace.Tracer, error)) (RunResult, bool, error) {
 	if e.c.Store != nil {
 		if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
@@ -392,23 +383,64 @@ func skippedIndexes(skipped []SkippedRun) map[int]bool {
 	return set
 }
 
-// pool executes the campaign on a private in-process worker pool: a
-// serial cache pre-scan settles the already-cached cells (in expansion
-// order, so CellCached events are deterministic), the planner orders the
-// rest, the budget admits what fits, and the pool runs it. Results are
-// committed by expansion index, so outputs are independent of Parallel
-// and of the plan.
-func (e *engine) pool() (ClaimStats, error) {
+// job is one dispatched cell; lease and stopHB are set in claim mode
+// only.
+type job struct {
+	idx    int
+	lease  StoreLease
+	stopHB chan struct{}
+}
+
+// outcome is how one cell settled; warm marks a pre-scan hit.
+type outcome struct {
+	idx       int
+	rr        RunResult
+	hit, warm bool
+	err       error
+}
+
+// dispatch executes the campaign, in either mode. A serial store
+// pre-scan settles the already-cached cells (in expansion order, so the
+// warm CellCached events are deterministic), the planner orders the
+// rest, the budget admits what fits, and up to Parallel workers resolve
+// the admitted cells through satisfy. Every outcome is committed on the
+// dispatching goroutine by expansion index, so outputs are independent
+// of Parallel, of the plan, and of which claimant simulated a cell.
+//
+// Claim mode adds one lease step before a cell is dispatched: a store
+// re-check (a peer may have stored it meanwhile), Store.Claim, and a
+// heartbeat from acquisition. A cell a live peer holds is revisited
+// after a poll, until the peer stores it or its lease goes stale.
+// Exactly-once simulation holds because a cell only runs under a held
+// lease, after satisfy's store re-check inside that lease: a peer that
+// stored the cell first turns the claim into a hit.
+func (e *engine) dispatch() (ClaimStats, error) {
 	stats := ClaimStats{Runs: len(e.specs)}
-	run := e.runner()
+	var firstErr error
+	commit := func(o outcome) {
+		if o.err != nil {
+			if firstErr == nil {
+				firstErr = o.err
+			}
+			return
+		}
+		e.results[o.idx] = o.rr
+		if o.hit {
+			stats.Hits++
+			e.emit(CellCached{Index: o.idx, Result: o.rr, Hash: e.hash(o.idx), Warm: o.warm})
+			return
+		}
+		stats.Simulated++
+		stats.Requeued += o.rr.TasksRequeued
+		e.emitFault(o.idx, o.rr)
+		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.hash(o.idx)})
+	}
 
 	pending := make([]PlanCell, 0, len(e.specs))
 	for idx := range e.specs {
 		if e.c.Store != nil {
 			if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
-				e.results[idx] = rr
-				stats.Hits++
-				e.emit(CellCached{Index: idx, Result: rr, Hash: e.hashes[idx], Warm: true})
+				commit(outcome{idx: idx, rr: rr, hit: true, warm: true})
 				continue
 			}
 		}
@@ -418,289 +450,132 @@ func (e *engine) pool() (ClaimStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	planned = e.budget(planned)
+	// The budget prices cells out of *this* campaign: a budgeted claimant
+	// never waits on cells it refused to pay for, even though a peer with
+	// a different cost model may still run them.
+	queue := e.budget(planned)
 	stats.Skipped = len(e.skipped)
-	if len(planned) == 0 {
+	if len(queue) == 0 {
 		return stats, nil
 	}
 
-	workers := e.workers()
-	if workers > len(planned) {
-		workers = len(planned)
-	}
-	jobs := make(chan PlanCell)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards firstErr/counters and the results commit
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cell := range jobs {
-				mu.Lock()
-				abort := firstErr != nil
-				mu.Unlock()
-				if abort {
-					continue // drain remaining jobs without running them
-				}
-				e.emit(CellStarted{Index: cell.Index, Spec: cell.Spec, Hash: cell.Hash})
-				rr, hit, err := e.satisfy(cell.Index, run)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				e.results[cell.Index] = rr
-				if hit {
-					// A peer process stored the cell between our pre-scan
-					// and this worker picking it up.
-					stats.Hits++
-				} else {
-					stats.Simulated++
-					stats.Requeued += rr.TasksRequeued
-				}
-				mu.Unlock()
-				if hit {
-					e.emit(CellCached{Index: cell.Index, Result: rr, Hash: cell.Hash})
-				} else {
-					e.emitFault(cell.Index, rr)
-					e.emit(CellDone{Index: cell.Index, Result: rr, Hash: cell.Hash})
-				}
-			}
-		}()
-	}
-	for _, cell := range planned {
-		jobs <- cell
-	}
-	close(jobs)
-	wg.Wait()
-	return stats, firstErr
-}
-
-// cell states of the claim loop.
-const (
-	cellPending  = iota // not cached last we looked, not leased by us
-	cellInflight        // leased by us, handed to a local worker
-	cellDone            // result in hand
-)
-
-type claimJob struct {
-	idx    int
-	lease  StoreLease
-	stopHB chan struct{}
-}
-
-type claimDone struct {
-	idx int
-	rr  RunResult
-	hit bool
-	err error
-}
-
-// claim executes the campaign cooperatively with every other claimant of
-// the same store and blocks until all of it is cached, whoever computed
-// it. Exactly-once simulation holds because a cell is only run under a
-// held lease, after a store re-check inside that lease: a peer that
-// stored the cell before us turns our claim into a hit, never a second
-// simulation. The planner orders the scan, so a CostPlanner-equipped
-// claimant leases expensive cells first.
-func (e *engine) claim() (ClaimStats, error) {
-	stats := ClaimStats{Runs: len(e.specs)}
-	co := e.c.Claim
 	run := e.runner()
-	ttl := co.TTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	heartbeat := co.Heartbeat
-	if heartbeat <= 0 || heartbeat >= ttl {
-		heartbeat = ttl / 4
-	}
-	if heartbeat <= 0 {
-		// A sub-4ns TTL truncates ttl/4 to zero, which would panic
-		// time.NewTicker. Such a TTL is already lost (every lease is
-		// stale on arrival); just keep the ticker legal.
-		heartbeat = time.Millisecond
-	}
-	poll := co.Poll
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	owner := co.Owner
-	if owner == "" {
-		owner = defaultOwner()
-	}
-
-	// Pre-scan the store (expansion order, like pool mode): cells already
-	// settled become hits immediately and the planner sees only the
-	// cells that may actually need running — the documented Planner
-	// contract. The scan loop below still re-checks the remainder every
-	// pass, because peers keep storing cells while we work.
-	state := make([]int, len(e.specs))
-	settled := 0
-	pending := make([]PlanCell, 0, len(e.specs))
-	for idx := range e.specs {
-		if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
-			state[idx] = cellDone
-			e.results[idx] = rr
-			stats.Hits++
-			settled++
-			e.emit(CellCached{Index: idx, Result: rr, Hash: e.hashes[idx], Warm: true})
-			continue
-		}
-		pending = append(pending, PlanCell{Index: idx, Spec: e.specs[idx], Hash: e.hashes[idx]})
-	}
-	planned, err := applyPlan(e.c.Planner, pending)
-	if err != nil {
-		return stats, err
-	}
-	// The budget prices cells out of *this claimant's* campaign: they are
-	// excluded from its scan and from its completion accounting, so a
-	// budgeted claimant terminates once the admitted cells are settled
-	// even though the grid stays incomplete. (A peer with a different
-	// cost model may still run them; this claimant just never waits on
-	// cells it refused to pay for.)
-	planned = e.budget(planned)
-	stats.Skipped = len(e.skipped)
-
-	workers := e.workers()
-	if workers > len(planned) && len(planned) > 0 {
-		workers = len(planned)
-	}
-	// Both channels hold at most one entry per worker, so neither the
-	// claim loop nor a worker ever blocks on the other.
-	jobs := make(chan claimJob, workers)
-	completions := make(chan claimDone, workers)
+	workers := min(e.workers(), len(queue))
+	// Both channels hold at most one entry per worker slot, so neither
+	// the dispatcher nor a worker ever blocks on the other.
+	jobs := make(chan job, workers)
+	done := make(chan outcome, workers)
+	defer close(jobs)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for job := range jobs {
-				e.emit(CellStarted{Index: job.idx, Spec: e.specs[job.idx], Hash: e.hashes[job.idx]})
-				rr, hit, err := e.satisfy(job.idx, run)
-				close(job.stopHB)
-				if relErr := job.lease.Release(); err == nil && relErr != nil {
-					err = relErr
+			for j := range jobs {
+				e.emit(CellStarted{Index: j.idx, Spec: e.specs[j.idx], Hash: e.hash(j.idx)})
+				rr, hit, err := e.satisfy(j.idx, run)
+				if j.lease != nil {
+					close(j.stopHB)
+					if relErr := j.lease.Release(); err == nil {
+						err = relErr
+					}
 				}
-				completions <- claimDone{idx: job.idx, rr: rr, hit: hit, err: err}
+				done <- outcome{idx: j.idx, rr: rr, hit: hit, err: err}
 			}
 		}()
 	}
-	defer close(jobs)
 
+	var owner string
+	var ttl, heartbeat, poll time.Duration
+	if co := e.c.Claim; co != nil {
+		owner, ttl = co.Owner, co.TTL
+		if owner == "" {
+			owner = defaultOwner()
+		}
+		if ttl <= 0 {
+			ttl = DefaultLeaseTTL
+		}
+		heartbeat = ttl / 4
+		if heartbeat <= 0 {
+			// A sub-4ns TTL truncates ttl/4 to zero, which would panic
+			// time.NewTicker; such leases are stale on arrival anyway.
+			heartbeat = time.Millisecond
+		}
+		poll = min(100*time.Millisecond, heartbeat)
+	}
 	var (
-		remaining = len(e.specs) - settled - len(e.skipped)
-		inflight  = 0
-		firstErr  error
+		held     []PlanCell // leased by live peers, in plan order
+		revisit  time.Time  // when held cells are scanned again
+		inflight int
 	)
-	finish := func(c claimDone) {
-		inflight--
-		state[c.idx] = cellDone
-		remaining--
-		if c.err != nil {
-			if firstErr == nil {
-				firstErr = c.err
-			}
-			return
+	for {
+		// Held cells precede every queued cell in plan order, so putting
+		// them back in front keeps each pass in plan order.
+		if len(held) > 0 && !time.Now().Before(revisit) {
+			queue, held = append(held, queue...), nil
 		}
-		e.results[c.idx] = c.rr
-		if c.hit {
-			stats.Hits++
-			e.emit(CellCached{Index: c.idx, Result: c.rr, Hash: e.hashes[c.idx]})
-		} else {
-			stats.Simulated++
-			stats.Requeued += c.rr.TasksRequeued
-			e.emitFault(c.idx, c.rr)
-			e.emit(CellDone{Index: c.idx, Result: c.rr, Hash: e.hashes[c.idx]})
-		}
-	}
-	for remaining > 0 && firstErr == nil {
-		progress := false
-		for _, cell := range planned {
-			idx := cell.Index
-			// Completions can arrive throughout the scan; folding them in
-			// here frees worker slots for cells later in this same pass.
-			for inflight > 0 {
-				select {
-				case c := <-completions:
-					finish(c)
+		for len(queue) > 0 && inflight < workers && firstErr == nil {
+			cell := queue[0]
+			queue = queue[1:]
+			j := job{idx: cell.Index}
+			if e.c.Claim != nil {
+				if rr, ok := e.c.Store.LoadCell(cell.Spec, cell.Hash); ok {
+					commit(outcome{idx: cell.Index, rr: rr, hit: true})
 					continue
-				default:
 				}
-				break
-			}
-			if firstErr != nil {
-				break
-			}
-			if state[idx] != cellPending {
-				continue
-			}
-			if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
-				state[idx] = cellDone
-				remaining--
-				e.results[idx] = rr
-				stats.Hits++
-				progress = true
-				e.emit(CellCached{Index: idx, Result: rr, Hash: e.hashes[idx]})
-				continue
-			}
-			if inflight >= workers {
-				continue // every local slot busy; keep scanning for hits
-			}
-			lease, reclaimed, err := e.c.Store.Claim(e.hashes[idx], owner, ttl)
-			if reclaimed {
-				stats.Reclaimed++
-				e.emit(LeaseReclaimed{Hash: e.hashes[idx], By: owner})
-			}
-			if err != nil {
-				firstErr = err
-				break
-			}
-			if lease == nil {
-				continue // a live peer holds it; revisit next pass
-			}
-			stats.Claimed++
-			e.emit(LeaseClaimed{Index: idx, Hash: e.hashes[idx], Owner: owner})
-			// Heartbeat from acquisition (not from run start), so a claim
-			// queued behind busy workers cannot be reclaimed as stale.
-			stopHB := make(chan struct{})
-			go func(l StoreLease) {
-				ticker := time.NewTicker(heartbeat)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-stopHB:
-						return
-					case <-ticker.C:
-						l.Refresh() // lost-lease errors are benign; see Refresh
+				lease, reclaimed, err := e.c.Store.Claim(cell.Hash, owner, ttl)
+				if reclaimed {
+					stats.Reclaimed++
+					e.emit(LeaseReclaimed{Hash: cell.Hash, By: owner})
+				}
+				if err != nil {
+					commit(outcome{err: err})
+					break
+				}
+				if lease == nil {
+					if len(held) == 0 {
+						revisit = time.Now().Add(poll)
 					}
+					held = append(held, cell)
+					continue
 				}
-			}(lease)
-			state[idx] = cellInflight
+				stats.Claimed++
+				e.emit(LeaseClaimed{Index: cell.Index, Hash: cell.Hash, Owner: owner})
+				// The heartbeat runs from acquisition until the worker
+				// releases the lease.
+				j.lease, j.stopHB = lease, make(chan struct{})
+				go refreshLease(lease, heartbeat, j.stopHB)
+			}
+			jobs <- j
 			inflight++
-			jobs <- claimJob{idx: idx, lease: lease, stopHB: stopHB}
-			progress = true
 		}
-		if firstErr != nil || remaining == 0 {
-			break
+		if firstErr != nil {
+			queue, held = nil, nil // dispatch nothing new; drain in-flight cells
 		}
-		if progress && inflight < workers {
-			continue // claimed or absorbed something: rescan immediately
+		if inflight == 0 && len(queue) == 0 && len(held) == 0 {
+			return stats, firstErr
 		}
-		// Blocked on our own workers or on peers: wait for a completion,
-		// but rescan at least every poll interval to observe peer stores
-		// and newly stale leases.
+		var wake <-chan time.Time
+		if len(held) > 0 && inflight < workers {
+			wake = time.After(time.Until(revisit))
+		}
 		select {
-		case c := <-completions:
-			finish(c)
-		case <-time.After(poll):
+		case o := <-done:
+			inflight--
+			commit(o)
+		case <-wake:
 		}
 	}
-	for inflight > 0 {
-		finish(<-completions)
+}
+
+// refreshLease heartbeats a held lease every period until stop closes.
+// Lost-lease errors are benign (see StoreLease.Refresh).
+func refreshLease(l StoreLease, period time.Duration, stop <-chan struct{}) {
+	ticker := time.NewTicker(period)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+			l.Refresh()
+		}
 	}
-	return stats, firstErr
 }

@@ -483,7 +483,7 @@ func TestCacheCostModelScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := cache.CostModel()
+	m, err := LoadCostModel(cache)
 	if err != nil {
 		t.Fatal(err)
 	}

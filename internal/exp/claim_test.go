@@ -71,7 +71,7 @@ func TestDispatchSoloClaim(t *testing.T) {
 // directory, and every cell must be simulated by exactly one of them —
 // no cell lost, none simulated twice — while all N converge on results
 // that render byte-identically to a cold serial sweep. Run under -race
-// this also proves the claim loop shares no unsynchronized state.
+// this also proves the dispatch loop shares no unsynchronized state.
 func TestDispatchConcurrentClaimants(t *testing.T) {
 	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {
@@ -111,7 +111,6 @@ func TestDispatchConcurrentClaimants(t *testing.T) {
 				Parallel: 2,
 				Claim: &ClaimOptions{
 					Owner: fmt.Sprintf("claimant-%d", i),
-					Poll:  5 * time.Millisecond,
 				},
 				run: counting,
 			}

@@ -97,26 +97,18 @@ func (m *CostModel) Observations() int {
 	return n
 }
 
-// CostModel implements CellStore: the model is folded from the
-// campaign manifest's recorded wall costs — no cell file is read.
-// Cells stored before costs existed carry WallSec 0, which Observe
-// ignores; the model stays best-effort by design, and a campaign with
-// no usable costs simply plans in expansion order.
-func (c *DirStore) CostModel() (*CostModel, error) {
-	snap, err := c.Snapshot()
+// LoadCostModel folds a store's manifest snapshot into a cost model —
+// no cell file is read. Cells stored before costs existed carry WallSec
+// 0, which Observe ignores; the model stays best-effort by design, and a
+// campaign with no usable costs simply plans in expansion order. The
+// fold runs in sorted-hash order: float accumulation is order-dependent
+// in its last ulp, and budget admission (a pure function of the model)
+// must not flicker with map iteration order.
+func LoadCostModel(store CellStore) (*CostModel, error) {
+	snap, err := store.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return CostModelFromSnapshot(snap), nil
-}
-
-// CostModelFromSnapshot folds a manifest snapshot into a cost model,
-// in sorted-hash order: float accumulation is order-dependent in its
-// last ulp, and budget admission (a pure function of the model) must
-// not flicker with map iteration order. Shared by every CellStore
-// implementation that answers CostModel from Snapshot (the HTTP store
-// included).
-func CostModelFromSnapshot(snap StoreSnapshot) *CostModel {
 	hashes := make([]string, 0, len(snap.Cells))
 	for h := range snap.Cells {
 		hashes = append(hashes, h)
@@ -127,7 +119,7 @@ func CostModelFromSnapshot(snap StoreSnapshot) *CostModel {
 		e := snap.Cells[h]
 		m.Observe(e.Spec, e.WallSec)
 	}
-	return m
+	return m, nil
 }
 
 // costCSVHeader is the stable column set of WriteCostCSV: one row per

@@ -57,9 +57,8 @@ func TestMain(m *testing.M) {
 			Store:    cache,
 			Parallel: 2,
 			Claim: &ClaimOptions{
-				Owner:     "crash-worker",
-				TTL:       time.Second,
-				Heartbeat: 50 * time.Millisecond,
+				Owner: "crash-worker",
+				TTL:   time.Second,
 			},
 			run: func(s RunSpec) (RunResult, error) {
 				time.Sleep(5 * time.Second) // far longer than the parent waits to kill
@@ -110,9 +109,8 @@ func journalWorkerMain(dir, owner string) int {
 		Parallel: 2,
 		Observer: rec,
 		Claim: &ClaimOptions{
-			Owner:     owner,
-			TTL:       time.Second,
-			Heartbeat: 50 * time.Millisecond,
+			Owner: owner,
+			TTL:   time.Second,
 		},
 		run: func(s RunSpec) (RunResult, error) {
 			time.Sleep(5 * time.Second) // far longer than the parent waits to kill
@@ -266,10 +264,8 @@ func TestCrashRecovery(t *testing.T) {
 // quickly.
 func survivorClaim(owner string) *ClaimOptions {
 	return &ClaimOptions{
-		Owner:     owner,
-		TTL:       400 * time.Millisecond,
-		Heartbeat: 50 * time.Millisecond,
-		Poll:      25 * time.Millisecond,
+		Owner: owner,
+		TTL:   400 * time.Millisecond,
 	}
 }
 

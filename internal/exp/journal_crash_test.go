@@ -113,10 +113,8 @@ func TestJournalCrashSafety(t *testing.T) {
 		Parallel: 2,
 		Observer: rec,
 		Claim: &ClaimOptions{
-			Owner:     owner,
-			TTL:       400 * time.Millisecond,
-			Heartbeat: 50 * time.Millisecond,
-			Poll:      25 * time.Millisecond,
+			Owner: owner,
+			TTL:   400 * time.Millisecond,
 		},
 		run: fakeRun,
 	}
@@ -272,10 +270,8 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 		Parallel: 2,
 		Observer: rec,
 		Claim: &ClaimOptions{
-			Owner:     owner,
-			TTL:       400 * time.Millisecond,
-			Heartbeat: 50 * time.Millisecond,
-			Poll:      25 * time.Millisecond,
+			Owner: owner,
+			TTL:   400 * time.Millisecond,
 		},
 		run: fakeRun,
 	}

@@ -91,8 +91,7 @@ func TestThreeClaimantJournalReplay(t *testing.T) {
 			defer rec.Close()
 			camp := Campaign{
 				Grid: grid, Store: cache, Parallel: 2, Observer: rec,
-				Claim: &ClaimOptions{Owner: owner, TTL: time.Second,
-					Heartbeat: 50 * time.Millisecond, Poll: 10 * time.Millisecond},
+				Claim: &ClaimOptions{Owner: owner, TTL: time.Second},
 				run: func(s RunSpec) (RunResult, error) {
 					time.Sleep(time.Millisecond) // let the claimants interleave
 					return fakeRun(s)

@@ -13,8 +13,8 @@ import (
 // whose file mtime is older than the TTL is presumed abandoned (its
 // owner crashed or lost the filesystem) and may be reclaimed by any
 // other claimant. Live owners refresh the mtime every TTL/4 (see
-// ClaimOptions.Heartbeat), so a healthy lease is never within a factor of
-// four of expiring. On a shared filesystem the TTL must also absorb
+// ClaimOptions), so a healthy lease is never within a factor of four of
+// expiring. On a shared filesystem the TTL must also absorb
 // cross-host clock skew; 30s is comfortable for NFS-class setups.
 const DefaultLeaseTTL = 30 * time.Second
 

@@ -39,7 +39,7 @@ func (OrderPlanner) Plan(pending []PlanCell) []PlanCell { return pending }
 
 // CostPlanner runs the most expensive cells first, using wall-cost
 // estimates from a CostModel (recorded per cell by previous campaigns —
-// see CellStore.CostModel). Longest-first claiming fixes the straggler
+// see LoadCostModel). Longest-first claiming fixes the straggler
 // serialization of expansion order: a fleet no longer idles while the
 // last claimant grinds through the biggest cell it happened to draw
 // late.
@@ -100,7 +100,7 @@ func NewPlanner(name string, store CellStore) (Planner, error) {
 	case "cost":
 		var model *CostModel
 		if store != nil {
-			m, err := store.CostModel()
+			m, err := LoadCostModel(store)
 			if err != nil {
 				return nil, err
 			}

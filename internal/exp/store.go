@@ -68,9 +68,6 @@ type CellStore interface {
 	// manifest. The snapshot's map is shared with the store; callers
 	// must treat it as read-only and must not retain it across calls.
 	Snapshot() (StoreSnapshot, error)
-	// CostModel builds a cost model from the manifest's recorded wall
-	// costs (no cell files are read).
-	CostModel() (*CostModel, error)
 	// Description identifies the store in logs and stats lines (a path
 	// for DirStore, a URL for HTTP stores).
 	Description() string

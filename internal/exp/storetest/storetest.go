@@ -406,9 +406,9 @@ func testSnapshot(t *testing.T, env Env) {
 		t.Errorf("idle snapshot moved the rev: %d -> %d", snap1.Rev, snap2.Rev)
 	}
 	// The cost model folds the manifest, never the cell files.
-	model, err := s.CostModel()
+	model, err := exp.LoadCostModel(s)
 	if err != nil {
-		t.Fatalf("CostModel: %v", err)
+		t.Fatalf("LoadCostModel: %v", err)
 	}
 	if est, ok := model.Estimate(spec(0)); !ok || est <= 0 {
 		t.Errorf("cost model estimate = %v/%v, want a positive estimate", est, ok)
@@ -437,8 +437,8 @@ func testIdlePolls(t *testing.T, env Env) {
 		if _, _, err := s.PollJournal(); err != nil {
 			t.Fatalf("PollJournal: %v", err)
 		}
-		if _, err := s.CostModel(); err != nil {
-			t.Fatalf("CostModel: %v", err)
+		if _, err := exp.LoadCostModel(s); err != nil {
+			t.Fatalf("LoadCostModel: %v", err)
 		}
 	}
 	poll()

@@ -365,7 +365,7 @@ func (w *Watcher) JournalStatus() (*JournalStatus, error) {
 	}
 	done := len(w.hashes) - len(w.uncached)
 	if w.model == nil || done != w.modelDone {
-		model, err := w.store.CostModel()
+		model, err := LoadCostModel(w.store)
 		if err != nil {
 			return nil, err
 		}

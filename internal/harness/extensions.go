@@ -13,24 +13,6 @@ import (
 // graph, cluster scaling with remote GPUs, and energy accounting per
 // schedule. ompss-bench runs them alongside the figures.
 
-func init() {
-	register(Experiment{
-		ID:    "ext-sched",
-		Title: "Scheduler comparison on an irregular random DAG",
-		Run:   runExtSched,
-	})
-	register(Experiment{
-		ID:    "ext-cluster",
-		Title: "Hybrid matmul on multi-node clusters (InfiniBand staging)",
-		Run:   runExtCluster,
-	})
-	register(Experiment{
-		ID:    "ext-energy",
-		Title: "Energy account per scheduling policy (Cholesky)",
-		Run:   runExtEnergy,
-	})
-}
-
 func runExtSched(opts Options) (*Report, error) {
 	rep := &Report{ID: "ext-sched",
 		Title:  "Scheduler comparison on an irregular random DAG",

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/exp"
 	"repro/ompss"
 )
@@ -84,20 +85,38 @@ type Experiment struct {
 	Run   func(opts Options) (*Report, error)
 }
 
-var registry []Experiment
+// experiments is every experiment in paper order: Table I, the paper's
+// figures in number order, then the extensions beyond the paper.
+var experiments = []Experiment{
+	{ID: "table1", Title: "TaskVersionSet data structure (profiling store dump)", Run: runTable1},
+	{ID: "fig5", Title: "Earliest-executor scheduling decision (busy GPU vs idle SMP)", Run: runFig5},
+	{ID: "fig6", Title: "Matrix multiplication performance (GFLOP/s)", Run: runFig6},
+	{ID: "fig7", Title: "Data transferred for matrix multiplication (GB)", Run: runFig7},
+	{ID: "fig8", Title: "Matrix multiplication task statistics for the versioning scheduler", Run: runFig8},
+	{ID: "fig9", Title: "Cholesky factorization performance (GFLOP/s)", Run: runFig9},
+	{ID: "fig10", Title: "Data transferred for Cholesky (GB)", Run: runFig10},
+	{ID: "fig11", Title: "Cholesky task statistics for the versioning scheduler (potrf versions)", Run: runFig11},
+	{ID: "fig12", Title: "PBPI execution time (s, lower is better)", Run: runFig12},
+	{ID: "fig13", Title: "Data transferred for PBPI (GB)", Run: runFig13},
+	pbpiLoopStats("fig14", "PBPI task statistics for the versioning scheduler (first loop)",
+		apps.PBPILoop1Type, "loop1_gpu", "loop1_smp"),
+	pbpiLoopStats("fig15", "PBPI task statistics for the versioning scheduler (second loop)",
+		apps.PBPILoop2Type, "loop2_gpu", "loop2_smp"),
+	{ID: "ext-sched", Title: "Scheduler comparison on an irregular random DAG", Run: runExtSched},
+	{ID: "ext-cluster", Title: "Hybrid matmul on multi-node clusters (InfiniBand staging)", Run: runExtCluster},
+	{ID: "ext-energy", Title: "Energy account per scheduling policy (Cholesky)", Run: runExtEnergy},
+}
 
-func register(e Experiment) { registry = append(registry, e) }
-
-// All returns every experiment in registration (paper) order.
+// All returns every experiment in paper order.
 func All() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
+	out := make([]Experiment, len(experiments))
+	copy(out, experiments)
 	return out
 }
 
 // ByID finds an experiment.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range registry {
+	for _, e := range experiments {
 		if e.ID == id {
 			return e, true
 		}
@@ -105,10 +124,10 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs lists the registered experiment IDs.
+// IDs lists the experiment IDs, sorted.
 func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
 		ids[i] = e.ID
 	}
 	sort.Strings(ids)

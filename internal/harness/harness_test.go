@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,8 +51,13 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %s missing (have %v)", id, IDs())
 		}
 	}
-	if len(All()) != len(want) {
-		t.Errorf("All() = %d experiments, want %d", len(All()), len(want))
+	// All() yields paper order, the order ompss-bench runs them in.
+	var got []string
+	for _, e := range All() {
+		got = append(got, e.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("All() order = %v, want %v", got, want)
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) should fail")

@@ -119,23 +119,36 @@ func parseLines(data []byte, stats *ReadStats) []Record {
 	}
 	var recs []Record
 	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.Type == "" {
-			if i == len(lines)-1 && !endsWithNewline {
+		malformed := stats.Malformed
+		r, ok := decodeLine(line, stats)
+		if !ok {
+			if stats.Malformed > malformed && i == len(lines)-1 && !endsWithNewline {
+				stats.Malformed--
 				stats.TruncatedTails++
-			} else {
-				stats.Malformed++
 			}
-			continue
-		}
-		if r.V != Version {
-			stats.VersionSkew++
 			continue
 		}
 		recs = append(recs, r)
 	}
 	return recs
+}
+
+// decodeLine applies the line rules every journal reader shares: ok is
+// false for a blank line (skipped silently), for an unparsable or
+// typeless one (counted Malformed) and for a record of another schema
+// version (counted VersionSkew). Callers add their own torn-tail rule.
+func decodeLine(line []byte, stats *ReadStats) (Record, bool) {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return Record{}, false
+	}
+	var r Record
+	if err := json.Unmarshal(line, &r); err != nil || r.Type == "" {
+		stats.Malformed++
+		return Record{}, false
+	}
+	if r.V != Version {
+		stats.VersionSkew++
+		return Record{}, false
+	}
+	return r, true
 }

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -248,18 +247,10 @@ func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 	if consumed == 0 {
 		return changed, nil
 	}
+	skips, recs := tf.skips, len(tf.recs)
 	for _, line := range bytes.Split(buf[:consumed-1], []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		changed = true
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.Type == "" {
-			tf.skips.Malformed++
-			continue
-		}
-		if r.V != Version {
-			tf.skips.VersionSkew++
+		r, ok := decodeLine(line, &tf.skips)
+		if !ok {
 			continue
 		}
 		if r.Type == TypeCheckpoint && r.Checkpoint != nil {
@@ -270,5 +261,5 @@ func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 		tf.recs = append(tf.recs, r)
 	}
 	tf.offset += int64(consumed)
-	return changed, nil
+	return changed || tf.skips != skips || len(tf.recs) != recs, nil
 }

@@ -306,16 +306,6 @@ func (s *HTTPStore) Snapshot() (exp.StoreSnapshot, error) {
 	return exp.StoreSnapshot{Rev: s.mrev, Cells: s.cells}, nil
 }
 
-// CostModel implements exp.CellStore from the manifest snapshot, the
-// same fold every store uses.
-func (s *HTTPStore) CostModel() (*exp.CostModel, error) {
-	snap, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return exp.CostModelFromSnapshot(snap), nil
-}
-
 // CellReads reports the coordinator's cell-read counter (the daemon's
 // DirStore counter, not a client-side one) — the probe behind the
 // idle-watch-reads-nothing guarantee.

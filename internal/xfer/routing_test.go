@@ -54,17 +54,6 @@ func TestMultiHopReverseIsOutputPlusDevice(t *testing.T) {
 	}
 }
 
-func TestMultiHopEstimateSumsLegs(t *testing.T) {
-	e := sim.NewEngine()
-	f := NewFabric(e, chainMachine(), nil)
-	if got := f.EstimateDuration(machine.HostSpace, machine.SpaceID(2), 1e9); got != 2*time.Second {
-		t.Errorf("EstimateDuration = %v, want 2s", got)
-	}
-	if got := f.EstimateDuration(machine.SpaceID(2), machine.SpaceID(2), 1e9); got != 0 {
-		t.Errorf("same-space estimate = %v", got)
-	}
-}
-
 func TestMultiHopSecondLegQueuesBehindTraffic(t *testing.T) {
 	e := sim.NewEngine()
 	f := NewFabric(e, chainMachine(), nil)

@@ -208,41 +208,3 @@ func (f *Fabric) transferDirect(from, to machine.SpaceID, bytes int64, tag strin
 		f.eng.At(end, onDone)
 	}
 }
-
-// EstimateDuration returns the wire time a copy would take over its route
-// (ignoring queueing): the sum of every leg's duration. Used by the
-// affinity scheduler to compare candidate devices. Same-space copies are
-// free.
-func (f *Fabric) EstimateDuration(from, to machine.SpaceID, bytes int64) time.Duration {
-	if from == to {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range f.route(from, to) {
-		sum += transferDuration(l, bytes)
-	}
-	return sum
-}
-
-// QueueDelay returns how long a new transfer submitted now on the direct
-// link from->to would wait before starting.
-func (f *Fabric) QueueDelay(from, to machine.SpaceID) time.Duration {
-	l, ok := f.mach.LinkBetween(from, to)
-	if !ok {
-		return 0
-	}
-	en := &f.engines[l.ID]
-	if en.busyUntil <= f.eng.Now() {
-		return 0
-	}
-	return en.busyUntil.Sub(f.eng.Now())
-}
-
-// BytesByCategory returns a copy of the per-category byte totals.
-func (f *Fabric) BytesByCategory() map[Category]int64 {
-	out := make(map[Category]int64, numCategories)
-	for k, v := range f.TotalBytes {
-		out[Category(k)] = v
-	}
-	return out
-}

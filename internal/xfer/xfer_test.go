@@ -163,10 +163,6 @@ func TestAccounting(t *testing.T) {
 	if f.Count[CatInput] != 2 {
 		t.Errorf("Input count = %d, want 2", f.Count[CatInput])
 	}
-	got := f.BytesByCategory()
-	if got[CatInput] != 300 || got[CatOutput] != 300 || got[CatDevice] != 400 {
-		t.Errorf("BytesByCategory = %v", got)
-	}
 }
 
 type recordSink struct{ recs []Record }
@@ -189,41 +185,6 @@ func TestRecorderReceivesRecords(t *testing.T) {
 	if r.Tag != "tile-3" || r.Category != CatInput || r.Bytes != 1000 || r.End <= r.Start {
 		t.Errorf("record = %+v", r)
 	}
-}
-
-func TestEstimateDuration(t *testing.T) {
-	e := sim.NewEngine()
-	m := testMachine()
-	f := NewFabric(e, m, nil)
-	gpu := m.GPUSpaces()[0]
-
-	if d := f.EstimateDuration(machine.HostSpace, machine.HostSpace, 1<<20); d != 0 {
-		t.Errorf("same-space estimate = %v, want 0", d)
-	}
-	want := time.Millisecond + 15*time.Microsecond
-	if d := f.EstimateDuration(machine.HostSpace, gpu, 6_000_000); d != want {
-		t.Errorf("estimate = %v, want %v", d, want)
-	}
-}
-
-func TestQueueDelay(t *testing.T) {
-	e := sim.NewEngine()
-	m := testMachine()
-	f := NewFabric(e, m, nil)
-	gpu := m.GPUSpaces()[0]
-
-	if f.QueueDelay(machine.HostSpace, gpu) != 0 {
-		t.Error("idle link should have zero delay")
-	}
-	e.At(0, func() {
-		f.Transfer(machine.HostSpace, gpu, 6_000_000, "", nil)
-		d := f.QueueDelay(machine.HostSpace, gpu)
-		want := time.Millisecond + 15*time.Microsecond
-		if d != want {
-			t.Errorf("QueueDelay = %v, want %v", d, want)
-		}
-	})
-	e.Run()
 }
 
 func TestNegativeBytesPanics(t *testing.T) {
