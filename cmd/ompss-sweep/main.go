@@ -57,12 +57,11 @@
 // (-csv) and JSON (-json). -what-if-plan/-what-if-procs/-budget
 // re-plan the recorded campaign with its journaled wall costs and
 // report the projected makespan delta without running a single
-// simulation. Long campaigns bound their journal with -journal-rotate
-// (claimants spill closed segments at the byte threshold) and fold the
-// segments away either on demand (-compact-journal) or continuously
-// (-compact-after N: each claimant compacts in-line once N closed
-// segments accumulate, serialized across the fleet by a lock file);
-// all of it leaves every journal reader's output unchanged.
+// simulation. Long campaigns bound their journal with -journal-rotate:
+// each claimant spills a closed segment at the byte threshold and
+// folds the directory's segments into a checkpoint right away (one
+// compactor at a time across the fleet, through a lock file), which
+// leaves every journal reader's output unchanged.
 //
 // Usage:
 //
@@ -83,9 +82,7 @@
 //	ompss-sweep -watch http://coord:8427     # same, via the coordinator
 //	ompss-sweep -replay /shared/c            # post-mortem forensics timeline
 //	ompss-sweep -replay /shared/c -what-if-plan cost -what-if-procs 8
-//	ompss-sweep -cache /shared/c -procs 4 -journal-rotate 1048576  # bounded journal
-//	ompss-sweep -cache /shared/c -compact-journal  # fold closed segments
-//	ompss-sweep -cache /shared/c -procs 4 -journal-rotate 65536 -compact-after 8  # self-compacting fleet
+//	ompss-sweep -cache /shared/c -procs 4 -journal-rotate 1048576  # bounded, self-compacting journal
 //	ompss-sweep -cost-csv costs.csv -cache .sweep-cache  # per-run wall costs
 //	ompss-sweep -list-apps                   # registered applications
 package main
@@ -108,45 +105,43 @@ import (
 
 func main() {
 	var (
-		appsFlag     = flag.String("apps", strings.Join(exp.DefaultApps(), ","), "comma-separated app names")
-		schedFlag    = flag.String("schedulers", strings.Join(exp.DefaultSchedulers(), ","), "comma-separated scheduler names")
-		machineFlag  = flag.String("machines", "", "comma-separated machine shapes: node, cluster:RxC, cluster:RxC+Gg (default node)")
-		smpFlag      = flag.String("smp", "2,4", "comma-separated SMP worker counts")
-		gpuFlag      = flag.String("gpus", "1,2", "comma-separated GPU counts")
-		lambdaFlag   = flag.String("lambdas", "", "comma-separated versioning learning thresholds (0 = paper default 3)")
-		tolFlag      = flag.String("size-tolerances", "", "comma-separated size-grouping tolerances (0 = exact matching)")
-		ewmaFlag     = flag.String("ewma-alphas", "", "comma-separated EWMA alphas in [0,1] (0 = arithmetic mean)")
-		localFlag    = flag.String("locality", "", "comma-separated bools for the locality-aware extension (default false)")
-		chaosFlag    = flag.String("chaos", "", "comma-separated chaos fault-injection specs, e.g. 'none,gpu1:drop@40%' (clauses inside one spec join with ';'; none = no faults; default no chaos axis)")
-		noiseFlag    = flag.String("noise", "0.05", "comma-separated jitter sigmas")
-		replicas     = flag.Int("replicas", 3, "seed replicas per cell")
-		seed         = flag.Int64("seed", 1, "base seed for the replica seeds (0 = default 1)")
-		sizeFlag     = flag.String("size", "tiny", "problem size tier: tiny, quick or full")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
-		storeURL     = flag.String("store", "", "campaign store URL: dir:///path or http://host:port (an ompss-sweepd coordinator); skip runs the store has seen, store new ones")
-		cachePath    = flag.String("cache", "", "campaign cache directory (alias for -store dir://DIR)")
-		planFlag     = flag.String("plan", "order", "uncached-cell execution order: order (grid expansion) or cost (most expensive first, from costs recorded in -cache)")
-		budgetFlag   = flag.Duration("budget", 0, "stop claiming new cells once cost-model estimates of the admitted work would exceed this many simulation-seconds (requires -cache; implies -plan cost; skipped cells are reported and left for an unbudgeted resume)")
-		traceDir     = flag.String("trace-dir", "", "write one Paraver .prv/.pcf pair per freshly simulated run into this directory")
-		chromeDir    = flag.String("chrome-trace-dir", "", "write one Chrome trace-event .trace.json per freshly simulated run into this directory")
-		procs        = flag.Int("procs", 1, "spawn this many claim-worker processes over -cache and merge their results")
-		claim        = flag.Bool("claim", false, "run as one claim worker: lease uncached cells of -cache, simulate, store, exit when the grid is fully cached")
-		leaseTTL     = flag.Duration("lease-ttl", exp.DefaultLeaseTTL, "claim-mode lease staleness threshold (crashed workers' cells are reclaimed after this)")
-		watchDir     = flag.String("watch", "", "tail this campaign store — a directory, dir:// URL or http:// coordinator — (cells done, leases outstanding) instead of sweeping; uses the grid flags for the total")
-		watchEvery   = flag.Duration("watch-interval", time.Second, "poll interval for -watch")
-		replayDir    = flag.String("replay", "", "render this campaign store's forensics timeline from its journals (per-claimant Gantt, contention, reclaim storms, cost histogram, exactly-once audit) and exit; -csv/-json write the per-cell table / full report")
-		whatIfPlan   = flag.String("what-if-plan", "", "with -replay: re-plan the recorded campaign under this planner (order or cost) using journaled wall costs and report the projected wall-time delta — zero simulations")
-		whatIfProcs  = flag.Int("what-if-procs", 0, "with -replay: what-if claimant count (0 = the recorded claimant count); -budget replays the admission rule too")
-		rotateBytes  = flag.Int64("journal-rotate", 0, "rotate this process's campaign journal file once it would exceed `bytes` (0 = never; dir stores only — http claimants journal at the coordinator, see ompss-sweepd -journal-rotate)")
-		compactJrnl  = flag.Bool("compact-journal", false, "fold the store's closed journal segments into a checkpoint (see internal/journal) and exit; requires -store or -cache")
-		compactAfter = flag.Int("compact-after", 0, "auto-compact the journal once it holds this many closed `segments`: each claimant folds them in-line after a rotation, racing through a lock file (0 = never; requires -journal-rotate and a dir store)")
-		csvPath      = flag.String("csv", "", "write per-cell CSV to this file (- for stdout)")
-		jsonPath     = flag.String("json", "", "write per-cell JSON to this file (- for stdout)")
-		costCSV      = flag.String("cost-csv", "", "write per-run wall-clock cost CSV to this file (- for stdout; execution facts, not deterministic)")
-		costJSON     = flag.String("cost-json", "", "write per-run wall-clock cost JSON to this file (- for stdout)")
-		quiet        = flag.Bool("quiet", false, "suppress the progress and cache-stats lines")
-		noSummary    = flag.Bool("no-summary", false, "suppress the text summary table")
-		listApps     = flag.Bool("list-apps", false, "list registered applications and exit")
+		appsFlag    = flag.String("apps", strings.Join(exp.DefaultApps(), ","), "comma-separated app names")
+		schedFlag   = flag.String("schedulers", strings.Join(exp.DefaultSchedulers(), ","), "comma-separated scheduler names")
+		machineFlag = flag.String("machines", "", "comma-separated machine shapes: node, cluster:RxC, cluster:RxC+Gg (default node)")
+		smpFlag     = flag.String("smp", "2,4", "comma-separated SMP worker counts")
+		gpuFlag     = flag.String("gpus", "1,2", "comma-separated GPU counts")
+		lambdaFlag  = flag.String("lambdas", "", "comma-separated versioning learning thresholds (0 = paper default 3)")
+		tolFlag     = flag.String("size-tolerances", "", "comma-separated size-grouping tolerances (0 = exact matching)")
+		ewmaFlag    = flag.String("ewma-alphas", "", "comma-separated EWMA alphas in [0,1] (0 = arithmetic mean)")
+		localFlag   = flag.String("locality", "", "comma-separated bools for the locality-aware extension (default false)")
+		chaosFlag   = flag.String("chaos", "", "comma-separated chaos fault-injection specs, e.g. 'none,gpu1:drop@40%' (clauses inside one spec join with ';'; none = no faults; default no chaos axis)")
+		noiseFlag   = flag.String("noise", "0.05", "comma-separated jitter sigmas")
+		replicas    = flag.Int("replicas", 3, "seed replicas per cell")
+		seed        = flag.Int64("seed", 1, "base seed for the replica seeds (0 = default 1)")
+		sizeFlag    = flag.String("size", "tiny", "problem size tier: tiny, quick or full")
+		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
+		storeURL    = flag.String("store", "", "campaign store URL: dir:///path or http://host:port (an ompss-sweepd coordinator); skip runs the store has seen, store new ones")
+		cachePath   = flag.String("cache", "", "campaign cache directory (alias for -store dir://DIR)")
+		planFlag    = flag.String("plan", "order", "uncached-cell execution order: order (grid expansion) or cost (most expensive first, from costs recorded in -cache)")
+		budgetFlag  = flag.Duration("budget", 0, "stop claiming new cells once cost-model estimates of the admitted work would exceed this many simulation-seconds (requires -cache; implies -plan cost; skipped cells are reported and left for an unbudgeted resume)")
+		traceDir    = flag.String("trace-dir", "", "write one Paraver .prv/.pcf pair per freshly simulated run into this directory")
+		chromeDir   = flag.String("chrome-trace-dir", "", "write one Chrome trace-event .trace.json per freshly simulated run into this directory")
+		procs       = flag.Int("procs", 1, "spawn this many claim-worker processes over -cache and merge their results")
+		claim       = flag.Bool("claim", false, "run as one claim worker: lease uncached cells of -cache, simulate, store, exit when the grid is fully cached")
+		leaseTTL    = flag.Duration("lease-ttl", exp.DefaultLeaseTTL, "claim-mode lease staleness threshold (crashed workers' cells are reclaimed after this)")
+		watchDir    = flag.String("watch", "", "tail this campaign store — a directory, dir:// URL or http:// coordinator — (cells done, leases outstanding) instead of sweeping; uses the grid flags for the total")
+		watchEvery  = flag.Duration("watch-interval", time.Second, "poll interval for -watch")
+		replayDir   = flag.String("replay", "", "render this campaign store's forensics timeline from its journals (per-claimant Gantt, contention, reclaim storms, cost histogram, exactly-once audit) and exit; -csv/-json write the per-cell table / full report")
+		whatIfPlan  = flag.String("what-if-plan", "", "with -replay: re-plan the recorded campaign under this planner (order or cost) using journaled wall costs and report the projected wall-time delta — zero simulations")
+		whatIfProcs = flag.Int("what-if-procs", 0, "with -replay: what-if claimant count (0 = the recorded claimant count); -budget replays the admission rule too")
+		rotateBytes = flag.Int64("journal-rotate", 0, "rotate this process's campaign journal file once it would exceed `bytes`, folding the closed segments into a checkpoint (0 = never; dir stores only — http claimants journal at the coordinator, see ompss-sweepd -journal-rotate)")
+		csvPath     = flag.String("csv", "", "write per-cell CSV to this file (- for stdout)")
+		jsonPath    = flag.String("json", "", "write per-cell JSON to this file (- for stdout)")
+		costCSV     = flag.String("cost-csv", "", "write per-run wall-clock cost CSV to this file (- for stdout; execution facts, not deterministic)")
+		costJSON    = flag.String("cost-json", "", "write per-run wall-clock cost JSON to this file (- for stdout)")
+		quiet       = flag.Bool("quiet", false, "suppress the progress and cache-stats lines")
+		noSummary   = flag.Bool("no-summary", false, "suppress the text summary table")
+		listApps    = flag.Bool("list-apps", false, "list registered applications and exit")
 	)
 	flag.Parse()
 
@@ -246,39 +241,6 @@ func main() {
 			ds.SetJournalRotateBytes(*rotateBytes)
 		}
 	}
-	if *compactAfter != 0 {
-		if *compactAfter < 0 {
-			fatal(fmt.Errorf("-compact-after must be non-negative, got %d", *compactAfter))
-		}
-		if store == nil {
-			fatal(fmt.Errorf("-compact-after requires -store (or -cache): the journal lives in the store"))
-		}
-		if *rotateBytes == 0 {
-			fatal(fmt.Errorf("-compact-after counts closed segments, which only rotation produces: pass -journal-rotate too"))
-		}
-		// Dir stores only, like -journal-rotate: an http claimant's
-		// journal lives at the coordinator, whose ompss-sweepd ticks its
-		// own interval-driven compactor. Forwarded to -procs workers so
-		// the whole fleet shares one threshold (any member's rotation can
-		// trip the fold; the lock file picks the one that runs it).
-		if ds, ok := store.(*exp.DirStore); ok {
-			ds.SetJournalCompactAfter(*compactAfter)
-		}
-	}
-	if *compactJrnl {
-		if store == nil {
-			fatal(fmt.Errorf("-compact-journal requires -store (or -cache): the journal lives in the store"))
-		}
-		if *claim || *procs > 1 {
-			fatal(fmt.Errorf("-compact-journal is a maintenance action, not a worker mode: drop -claim/-procs"))
-		}
-		stats, err := store.CompactJournal()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "ompss-sweep: journal compacted: %v store=%s\n", stats, store.Description())
-		return
-	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	switch {
@@ -353,13 +315,7 @@ func main() {
 		}
 		sinks = append(sinks, sink)
 	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		camp.Sink = sinks[0]
-	default:
-		camp.Sink = exp.MultiSink(sinks...)
-	}
+	camp.Sink = exp.MultiSink(sinks...)
 	var progress exp.Observer
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "ompss-sweep: %d runs (%d cells x %d replicas), %d workers, plan=%s\n",
@@ -377,7 +333,6 @@ func main() {
 		// read-only shared cache journals nothing and keeps working (an
 		// unwritable journal surfaces as the warning below).
 		journalRec = exp.NewJournalRecorder(store, exp.DefaultOwner())
-		defer journalRec.Close()
 		camp.Observer = exp.MultiObserver(progress, journalRec)
 	} else {
 		camp.Observer = progress
@@ -473,33 +428,26 @@ func main() {
 		if jerr := journalRec.Err(); jerr != nil {
 			fmt.Fprintf(os.Stderr, "ompss-sweep: warning: campaign journal incomplete: %v\n", jerr)
 		}
-	}
-	if ds, ok := store.(*exp.DirStore); ok && *compactAfter > 0 {
-		// Auto-compact failures never fail the appends they rode on, so
-		// this exit check is their only surfacing.
-		if _, cerr := ds.JournalAutoCompaction(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "ompss-sweep: warning: journal auto-compaction failed: %v\n", cerr)
+		// A failed compaction pass never fails the append it rode on;
+		// closing the journal is where it surfaces.
+		if cerr := journalRec.Close(); cerr != nil {
+			fmt.Fprintf(os.Stderr, "ompss-sweep: warning: %v\n", cerr)
 		}
 	}
 
-	if *csvPath != "" {
-		if err := writeTo(*csvPath, res, exp.WriteCSV); err != nil {
-			fatal(err)
-		}
-	}
-	if *jsonPath != "" {
-		if err := writeTo(*jsonPath, res, exp.WriteJSON); err != nil {
-			fatal(err)
-		}
-	}
-	if *costCSV != "" {
-		if err := writeTo(*costCSV, res, exp.WriteCostCSV); err != nil {
-			fatal(err)
-		}
-	}
-	if *costJSON != "" {
-		if err := writeTo(*costJSON, res, exp.WriteCostJSON); err != nil {
-			fatal(err)
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer, *exp.SweepResult) error
+	}{
+		{*csvPath, exp.WriteCSV},
+		{*jsonPath, exp.WriteJSON},
+		{*costCSV, exp.WriteCostCSV},
+		{*costJSON, exp.WriteCostJSON},
+	} {
+		if out.path != "" {
+			if err := writeTo(out.path, func(w io.Writer) error { return out.write(w, res) }); err != nil {
+				fatal(err)
+			}
 		}
 	}
 	if !*noSummary {
@@ -582,17 +530,7 @@ func (p *linePrefixer) Write(data []byte) (int, error) {
 // filesystem or can reach the coordinator; it never writes, claims or
 // simulates.
 func watch(target string, grid exp.Grid, interval, ttl time.Duration) {
-	if !strings.Contains(target, "://") {
-		// A bare path names a directory; unlike a sweep, a watcher must
-		// not create (and then happily tail) an empty store on a typo.
-		if _, err := os.Stat(target); err != nil {
-			fatal(fmt.Errorf("-watch %s: %w", target, err))
-		}
-	}
-	store, err := sweepd.OpenStore(target)
-	if err != nil {
-		fatal(err)
-	}
+	store := openExisting("watch", target)
 	defer store.Close()
 	// The Watcher precomputes the grid's spec hashes once; each poll is
 	// then grid-size map lookups over the store's manifest snapshot plus
@@ -643,17 +581,7 @@ type replayOptions struct {
 // different planner/worker-count/budget, priced with the journaled
 // wall costs.
 func replay(target string, opt replayOptions) {
-	if !strings.Contains(target, "://") {
-		// A bare path names a directory; like -watch, a forensics read
-		// must not create (and then happily dissect) an empty store.
-		if _, err := os.Stat(target); err != nil {
-			fatal(fmt.Errorf("-replay %s: %w", target, err))
-		}
-	}
-	store, err := sweepd.OpenStore(target)
-	if err != nil {
-		fatal(err)
-	}
+	store := openExisting("replay", target)
 	defer store.Close()
 	recs, stats, err := store.PollJournal()
 	if err != nil {
@@ -673,12 +601,12 @@ func replay(target string, opt replayOptions) {
 		rep.WhatIf = wi
 	}
 	if opt.csvPath != "" {
-		if err := writeReport(opt.csvPath, rep.WriteCSV); err != nil {
+		if err := writeTo(opt.csvPath, rep.WriteCSV); err != nil {
 			fatal(err)
 		}
 	}
 	if opt.jsonPath != "" {
-		if err := writeReport(opt.jsonPath, rep.WriteJSON); err != nil {
+		if err := writeTo(opt.jsonPath, rep.WriteJSON); err != nil {
 			fatal(err)
 		}
 	}
@@ -689,9 +617,24 @@ func replay(target string, opt replayOptions) {
 	}
 }
 
-// writeReport is writeTo for the forensics writers (which close over
-// their report instead of taking a *SweepResult).
-func writeReport(path string, write func(io.Writer) error) error {
+// openExisting opens the store a reader mode (-watch, -replay) names.
+// A bare path names a directory; unlike a sweep, a reader must not
+// create (and then happily read) an empty store on a typo.
+func openExisting(mode, target string) exp.CellStore {
+	if !strings.Contains(target, "://") {
+		if _, err := os.Stat(target); err != nil {
+			fatal(fmt.Errorf("-%s %s: %w", mode, target, err))
+		}
+	}
+	store, err := sweepd.OpenStore(target)
+	if err != nil {
+		fatal(err)
+	}
+	return store
+}
+
+// writeTo runs write against the named file, or stdout for "-".
+func writeTo(path string, write func(io.Writer) error) error {
 	if path == "-" {
 		return write(os.Stdout)
 	}
@@ -719,7 +662,6 @@ func claimWorkerArgs(fl *flag.FlagSet) []string {
 		"cost-csv": true, "cost-json": true,
 		"watch": true, "watch-interval": true,
 		"replay": true, "what-if-plan": true, "what-if-procs": true,
-		"compact-journal": true,
 		// -journal-rotate is deliberately forwarded: every fleet member
 		// rotates its own journal file at the coordinator's threshold.
 		"quiet": true, "no-summary": true, "list-apps": true,
@@ -768,21 +710,6 @@ func spawnClaimWorkers(n int, args []string) error {
 		}
 	}
 	return firstErr
-}
-
-func writeTo(path string, res *exp.SweepResult, write func(w io.Writer, res *exp.SweepResult) error) error {
-	if path == "-" {
-		return write(os.Stdout, res)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, res); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func splitList(s string) []string {

@@ -10,14 +10,17 @@
 // claimants coordinate correctly against the same campaign, and the
 // daemon can be restarted at any time without losing anything.
 //
-// Long campaigns keep their journal bounded with -journal-rotate
-// (claimants appending through this daemon spill into closed segments
-// at the threshold) and -journal-compact (a periodic compactor folds
-// the segments into a checkpoint; see internal/journal).
+// Long campaigns keep their journal bounded with -journal-rotate:
+// claimants appending through this daemon spill into closed segments
+// at the threshold, and each rotation folds the segments into a
+// checkpoint (see internal/journal). A failed compaction pass is
+// printed on stderr when the daemon shuts down; it never fails an
+// append.
 //
 // Usage:
 //
 //	ompss-sweepd -dir /var/ompss/campaign -addr :8427
+//	ompss-sweepd -dir /var/ompss/campaign -journal-rotate 1048576
 package main
 
 import (
@@ -40,12 +43,10 @@ func main() {
 	dirFlag := flag.String("dir", "", "campaign store directory to serve (required)")
 	addrFlag := flag.String("addr", ":8427", "listen address (host:port)")
 	rotateFlag := flag.Int64("journal-rotate", 0,
-		"rotate journal files appended via this daemon once they would exceed `bytes` (0 = never)")
-	compactFlag := flag.Duration("journal-compact", 0,
-		"fold closed journal segments into a checkpoint every `period` (0 = never)")
+		"rotate journal files appended via this daemon once they would exceed `bytes`, folding the closed segments into a checkpoint (0 = never)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: ompss-sweepd -dir DIR [-addr HOST:PORT]\n\n"+
+			"usage: ompss-sweepd -dir DIR [-addr HOST:PORT] [-journal-rotate BYTES]\n\n"+
 				"Serve a campaign store directory to ompss-sweep fleets over HTTP.\n"+
 				"Claimants join with: ompss-sweep -store http://HOST:PORT -claim ...\n\n")
 		flag.PrintDefaults()
@@ -61,27 +62,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()
+	defer func() {
+		// Closing the claimants' journal writers reports any compaction
+		// pass that failed while they appended.
+		if err := store.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "ompss-sweepd: %v\n", err)
+		}
+	}()
 	store.SetJournalRotateBytes(*rotateFlag)
 	srv := sweepd.NewServer(store)
 	defer srv.Close()
-
-	if *compactFlag > 0 {
-		// The daemon is the natural single compactor for its directory:
-		// remote claimants have no path to it, and journal.Compact never
-		// touches the active files local claimants append.
-		go func() {
-			tick := time.NewTicker(*compactFlag)
-			defer tick.Stop()
-			for range tick.C {
-				if stats, err := store.CompactJournal(); err != nil {
-					fmt.Fprintf(os.Stderr, "ompss-sweepd: journal compaction: %v\n", err)
-				} else if stats.Checkpoint != "" || stats.Segments > 0 {
-					fmt.Fprintf(os.Stderr, "ompss-sweepd: journal compacted: %s\n", stats)
-				}
-			}
-		}()
-	}
 
 	ln, err := net.Listen("tcp", *addrFlag)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/safefile"
 	"repro/ompss"
 )
 
@@ -37,9 +39,9 @@ const CacheFormatVersion = 1
 //     hash-mismatched file is a miss; the cell is re-simulated and the
 //     file atomically replaced.
 //   - Concurrent writers are safe: entries are written to a temp file
-//     and renamed into place, and two writers of the same hash write the
-//     same result by construction (only the advisory wall_s cost can
-//     differ, and either value is valid).
+//     and renamed into place (safefile.Write), and two writers of the
+//     same hash write the same result by construction (only the
+//     advisory wall_s cost can differ, and either value is valid).
 //
 // The directory is also the coordination substrate for multi-process
 // campaigns: claimants serialize work through <hash>.json.lease files
@@ -73,15 +75,6 @@ type DirStore struct {
 	// jrotate is the journal rotation threshold handed to lazily opened
 	// writers (0 = unbounded files; see SetJournalRotateBytes).
 	jrotate int64
-	// jcompactAfter is the segment-count auto-compact threshold
-	// (0 = never; see SetJournalCompactAfter); jrotSeen tracks each
-	// writer's last observed rotation count so the policy only pays a
-	// directory scan when a rotation actually produced a new segment;
-	// jcompacts and jcompactErr record what the policy did.
-	jcompactAfter int
-	jrotSeen      map[string]int
-	jcompacts     int
-	jcompactErr   error
 }
 
 // OpenDirStore opens (creating if needed) a store directory and
@@ -101,7 +94,6 @@ func OpenDirStore(dir string) (*DirStore, error) {
 		manifest: make(map[string]ManifestEntry),
 		journals: make(map[string]*journal.Writer),
 		jerrs:    make(map[string]error),
-		jrotSeen: make(map[string]int),
 	}
 	if err := c.reconcileManifest(); err != nil {
 		return nil, err
@@ -122,7 +114,9 @@ func (c *DirStore) Description() string { return "dir://" + c.dir }
 func (c *DirStore) CellReads() int64 { return c.cellReads.Load() }
 
 // Close implements CellStore: it closes any journal writers opened by
-// AppendJournal. Cells, leases and the manifest hold no open state.
+// AppendJournal, reporting the first failure — including a writer's
+// failed compaction pass (see journal.Writer.Close). Cells, leases and
+// the manifest hold no open state.
 func (c *DirStore) Close() error {
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
@@ -192,7 +186,7 @@ func (c *DirStore) readCell(hash string) (cacheEntry, bool) {
 }
 
 // StoreCell implements CellStore: it persists a completed run
-// atomically (temp file + rename), so a crashed or killed campaign
+// atomically (safefile.Write), so a crashed or killed campaign
 // never leaves a half-written cell behind, then records the cell in the
 // campaign manifest. A manifest failure is an error like a cell-write
 // failure — a completed campaign must leave a complete manifest — but a
@@ -212,22 +206,12 @@ func (c *DirStore) StoreCell(rr RunResult) error {
 	if err != nil {
 		return fmt.Errorf("exp: encoding cache entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, hash+".tmp-*")
+	err = safefile.Write(c.path(hash), false, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("exp: writing cache entry: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: writing cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: writing cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: committing cache entry: %w", err)
 	}
 	return c.recordManifest(ManifestEntry{Hash: hash, WallSec: rr.Wall.Seconds(), Spec: spec})
 }
@@ -258,7 +242,9 @@ func (c *DirStore) ReadCellData(hash string) (CellData, bool) {
 // on the first record — a store that never journals creates no files —
 // and kept open until Close. An owner whose journal failed to open
 // stays failed (the error is returned on every later append) rather
-// than retrying per record.
+// than retrying per record. With a rotation threshold set, the append
+// that rotates a file also compacts the directory (see
+// journal.OpenRotating); a failed pass surfaces at Close, never here.
 func (c *DirStore) AppendJournal(owner string, rec journal.Record) error {
 	if owner == "" {
 		owner = defaultOwner()
@@ -278,91 +264,19 @@ func (c *DirStore) AppendJournal(owner string, rec journal.Record) error {
 		}
 		c.journals[owner] = w
 	}
-	if err := w.Append(rec); err != nil {
-		return err
-	}
-	c.maybeAutoCompactLocked(owner, w)
-	return nil
-}
-
-// maybeAutoCompactLocked applies the segment-count auto-compact policy
-// after a successful append (jmu held): when this append rotated a new
-// closed segment into the directory and the directory now holds at
-// least the threshold's worth of segments, fold them. The lock-file
-// race (see journal.CompactExclusive) makes this safe for a fleet of
-// claimants sharing the directory — losers of the race skip their
-// pass. Failures never fail the append that triggered them: the
-// journal history is intact either way, so the error is parked for
-// JournalAutoCompaction to report.
-func (c *DirStore) maybeAutoCompactLocked(owner string, w *journal.Writer) {
-	if c.jcompactAfter <= 0 {
-		return
-	}
-	rot := w.Rotations()
-	if rot == c.jrotSeen[owner] {
-		return
-	}
-	c.jrotSeen[owner] = rot
-	if journal.SegmentCount(c.JournalDir()) < c.jcompactAfter {
-		return
-	}
-	_, held, err := journal.CompactExclusive(c.JournalDir())
-	if err != nil {
-		c.jcompactErr = err
-		return
-	}
-	if held {
-		c.jcompacts++
-	}
+	return w.Append(rec)
 }
 
 // SetJournalRotateBytes bounds the journal files this store's writers
 // append: once an active file would exceed n bytes it is rotated aside
-// as a closed segment (see journal.OpenRotating). Only writers opened
-// after the call are affected, so set it before the campaign starts;
-// n <= 0 (the default) never rotates. Readers need no configuration
-// either way.
+// as a closed segment and the directory's segments are folded into a
+// checkpoint (see journal.OpenRotating). Only writers opened after the
+// call are affected, so set it before the campaign starts; n <= 0 (the
+// default) never rotates. Readers need no configuration either way.
 func (c *DirStore) SetJournalRotateBytes(n int64) {
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
 	c.jrotate = n
-}
-
-// SetJournalCompactAfter arms the segment-count auto-compact policy:
-// whenever one of this store's journal appends rotates a segment aside
-// and the journal directory then holds at least n closed segments,
-// the store folds them into a checkpoint in-line (mirroring the
-// ompss-sweepd daemon's interval ticker, but driven by the quantity
-// the bound is actually about). Unlike CompactJournal, the in-line
-// pass is claimant-safe: a lock file serializes compactors across the
-// processes sharing the directory. n <= 0 (the default) disables the
-// policy. Pair it with SetJournalRotateBytes — without rotation no
-// segment ever appears and the policy never fires.
-func (c *DirStore) SetJournalCompactAfter(n int) {
-	c.jmu.Lock()
-	defer c.jmu.Unlock()
-	c.jcompactAfter = n
-}
-
-// JournalAutoCompaction reports what the SetJournalCompactAfter policy
-// has done: completed in-line compaction passes, and the most recent
-// pass failure (nil if none). Auto-compact failures are deliberately
-// not surfaced through AppendJournal — the append they rode on
-// succeeded — so campaign drivers should check here at exit.
-func (c *DirStore) JournalAutoCompaction() (passes int, lastErr error) {
-	c.jmu.Lock()
-	defer c.jmu.Unlock()
-	return c.jcompacts, c.jcompactErr
-}
-
-// CompactJournal implements CellStore: it folds this store's closed
-// journal segments (rotation spill-over) and any prior checkpoint into
-// a fresh checkpoint file and deletes them. Safe while claimants
-// append and rotate; run one compactor at a time per directory.
-func (c *DirStore) CompactJournal() (journal.CompactStats, error) {
-	c.jmu.Lock()
-	defer c.jmu.Unlock()
-	return journal.Compact(c.JournalDir())
 }
 
 // closeJournal closes and forgets one owner's journal writer (the

@@ -2,20 +2,22 @@ package exp
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
 )
 
-// TestAutoCompactReaderInvariance drives one rotation-heavy journal
-// stream into two stores — one with the segment-count auto-compact
-// policy armed, one rotation-only — and asserts the policy's two
-// contracts: it actually fires (passes recorded, segments folded), and
-// every journal reader sees the same campaign through it (the
-// byte-identity discipline extends to compaction: folding history must
-// never rewrite it).
+// TestAutoCompactReaderInvariance drives one journal stream into two
+// stores — one rotating at a tiny threshold, so its writers compact on
+// every rotation, and an unrotated twin — and asserts the two
+// contracts of self-compaction: it actually happens (checkpoints in
+// place of segments), and every journal reader sees the same campaign
+// through it (the byte-identity discipline extends to compaction:
+// folding history must never rewrite it).
 func TestAutoCompactReaderInvariance(t *testing.T) {
 	control, err := OpenDirStore(t.TempDir())
 	if err != nil {
@@ -25,11 +27,7 @@ func TestAutoCompactReaderInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const threshold = 2
-	for _, c := range []*DirStore{control, auto} {
-		c.SetJournalRotateBytes(192) // a couple of records per segment
-	}
-	auto.SetJournalCompactAfter(threshold)
+	auto.SetJournalRotateBytes(192) // a couple of records per segment
 
 	// Two claimants interleaving claim/done records with explicit
 	// timestamps, so the two directories replay to identical cell and
@@ -56,23 +54,27 @@ func TestAutoCompactReaderInvariance(t *testing.T) {
 		}
 	}
 
-	passes, cerr := auto.JournalAutoCompaction()
-	if cerr != nil {
-		t.Fatalf("auto-compaction error: %v", cerr)
+	// Serial appends never contend for the compaction lock, so every
+	// rotation folded its segment: the rotating store holds its two
+	// active files and one checkpoint, exactly what the twin holds
+	// less the checkpoint.
+	files := func(c *DirStore) []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(c.JournalDir(), "*.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range names {
+			names[i] = filepath.Base(n)
+		}
+		return names
 	}
-	if passes == 0 {
-		t.Fatal("auto-compact policy never fired over a rotation-heavy stream")
+	if got := files(auto); len(got) != 3 || !strings.HasPrefix(got[0], "checkpoint-") ||
+		got[1] != "w1.jsonl" || got[2] != "w2.jsonl" {
+		t.Fatalf("rotating store holds %v, want one checkpoint and the two active files", got)
 	}
-	if cp, _ := control.JournalAutoCompaction(); cp != 0 {
-		t.Fatalf("unarmed store ran %d compaction passes", cp)
-	}
-	controlSegs := journal.SegmentCount(control.JournalDir())
-	autoSegs := journal.SegmentCount(auto.JournalDir())
-	if controlSegs <= threshold {
-		t.Fatalf("control store spilled only %d segments; fixture is not rotation-heavy", controlSegs)
-	}
-	if autoSegs >= controlSegs {
-		t.Fatalf("auto-compacting store holds %d segments, control %d: nothing was folded", autoSegs, controlSegs)
+	if got, want := files(control), []string{"w1.jsonl", "w2.jsonl"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unrotated store holds %v, want %v", got, want)
 	}
 
 	want := replayStore(t, control)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/safefile"
 )
 
 // TestJournalCrashSafety is the journal's SIGKILL battery, the
@@ -69,7 +70,7 @@ func TestJournalCrashSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpath := filepath.Join(cache.JournalDir(), journal.SanitizeOwner(owner)+".jsonl")
+	jpath := filepath.Join(cache.JournalDir(), safefile.Name(owner)+".jsonl")
 	if _, err := os.Stat(jpath); err != nil {
 		t.Fatalf("dead worker left no journal: %v", err)
 	}
@@ -162,13 +163,14 @@ func TestJournalCrashSafety(t *testing.T) {
 
 // TestJournalRotationCrashSafety is the rotation arm of the SIGKILL
 // battery: a worker journaling with a tiny rotation threshold is
-// killed while it demonstrably holds leases and has already spilled
-// closed segments — so the kill can land mid-append or mid-rotation.
-// The crash-left directory must replay cleanly, compact into a
-// checkpoint without losing anything, and a restarted claimant under
-// the same owner (same threshold) must finish the grid with
-// exactly-once completion visible through both ReadDir and a Tailer
-// over the checkpoint + fresh segments + active files.
+// killed while it demonstrably holds leases and has already rotated —
+// and so compacted — its journal, so the kill can land mid-append,
+// mid-rotation or mid-compaction. The crash-left directory must replay
+// cleanly, finish compacting into a checkpoint without losing
+// anything, and a restarted claimant under the same owner (same
+// threshold) must finish the grid with exactly-once completion visible
+// through both ReadDir and a Tailer over the checkpoint + any fresh
+// segments + active files.
 func TestJournalRotationCrashSafety(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses and waits out lease TTLs")
@@ -192,26 +194,28 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 	defer cmd.Process.Kill()
 	defer cmd.Wait()
 
-	// Kill once the worker holds a lease, at least one rotated segment
-	// exists AND a claim record is complete on disk: the journal is then
+	// Kill once the worker holds a lease, has rotated at least once (a
+	// segment or the checkpoint its rotation folded it into exists) AND
+	// a claim record is complete on disk: the journal is then
 	// mid-history across several files, with the active file hot. (The
 	// lease file and the first rotation both precede the claim record's
 	// append, so the first two alone can catch the worker before any
 	// claim is journaled.)
 	jdir := filepath.Join(dir, JournalDirName)
-	stem := journal.SanitizeOwner(owner)
-	segments := func() []string {
-		matches, _ := filepath.Glob(filepath.Join(jdir, stem+".0*.jsonl"))
+	stem := safefile.Name(owner)
+	glob := func(pattern string) []string {
+		matches, _ := filepath.Glob(filepath.Join(jdir, pattern))
 		return matches
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		leases, _ := globLeases(dir)
-		if len(leases) > 0 && len(segments()) > 0 && claimJournaled(jdir, owner) {
+		rotated := len(glob(stem+".0*.jsonl")) > 0 || len(glob("checkpoint-*.jsonl")) > 0
+		if len(leases) > 0 && rotated && claimJournaled(jdir, owner) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker never rotated a segment while holding a lease (segments: %v)", segments())
+			t.Fatalf("worker never rotated while holding a lease (files: %v)", glob("*"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -219,6 +223,16 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd.Wait()
+	// A kill mid-compaction leaves the worker's lock behind, which only
+	// its ten-minute staleness breaks; age it past that instead of
+	// waiting.
+	lock := filepath.Join(jdir, ".compact.lock")
+	if _, err := os.Stat(lock); err == nil {
+		old := time.Now().Add(-time.Hour)
+		if err := os.Chtimes(lock, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// The crash-left directory replays cleanly: whatever the kill tore
 	// is skipped and counted, every closed segment's records survive,
@@ -236,14 +250,14 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 		t.Errorf("dead worker journaled %d completions before its first 5s cell could finish", dead.Done)
 	}
 
-	// Compacting the crash-left segments (active file untouched) must
-	// preserve the replay exactly.
-	cstats, err := journal.Compact(jdir)
-	if err != nil {
+	// Finishing the compaction the kill may have interrupted (active
+	// file untouched) must preserve the replay exactly and leave every
+	// rotated segment folded into a checkpoint.
+	if _, err := journal.Compact(jdir); err != nil {
 		t.Fatal(err)
 	}
-	if cstats.Checkpoint == "" || cstats.Segments == 0 {
-		t.Fatalf("compaction folded nothing over the crashed segments: %v", cstats)
+	if segs, cks := glob(stem+".0*.jsonl"), glob("checkpoint-*.jsonl"); len(segs) != 0 || len(cks) != 1 {
+		t.Fatalf("after compaction: segments %v, checkpoints %v, want none and one", segs, cks)
 	}
 	recs, _, err = journal.ReadDir(jdir)
 	if err != nil {
@@ -287,9 +301,9 @@ func TestJournalRotationCrashSafety(t *testing.T) {
 		t.Errorf("survivor stats %v, want simulated=%d", camps, total)
 	}
 
-	// Rotation stayed in force across the restart: every rotated
-	// segment is bounded by the threshold plus at most one record.
-	for _, seg := range segments() {
+	// Rotation stayed in force across the restart: the active file and
+	// any segment are bounded by the threshold plus at most one record.
+	for _, seg := range glob(stem + "*.jsonl") {
 		if fi, err := os.Stat(seg); err == nil && fi.Size() > 2*rotateBytes {
 			t.Errorf("segment %s is %d bytes, threshold %d — rotation stopped bounding the journal",
 				filepath.Base(seg), fi.Size(), rotateBytes)

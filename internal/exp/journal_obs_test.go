@@ -160,6 +160,14 @@ func TestCampaignChromeSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Fewer than two sinks need no fan-out: none is no sink at all, and
+	// one is that sink itself.
+	if s := MultiSink(); s != nil {
+		t.Errorf("MultiSink() = %T, want nil", s)
+	}
+	if s := MultiSink(nil, chrome, nil); s != ArtifactSink(chrome) {
+		t.Errorf("MultiSink(nil, chrome, nil) = %T, want the chrome sink itself", s)
+	}
 	camp := Campaign{
 		Grid:      smallGrid(1), // 4 runs
 		Store:     cache,

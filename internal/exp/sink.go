@@ -5,8 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"repro/internal/safefile"
 	"repro/internal/trace"
 )
 
@@ -94,13 +94,20 @@ func (s *ChromeTraceSink) Consume(rr RunResult, tr *trace.Tracer) error {
 // MultiSink fans each simulated run's tracer out to several sinks, in
 // order (e.g. Paraver and Chrome trace exports from one campaign). A
 // nil entry is skipped; the first sink error stops the fan-out and
-// fails the campaign, like any sink error.
+// fails the campaign, like any sink error. With no sinks left it
+// returns nil (no sink), and with one it returns that sink itself.
 func MultiSink(sinks ...ArtifactSink) ArtifactSink {
 	compact := make([]ArtifactSink, 0, len(sinks))
 	for _, s := range sinks {
 		if s != nil {
 			compact = append(compact, s)
 		}
+	}
+	switch len(compact) {
+	case 0:
+		return nil
+	case 1:
+		return compact[0]
 	}
 	return multiSink(compact)
 }
@@ -117,27 +124,13 @@ func (m multiSink) Consume(rr RunResult, tr *trace.Tracer) error {
 	return nil
 }
 
-// writeArtifact writes atomically (temp file + rename, the
-// DirStore.StoreCell pattern): two processes that simulate the same cell after a
-// pathological lease reclaim then race byte-identical renames, never
-// interleave truncate-and-write on one path.
+// writeArtifact writes atomically (safefile.Write, as
+// DirStore.StoreCell does): two processes that simulate the same cell
+// after a pathological lease reclaim then race byte-identical renames,
+// never interleave truncate-and-write on one path.
 func writeArtifact(path string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("exp: writing trace artifact: %w", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	if err := safefile.Write(path, false, write); err != nil {
 		return fmt.Errorf("exp: writing trace artifact %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("exp: writing trace artifact %s: %w", path, err)
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("exp: committing trace artifact %s: %w", path, err)
 	}
 	return nil
 }
@@ -150,18 +143,5 @@ func artifactSlug(spec RunSpec) string {
 	slug := fmt.Sprintf("%s_%s_%s_smp%d_gpu%d_n%s_s%d_%s",
 		spec.App, spec.Size, spec.Scheduler, spec.SMPWorkers, spec.GPUs,
 		ftoa(spec.NoiseSigma), spec.Seed, spec.Hash()[:12])
-	return sanitizeSlug(slug)
-}
-
-// sanitizeSlug keeps slugs filesystem-portable: anything outside
-// [A-Za-z0-9._-] becomes '-'.
-func sanitizeSlug(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		}
-		return '-'
-	}, s)
+	return safefile.Name(slug)
 }

@@ -57,13 +57,6 @@ type CellStore interface {
 	// The returned slice is reused by later polls; callers must not
 	// retain it.
 	PollJournal() ([]journal.Record, journal.ReadStats, error)
-	// CompactJournal folds the journal's closed rotation segments (and
-	// any prior checkpoint) into a fresh checkpoint file and deletes
-	// them (see journal.Compact). Replay over PollJournal is unchanged
-	// by compaction; a journal with nothing to fold — rotation never
-	// enabled, or already compact — is a no-op with zero stats, not an
-	// error.
-	CompactJournal() (journal.CompactStats, error)
 	// Snapshot returns the store's settled-cell view from the campaign
 	// manifest. The snapshot's map is shared with the store; callers
 	// must treat it as read-only and must not retain it across calls.

@@ -11,6 +11,7 @@ package storetest
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func Run(t *testing.T, open Factory) {
 	t.Run("TornJournalTolerated", func(t *testing.T) { testTornJournal(t, open(t)) })
 	t.Run("SnapshotTracksStores", func(t *testing.T) { testSnapshot(t, open(t)) })
 	t.Run("IdlePollsReadNoCells", func(t *testing.T) { testIdlePolls(t, open(t)) })
-	t.Run("RotationCompactionInvariant", func(t *testing.T) { testRotationCompaction(t, open(t)) })
+	t.Run("RotationCompactionInvariant", func(t *testing.T) { testRotationCompaction(t, open) })
 }
 
 // spec returns the i-th of a family of distinct, hashable specs. The
@@ -249,32 +250,19 @@ func testJournalAppendPoll(t *testing.T, env Env) {
 	if len(recs2) != len(recs) {
 		t.Errorf("idle poll changed the timeline: %d vs %d records", len(recs2), len(recs))
 	}
-	// Compacting a journal with no closed segments is a clean no-op.
-	cstats, err := s.CompactJournal()
-	if err != nil {
-		t.Fatalf("CompactJournal on an uncompactable journal: %v", err)
-	}
-	if cstats.Checkpoint != "" || cstats.Segments != 0 {
-		t.Errorf("no-op compaction did %+v", cstats)
-	}
-	recs3, _, err := s.PollJournal()
-	if err != nil {
-		t.Fatalf("PollJournal after no-op compaction: %v", err)
-	}
-	if len(recs3) != len(recs) {
-		t.Errorf("no-op compaction changed the timeline: %d vs %d records", len(recs3), len(recs))
-	}
 }
 
 // testRotationCompaction is the cross-host rotation contract: with a
 // rotation threshold set on the backing store, appends spill into
-// closed segments, and CompactJournal through the store API folds them
-// without changing what Replay of PollJournal reports.
-func testRotationCompaction(t *testing.T, env Env) {
+// closed segments that the rotating writers fold into a checkpoint on
+// their own — no compaction call anywhere — and Replay of PollJournal
+// reports what it reports for an unrotated twin store fed the same
+// records.
+func testRotationCompaction(t *testing.T, open Factory) {
+	env, twin := open(t), open(t)
 	if env.SetRotate == nil {
 		t.Skip("store exposes no rotation hook")
 	}
-	s := env.Store
 	env.SetRotate(300)
 	const perOwner = 15
 	for i := 0; i < perOwner; i++ {
@@ -283,41 +271,40 @@ func testRotationCompaction(t *testing.T, env Env) {
 				Type: journal.TypeDone, Index: i, Hash: spec(i).Hash(),
 				WallSec: 0.25, T: float64(1000 + i),
 			}
-			if err := s.AppendJournal(owner, rec); err != nil {
-				t.Fatalf("AppendJournal(%s): %v", owner, err)
+			for _, s := range []exp.CellStore{env.Store, twin.Store} {
+				if err := s.AppendJournal(owner, rec); err != nil {
+					t.Fatalf("AppendJournal(%s): %v", owner, err)
+				}
 			}
 		}
 	}
-	recs, stats, err := s.PollJournal()
+	checkpoints, err := filepath.Glob(filepath.Join(env.JournalDir, "checkpoint-*.jsonl"))
 	if err != nil {
-		t.Fatalf("PollJournal: %v", err)
+		t.Fatal(err)
 	}
-	if stats.Files <= 2 {
-		t.Fatalf("rotation produced no segments: %d files for 2 owners", stats.Files)
+	if len(checkpoints) == 0 {
+		t.Fatal("rotation left no checkpoint behind: the writers never compacted")
 	}
-	before := journal.Replay(recs)
-
-	cstats, err := s.CompactJournal()
-	if err != nil {
-		t.Fatalf("CompactJournal: %v", err)
+	replay := func(s exp.CellStore) (*journal.Timeline, journal.ReadStats) {
+		recs, stats, err := s.PollJournal()
+		if err != nil {
+			t.Fatalf("PollJournal: %v", err)
+		}
+		return journal.Replay(recs), stats
 	}
-	if cstats.Checkpoint == "" || cstats.Segments == 0 {
-		t.Fatalf("compaction folded nothing: %+v", cstats)
+	got, stats := replay(env.Store)
+	want, _ := replay(twin.Store)
+	if got.Done != want.Done || got.CostSec != want.CostSec ||
+		got.DoubleDone != want.DoubleDone || len(got.Owners) != len(want.Owners) {
+		t.Errorf("rotation changed the replay: done %d vs %d, cost %g vs %g, double %d vs %d, owners %d vs %d",
+			got.Done, want.Done, got.CostSec, want.CostSec,
+			got.DoubleDone, want.DoubleDone, len(got.Owners), len(want.Owners))
 	}
-	recs, stats, err = s.PollJournal()
-	if err != nil {
-		t.Fatalf("PollJournal after compaction: %v", err)
-	}
-	after := journal.Replay(recs)
-	if after.Done != before.Done || after.CostSec != before.CostSec ||
-		after.DoubleDone != before.DoubleDone || len(after.Owners) != len(before.Owners) {
-		t.Errorf("compaction changed the replay: done %d->%d cost %g->%g double %d->%d owners %d->%d",
-			before.Done, after.Done, before.CostSec, after.CostSec,
-			before.DoubleDone, after.DoubleDone, len(before.Owners), len(after.Owners))
-	}
-	if after.Compacted == 0 {
+	if got.Compacted == 0 {
 		t.Error("replay does not report any compacted records")
 	}
+	// Appends here are serial, so every rotation's pass won the lock
+	// and folded its segment: two active files and one checkpoint.
 	if stats.Files > 3 {
 		t.Errorf("compaction left %d files, want the active files plus one checkpoint", stats.Files)
 	}

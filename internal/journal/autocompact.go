@@ -1,18 +1,17 @@
-// Claimant-driven compaction. Compact itself assumes one compactor per
-// directory — two concurrent passes would write the same checkpoint
-// name and delete each other's inputs — which is fine for the daemon's
-// interval ticker (one process, one ticker) but not for a fleet of
-// shared-dir claimants that each want to fold segments as they rotate.
-// CompactExclusive closes that gap: a best-effort lock file serializes
-// compactors across processes, and a claimant that loses the race
-// simply skips its pass — the winner folds the same segments.
+// Compaction runs itself: every rotating Writer folds the directory's
+// closed segments right after it rotates one aside. A fleet of
+// claimants — local ones, each with its own writer, and remote ones
+// whose writers live in the ompss-sweepd daemon — shares one journal
+// directory, and two concurrent passes would write the same checkpoint
+// name and delete each other's inputs. So every Compact call takes a
+// best-effort lock file first, and a pass that finds it held does
+// nothing: the holder folds the same segments, or the next rotation
+// does.
 package journal
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 )
 
@@ -23,56 +22,13 @@ const compactLockName = ".compact.lock"
 // compactLockTTL bounds how long a crashed compactor's lock survives.
 // Compaction is a sub-second pass over a handful of files; a lock this
 // old can only be the leavings of a SIGKILLed holder, so the next
-// claimant breaks it. Wall-clock by nature (cross-process liveness),
+// compactor breaks it. Wall-clock by nature (cross-process liveness),
 // like the claim protocol's lease TTL.
 const compactLockTTL = 10 * time.Minute
 
-// SegmentCount reports how many closed journal segments dir currently
-// holds — the quantity a segment-count compaction policy thresholds on.
-// Active per-owner files, checkpoints and foreign files don't count.
-// A missing or unreadable directory counts zero: the policy's answer
-// to "can't tell" is "nothing to fold", never an error.
-func SegmentCount(dir string) int {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), suffix) {
-			if _, _, ok := splitSegmentName(e.Name()); ok {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// CompactExclusive runs Compact under a cross-process lock file, for
-// callers that cannot guarantee they are the directory's only
-// compactor (shared-dir claimants; the daemon's ticker needs no lock
-// only because there is one daemon). held reports whether this call
-// won the lock and ran a pass: (stats, true, nil) is a completed pass,
-// (zero, false, nil) means another compactor holds the lock right now
-// and this one correctly did nothing. A lock older than ten minutes is
-// treated as a crashed holder's remains and broken.
-func CompactExclusive(dir string) (CompactStats, bool, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return CompactStats{}, false, fmt.Errorf("journal: opening directory: %w", err)
-	}
-	lock := filepath.Join(dir, compactLockName)
-	acquired, err := acquireCompactLock(lock)
-	if err != nil || !acquired {
-		return CompactStats{}, false, err
-	}
-	defer os.Remove(lock)
-	stats, err := Compact(dir)
-	return stats, true, err
-}
-
 // acquireCompactLock takes the lock with an exclusive create, breaking
 // a stale one first. The break window is racy in the benign direction:
-// two claimants that both see a stale lock can both remove it and one
+// two compactors that both see a stale lock can both remove it and one
 // wins the recreate; the only way two could hold the lock at once is a
 // compactor stalled past the TTL mid-pass, which the TTL is sized to
 // make implausible (minutes of margin over a sub-second operation).

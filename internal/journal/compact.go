@@ -1,8 +1,8 @@
 // Journal rotation spills an owner's history into closed segment files
-// (see Writer); this file is the other half of the size bound: a
-// compactor that folds closed segments into a single checkpoint record
-// so a long campaign's journal directory converges to one small file
-// per live claimant plus one checkpoint.
+// (see Writer); this file is the other half of the size bound: the
+// compaction pass every rotation runs, which folds closed segments into
+// a single checkpoint record so a long campaign's journal directory
+// converges to one small file per live claimant plus one checkpoint.
 //
 // Naming conventions inside a journal directory:
 //
@@ -21,17 +21,22 @@
 // checkpoint (temp file + rename) before deleting the folded files, so
 // a compactor killed between the two leaves both the checkpoint and
 // the dead files — readers ignore the dead files, and the next
-// compaction pass deletes them. At most one compactor should run
-// against a directory at a time (the daemon, or one operator command);
-// concurrent claimant appends and rotations are always safe.
+// compaction pass deletes them. Passes exclude each other through a
+// lock file (see autocompact.go); concurrent claimant appends and
+// rotations are always safe.
 package journal
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/safefile"
 )
 
 // checkpointPrefix is the file-name prefix of checkpoint files.
@@ -69,7 +74,8 @@ type Checkpoint struct {
 	Completions []Completion `json:"completions,omitempty"`
 }
 
-// CompactStats reports what one Compact pass did.
+// CompactStats reports what one Compact pass did. A pass that found
+// nothing to fold, or another pass holding the lock, reports zeros.
 type CompactStats struct {
 	// Checkpoint is the checkpoint file name written ("" when the pass
 	// only garbage-collected, or found nothing to do).
@@ -82,14 +88,6 @@ type CompactStats struct {
 	Records int
 	// BytesRemoved is the summed size of the deleted files.
 	BytesRemoved int64
-}
-
-func (s CompactStats) String() string {
-	if s.Checkpoint == "" && s.Segments == 0 && s.Checkpoints == 0 {
-		return "nothing to compact"
-	}
-	return fmt.Sprintf("checkpoint=%s segments=%d checkpoints=%d records=%d bytes_removed=%d",
-		s.Checkpoint, s.Segments, s.Checkpoints, s.Records, s.BytesRemoved)
 }
 
 // splitSegmentName decomposes a closed-segment file name
@@ -145,13 +143,29 @@ func supersededBy(recs []Record, sup map[string]bool) {
 // Compact folds every closed segment (and prior checkpoint) in a
 // journal directory into a fresh checkpoint file, then deletes the
 // folded files. Active per-owner files are never touched, so Compact
-// is safe to run while claimants append and rotate; run at most one
-// Compact against a directory at a time. Replay over the directory is
-// unchanged by compaction (same cells, owners, totals, windowed
-// rates); only the raw claim/reclaim record detail inside the folded
-// span is reduced to counters. A missing directory, or one with
-// nothing to fold, is a no-op, not an error.
+// is safe to run while claimants append and rotate. Every pass holds
+// the directory's compaction lock (see acquireCompactLock); a pass
+// that finds it held by another compactor, in this process or any
+// other, does nothing. Replay over the directory is unchanged by
+// compaction (same cells, owners, totals, windowed rates); only the
+// raw claim/reclaim record detail inside the folded span is reduced to
+// counters. A missing directory, one with nothing to fold, or a lost
+// lock race is a no-op with zero stats, not an error.
 func Compact(dir string) (CompactStats, error) {
+	lock := filepath.Join(dir, compactLockName)
+	held, err := acquireCompactLock(lock)
+	if errors.Is(err, fs.ErrNotExist) {
+		return CompactStats{}, nil
+	}
+	if err != nil || !held {
+		return CompactStats{}, err
+	}
+	defer os.Remove(lock)
+	return compactLocked(dir)
+}
+
+// compactLocked is one Compact pass, run with the lock held.
+func compactLocked(dir string) (CompactStats, error) {
 	var stats CompactStats
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -325,32 +339,19 @@ func Compact(dir string) (CompactStats, error) {
 }
 
 // writeCheckpointFile durably writes one checkpoint record as a
-// complete journal file: temp file, fsync, rename. Readers either see
-// the whole checkpoint or none of it, never a torn one.
+// complete journal file (fsynced before the rename). Readers either
+// see the whole checkpoint or none of it, never a torn one.
 func writeCheckpointFile(dir, name string, rec Record) error {
-	f, err := os.CreateTemp(dir, ".checkpoint-*")
+	line, err := encodeLine(rec, rec.Owner)
 	if err != nil {
-		return fmt.Errorf("journal: writing checkpoint: %w", err)
-	}
-	tmp := f.Name()
-	w := &Writer{f: f, owner: rec.Owner, path: tmp}
-	if err := w.Append(rec); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("journal: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: installing checkpoint: %w", err)
+	err = safefile.Write(filepath.Join(dir, name), true, func(w io.Writer) error {
+		_, err := w.Write(line)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("journal: writing checkpoint: %w", err)
 	}
 	return nil
 }

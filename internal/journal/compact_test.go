@@ -40,9 +40,10 @@ func nonOpen(recs []Record) []Record {
 // segments that every reader merges back into exactly the timeline an
 // unrotated writer would have produced — same records, same
 // equal-timestamp tie-break order — while each file stays under the
-// threshold.
+// threshold. A held compaction lock keeps the raw segments on disk.
 func TestWriterRotationEquivalence(t *testing.T) {
 	rotated, plain := t.TempDir(), t.TempDir()
+	holdCompactLock(t, rotated)
 	const threshold = 256
 	wr, err := OpenRotating(rotated, "alpha", threshold)
 	if err != nil {
@@ -97,9 +98,11 @@ func TestWriterRotationEquivalence(t *testing.T) {
 }
 
 // TestWriterRotationResumesSequence: a restarted claimant must continue
-// the segment sequence, never rename over a predecessor's segment.
+// the segment sequence, never rename over a predecessor's segment
+// still on disk (a held compaction lock keeps them there).
 func TestWriterRotationResumesSequence(t *testing.T) {
 	dir := t.TempDir()
+	holdCompactLock(t, dir)
 	for session := 0; session < 2; session++ {
 		w, err := OpenRotating(dir, "alpha", 128)
 		if err != nil {
@@ -130,11 +133,11 @@ func TestWriterRotationResumesSequence(t *testing.T) {
 	}
 }
 
-// TestWriterResumesSequencePastCheckpoint: compaction deletes an
-// owner's segments but their names live on in the checkpoint's Folds
-// list. A writer restarted after a compaction must resume its segment
-// sequence past those folded names — a fresh segment reusing one would
-// be silently dropped by every reader as already compacted.
+// TestWriterResumesSequencePastCheckpoint: the compaction every
+// rotation runs deletes an owner's segments but their names live on in
+// the checkpoint's Folds list. A restarted writer must resume its
+// segment sequence past those folded names — a fresh segment reusing
+// one would be silently dropped by every reader as already compacted.
 func TestWriterResumesSequencePastCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenRotating(dir, "alpha", 128)
@@ -149,8 +152,8 @@ func TestWriterResumesSequencePastCheckpoint(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(dir); err != nil {
-		t.Fatal(err)
+	if segs, cks := countSegments(t, dir); segs != 0 || cks != 1 {
+		t.Fatalf("first session left %d segments and %d checkpoints, want every segment folded", segs, cks)
 	}
 	w2, err := OpenRotating(dir, "alpha", 128)
 	if err != nil {
@@ -179,34 +182,47 @@ func TestWriterResumesSequencePastCheckpoint(t *testing.T) {
 }
 
 // TestTailerAcrossRotation: a tailer polling while the writer rotates
-// stays equivalent to ReadDir at every step.
+// stays equivalent to ReadDir at every step, both while rotation folds
+// each segment into a checkpoint and while a held compaction lock lets
+// the segments pile up.
 func TestTailerAcrossRotation(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenRotating(dir, "alpha", 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := NewTailer(dir)
-	for i := 0; i < 30; i++ {
-		if err := w.Append(Record{Type: TypeDone, Index: i, Hash: "h", T: float64(100 + i)}); err != nil {
-			t.Fatal(err)
+	for _, locked := range []bool{false, true} {
+		dir := t.TempDir()
+		if locked {
+			holdCompactLock(t, dir)
 		}
-		got, gotStats, err := tl.Poll()
+		w, err := OpenRotating(dir, "alpha", 200)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats, err := ReadDir(dir)
-		if err != nil {
+		tl := NewTailer(dir)
+		for i := 0; i < 30; i++ {
+			if err := w.Append(Record{Type: TypeDone, Index: i, Hash: "h", T: float64(100 + i)}); err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := tl.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStats, err := ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("locked=%v, after %d appends: poll diverges from ReadDir\n got %+v\nwant %+v", locked, i+1, got, want)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("locked=%v, after %d appends: poll stats %+v, ReadDir %+v", locked, i+1, gotStats, wantStats)
+			}
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("after %d appends: poll diverges from ReadDir\n got %+v\nwant %+v", i+1, got, want)
-		}
-		if gotStats != wantStats {
-			t.Fatalf("after %d appends: poll stats %+v, ReadDir %+v", i+1, gotStats, wantStats)
+		segs, cks := countSegments(t, dir)
+		if locked && (segs == 0 || cks != 0) || !locked && (segs != 0 || cks != 1) {
+			t.Fatalf("locked=%v: %d segments and %d checkpoints left", locked, segs, cks)
 		}
 	}
-	w.Close()
 }
 
 // timelineEqual compares the replayed state two timelines agree on
@@ -244,9 +260,12 @@ func timelineEqual(t *testing.T, got, want *Timeline, label string) {
 
 // buildRotatedCampaign journals a small two-claimant campaign with tiny
 // rotation thresholds: claims, dones (one double-done), cached views, a
-// budget skip, and a malformed line in a closed segment.
+// budget skip, and a malformed line in a closed segment. It holds the
+// compaction lock throughout, so the segments are left for the test's
+// own Compact calls.
 func buildRotatedCampaign(t *testing.T, dir string) {
 	t.Helper()
+	defer holdCompactLock(t, dir)()
 	wa, err := OpenRotating(dir, "alpha", 180)
 	if err != nil {
 		t.Fatal(err)

@@ -32,9 +32,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/safefile"
 )
 
 // Version is the journal record schema version, stamped into every
@@ -124,7 +125,7 @@ const suffix = ".jsonl"
 // callers can name the file (diagnostics, lazy writers) without
 // creating it.
 func FilePath(dir, owner string) string {
-	return filepath.Join(dir, SanitizeOwner(owner)+suffix)
+	return filepath.Join(dir, safefile.Name(owner)+suffix)
 }
 
 // Writer appends records to one owner's journal file. It is safe for
@@ -133,10 +134,12 @@ func FilePath(dir, owner string) string {
 //
 // A writer opened with OpenRotating additionally bounds its active
 // file: once an append would grow it past the threshold, the file is
-// first renamed aside as a closed segment (<stem>.NNNNNN.jsonl) and a
-// fresh active file is started. Segments keep the .jsonl suffix, so
-// every reader (ReadDir, Tailer) merges them with zero configuration —
-// rotation is lossless until a compactor folds the segments away.
+// first renamed aside as a closed segment (<stem>.NNNNNN.jsonl), a
+// fresh active file is started, and the writer folds the directory's
+// closed segments into a checkpoint (see Compact). Segments and
+// checkpoints keep the .jsonl suffix, so every reader (ReadDir, Tailer)
+// merges them with zero configuration, and neither step changes what a
+// reader replays.
 type Writer struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -145,12 +148,12 @@ type Writer struct {
 	dir   string
 	stem  string
 	// rotateBytes is the active-file size threshold (0 = never rotate);
-	// size tracks the active file, seq the last segment number used,
-	// rotations the count of successful rotations this session.
+	// size tracks the active file, seq the last segment number used.
 	rotateBytes int64
 	size        int64
 	seq         int
-	rotations   int
+	// compactErr is the first failed compaction pass, reported by Close.
+	compactErr error
 }
 
 // Open creates (if needed) the journal directory and opens the owner's
@@ -164,15 +167,15 @@ func Open(dir, owner string) (*Writer, error) {
 
 // OpenRotating is Open with size-bounded active files: once an append
 // would grow the active journal past rotateBytes, the file is rotated
-// aside as a closed segment first (see Writer). A record larger than
-// the threshold still rotates and is then written whole — rotation
-// bounds file size per segment, it never refuses a record.
+// aside as a closed segment and compacted first (see Writer). A record
+// larger than the threshold still rotates and is then written whole —
+// rotation bounds file size per segment, it never refuses a record.
 // rotateBytes <= 0 disables rotation.
 func OpenRotating(dir, owner string, rotateBytes int64) (*Writer, error) {
 	if owner == "" {
 		return nil, errors.New("journal: owner must not be empty")
 	}
-	stem := SanitizeOwner(owner)
+	stem := safefile.Name(owner)
 	// The rotation and compaction machinery claims two name patterns in
 	// the journal directory; an owner whose file stem collided with
 	// either would corrupt another writer's rotated history.
@@ -277,38 +280,15 @@ func (w *Writer) Path() string { return w.path }
 // Owner returns the owner tag stamped into this writer's records.
 func (w *Writer) Owner() string { return w.owner }
 
-// Rotations reports how many times this writer has rotated its active
-// file aside this session. The count is an edge signal, not dir state:
-// a caller that polls it after each Append learns exactly when a new
-// closed segment appeared, which is the cheap moment to decide whether
-// the directory has accumulated enough segments to be worth compacting
-// (see CompactExclusive).
-func (w *Writer) Rotations() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotations
-}
-
 // Append stamps and writes one record as a single JSON line. The line
 // is written with one write call on an O_APPEND descriptor, so
 // concurrent appenders (or a crash) can tear at most the final line of
 // the file, never interleave or damage earlier lines.
 func (w *Writer) Append(r Record) error {
-	r.V = Version
-	if r.T == 0 {
-		r.T = float64(time.Now().UnixNano()) / 1e9
-	}
-	if r.Owner == "" {
-		r.Owner = w.owner
-	}
-	if r.Type == "" {
-		return errors.New("journal: record needs a type")
-	}
-	line, err := json.Marshal(r)
+	line, err := encodeLine(r, w.owner)
 	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
+		return err
 	}
-	line = append(line, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -324,56 +304,71 @@ func (w *Writer) Append(r Record) error {
 	return nil
 }
 
+// encodeLine stamps a record (schema version, the current time when T
+// is zero, owner when empty) and encodes it as one JSON line.
+func encodeLine(r Record, owner string) ([]byte, error) {
+	r.V = Version
+	if r.T == 0 {
+		r.T = float64(time.Now().UnixNano()) / 1e9
+	}
+	if r.Owner == "" {
+		r.Owner = owner
+	}
+	if r.Type == "" {
+		return nil, errors.New("journal: record needs a type")
+	}
+	line, err := json.Marshal(r)
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding record: %w", err)
+	}
+	return append(line, '\n'), nil
+}
+
 // rotateLocked renames the active file aside as the next closed
-// segment and starts a fresh active file. The segment name sorts
-// before the active file (digits sort before letters), so the merged
-// timeline's equal-timestamp tie-break — sorted file-name order —
-// keeps segment records ahead of later active-file records, exactly
-// the order the single unrotated file would have had.
+// segment, starts a fresh active file, and runs a compaction pass. The
+// segment name sorts before the active file (digits sort before
+// letters), so the merged timeline's equal-timestamp tie-break — sorted
+// file-name order — keeps segment records ahead of later active-file
+// records, exactly the order the single unrotated file would have had.
 //
 // Failure handling favors the history over the bound: if the rename
 // fails the writer keeps appending to the oversized active file and
 // retries on the next append; if reopening after a successful rename
 // fails, the writer is dead (w.f nil) and every later Append errors
-// rather than silently widening the closed segment.
+// rather than silently widening the closed segment. A failed
+// compaction pass never fails the append that triggered it — the
+// history is intact either way — and is kept for Close to report.
 func (w *Writer) rotateLocked() {
 	seg := filepath.Join(w.dir, fmt.Sprintf("%s.%06d%s", w.stem, w.seq+1, suffix))
 	if err := os.Rename(w.path, seg); err != nil {
 		return
 	}
 	w.seq++
-	w.rotations++
 	w.f.Close()
 	w.f = nil
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return
+	if f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644); err == nil {
+		w.f = f
+		w.size = 0
 	}
-	w.f = f
-	w.size = 0
+	if _, err := Compact(w.dir); err != nil && w.compactErr == nil {
+		w.compactErr = err
+	}
 }
 
 // Close closes the journal file. Records already appended stay durable;
 // a writer that never closes (crash) loses nothing but its torn tail.
+// A compaction pass that failed during this session is reported here,
+// once the file itself closed cleanly.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Close()
-}
-
-// SanitizeOwner maps an owner tag to a filesystem-portable file stem:
-// anything outside [A-Za-z0-9._-] becomes '-'. The default owner form
-// host:pid therefore journals as host-pid.jsonl.
-func SanitizeOwner(owner string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
+	if w.f != nil {
+		if err := w.f.Close(); err != nil {
+			return err
 		}
-		return '-'
-	}, owner)
+	}
+	if w.compactErr != nil {
+		return fmt.Errorf("journal auto-compaction failed: %w", w.compactErr)
+	}
+	return nil
 }

@@ -45,10 +45,6 @@ type Cell struct {
 	WallSec float64 `json:"wall_s,omitempty"`
 }
 
-// Complete reports whether the cell reached a terminal state in the
-// replayed history: simulated by someone, or observed cached.
-func (c *Cell) Complete() bool { return c.Done > 0 || c.Cached > 0 }
-
 // Owner aggregates one claimant's activity across all its sessions.
 // JSON tags are the checkpoint serialization.
 type Owner struct {

@@ -46,7 +46,7 @@ func TestReplayTimeline(t *testing.T) {
 	}
 
 	h0 := tl.Cells["h0"]
-	if h0.Cached != 2 || h0.Done != 0 || !h0.Complete() {
+	if h0.Cached != 2 || h0.Done != 0 {
 		t.Errorf("h0 = %+v", h0)
 	}
 	h1 := tl.Cells["h1"]
@@ -54,7 +54,7 @@ func TestReplayTimeline(t *testing.T) {
 		t.Errorf("h1 = %+v", h1)
 	}
 	h3 := tl.Cells["h3"]
-	if h3.Skipped != 2 || h3.Complete() {
+	if h3.Skipped != 2 || h3.Done != 0 || h3.Cached != 0 {
 		t.Errorf("h3 = %+v", h3)
 	}
 

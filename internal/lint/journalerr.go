@@ -9,7 +9,7 @@ import (
 
 // JournalErr flags dropped errors from the campaign persistence layer:
 // journal appends (journal.Writer.Append, CellStore.AppendJournal) and
-// cell-store mutations (StoreCell, CompactJournal). The journal is the
+// cell-store mutations (StoreCell). The journal is the
 // exactly-once evidence of a campaign — a swallowed append error means
 // a record the forensics replay, the -watch rates and the double-done
 // audit will silently never see, and a swallowed StoreCell means a
@@ -29,10 +29,9 @@ var JournalErr = &analysis.Analyzer{
 // package (see journalRecv) so unrelated Append/Write methods stay
 // out of scope.
 var journalMethods = map[string]bool{
-	"Append":         true, // journal.Writer
-	"AppendJournal":  true, // exp.CellStore and implementations
-	"StoreCell":      true,
-	"CompactJournal": true,
+	"Append":        true, // journal.Writer
+	"AppendJournal": true, // exp.CellStore and implementations
+	"StoreCell":     true,
 }
 
 // journalRecvPkgs are the import-path tails a flagged receiver type

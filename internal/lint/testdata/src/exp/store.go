@@ -7,7 +7,6 @@ import "journal"
 type CellStore interface {
 	StoreCell(hash string, data []byte) error
 	AppendJournal(owner string, rec journal.Record) error
-	CompactJournal() (int, error)
 }
 
 type Planner interface{ Name() string }
@@ -16,4 +15,3 @@ type DirStore struct{}
 
 func (s *DirStore) StoreCell(hash string, data []byte) error             { return nil }
 func (s *DirStore) AppendJournal(owner string, rec journal.Record) error { return nil }
-func (s *DirStore) CompactJournal() (int, error)                         { return 0, nil }

@@ -29,11 +29,6 @@ func StoreDrop(s exp.CellStore, rec journal.Record) {
 	s.StoreCell("h", nil)      // want "error from CellStore.StoreCell discarded"
 }
 
-func CompactBlank(s *exp.DirStore) int {
-	n, _ := s.CompactJournal() // want "error from DirStore.CompactJournal assigned to _"
-	return n
-}
-
 // Checked propagation in any form is fine.
 func Checked(w *journal.Writer, rec journal.Record) error {
 	return w.Append(rec)

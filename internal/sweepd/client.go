@@ -270,23 +270,6 @@ func (s *HTTPStore) PollJournal() ([]journal.Record, journal.ReadStats, error) {
 	return s.jrecs, s.jstats, nil
 }
 
-// CompactJournal implements exp.CellStore: the coordinator compacts
-// its own journal directory (it is the only process with the
-// directory in hand; see journal.Compact for the one-compactor rule).
-func (s *HTTPStore) CompactJournal() (journal.CompactStats, error) {
-	var resp compactResponse
-	if err := s.doJSON(http.MethodPost, "/v1/journal/compact", nil, &resp); err != nil {
-		return journal.CompactStats{}, err
-	}
-	return journal.CompactStats{
-		Checkpoint:   resp.Checkpoint,
-		Segments:     resp.Segments,
-		Checkpoints:  resp.Checkpoints,
-		Records:      resp.Records,
-		BytesRemoved: resp.BytesRemoved,
-	}, nil
-}
-
 // Snapshot implements exp.CellStore, revision-cached like PollJournal.
 func (s *HTTPStore) Snapshot() (exp.StoreSnapshot, error) {
 	s.mmu.Lock()

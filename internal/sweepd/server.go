@@ -109,7 +109,6 @@ func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 	mux.HandleFunc("GET /v1/leases", s.handleLeases)
 	mux.HandleFunc("POST /v1/journal", s.handleJournalAppend)
 	mux.HandleFunc("GET /v1/journal", s.handleJournalPoll)
-	mux.HandleFunc("POST /v1/journal/compact", s.handleJournalCompact)
 	mux.HandleFunc("GET /v1/manifest", s.handleManifest)
 	mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -373,27 +372,6 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleJournalCompact folds the store's closed journal segments into
-// a checkpoint (see journal.Compact). It holds the poll lock so the
-// fingerprint never straddles a half-compacted directory — the next
-// poll sees the compacted view atomically and bumps the revision.
-func (s *Server) handleJournalCompact(w http.ResponseWriter, r *http.Request) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	stats, err := s.store.CompactJournal()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "compacting journal: %v", err)
-		return
-	}
-	writeJSON(w, compactResponse{
-		Checkpoint:   stats.Checkpoint,
-		Segments:     stats.Segments,
-		Checkpoints:  stats.Checkpoints,
-		Records:      stats.Records,
-		BytesRemoved: stats.BytesRemoved,
-	})
 }
 
 // queryRev parses the client's cached-revision query parameter (0 = no

@@ -20,9 +20,8 @@
 //	POST /v1/lease/refresh     ← tokenRequest → 204 | 410 gone
 //	POST /v1/lease/release     ← tokenRequest → 204 (idempotent)
 //	GET  /v1/leases            → leasesResponse
-//	POST /v1/journal           ← journalAppend → 204
+//	POST /v1/journal           ← journalAppend → 204 (rotates and compacts here)
 //	GET  /v1/journal?rev=N     → journalResponse (full or unchanged)
-//	POST /v1/journal/compact   → compactResponse
 //	GET  /v1/manifest?rev=N    → manifestResponse (full or unchanged)
 //	GET  /v1/watch             → SSE stream of watchEvent
 //	GET  /v1/metrics           → metricsResponse
@@ -79,16 +78,6 @@ type journalResponse struct {
 	Unchanged bool              `json:"unchanged,omitempty"`
 	Records   []journal.Record  `json:"records,omitempty"`
 	Stats     journal.ReadStats `json:"stats"`
-}
-
-// compactResponse reports what one journal compaction pass did
-// (journal.CompactStats on the wire).
-type compactResponse struct {
-	Checkpoint   string `json:"checkpoint,omitempty"`
-	Segments     int    `json:"segments"`
-	Checkpoints  int    `json:"checkpoints"`
-	Records      int    `json:"records"`
-	BytesRemoved int64  `json:"bytes_removed"`
 }
 
 // manifestResponse is the full settled-cell manifest, or just the
