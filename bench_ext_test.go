@@ -13,34 +13,9 @@ import (
 	"repro/ompss"
 )
 
-// BenchmarkSchedulerComparisonRandDAG runs the same irregular random DAG
-// under every policy. Reported sim-s is the virtual makespan:
-// lower = better schedule; wall-clock ns/op measures scheduler decision
-// cost on the identical workload.
-func BenchmarkSchedulerComparisonRandDAG(b *testing.B) {
-	for _, s := range []string{"versioning", "bf", "dep", "affinity", "wf", "random"} {
-		b.Run(s, func(b *testing.B) {
-			b.ReportAllocs()
-			var res ompss.Result
-			for i := 0; i < b.N; i++ {
-				r, err := ompss.NewRuntime(ompss.Config{
-					Scheduler:  s,
-					SMPWorkers: 8,
-					GPUs:       2,
-					Seed:       1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := apps.BuildRandDAG(r, apps.RandDAGConfig{Seed: 1, Layers: 20, Width: 24}); err != nil {
-					b.Fatal(err)
-				}
-				res = r.Execute()
-			}
-			b.ReportMetric(res.Elapsed.Seconds(), "sim-s")
-		})
-	}
-}
+// BenchmarkSchedulerComparisonRandDAG regenerates ext-sched: the same
+// irregular random DAG under every policy.
+func BenchmarkSchedulerComparisonRandDAG(b *testing.B) { benchExperiment(b, "ext-sched") }
 
 // BenchmarkSchedulerComparisonMatmul compares the policies on the paper's
 // matmul: only the versioning scheduler can exploit the hybrid version
@@ -65,77 +40,13 @@ func BenchmarkSchedulerComparisonMatmul(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterScaling grows the machine from one node to a multi-node
-// cluster with remote GPUs, running the hybrid matmul throughout: the
-// reported GFLOP/s shows what InfiniBand staging costs against the extra
-// devices' peak.
-func BenchmarkClusterScaling(b *testing.B) {
-	configs := []struct {
-		name    string
-		machine *ompss.Machine
-		smp     int
-		gpus    int
-	}{
-		{"1node", nil, 8, 2},
-		{"+2nodes-cores", ompss.Cluster(8, 2, 2, 6), 20, 2},
-		{"+2nodes-1gpu", ompss.ClusterGPU(8, 2, 2, 6, 1), 20, 4},
-		{"+4nodes-1gpu", ompss.ClusterGPU(8, 2, 4, 6, 1), 32, 6},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res ompss.Result
-			for i := 0; i < b.N; i++ {
-				r, err := ompss.NewRuntime(ompss.Config{
-					Machine:    cfg.machine,
-					Scheduler:  "versioning",
-					SMPWorkers: cfg.smp,
-					GPUs:       cfg.gpus,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := apps.BuildMatmul(r, apps.MatmulConfig{N: 8192, Variant: apps.MatmulHybrid}); err != nil {
-					b.Fatal(err)
-				}
-				res = r.Execute()
-			}
-			b.ReportMetric(res.GFlops, "GFLOP/s")
-			b.ReportMetric(float64(res.TotalTxBytes())/1e9, "tx-GB")
-		})
-	}
-}
+// BenchmarkClusterScaling regenerates ext-cluster: the hybrid matmul
+// from one node to multi-node clusters with remote GPUs.
+func BenchmarkClusterScaling(b *testing.B) { benchExperiment(b, "ext-cluster") }
 
-// BenchmarkEnergyBySchedule integrates the MinoTauro power model over the
-// schedules the different policies produce for the same Cholesky: the
-// energy spread quantifies what scheduling is worth in joules, not just
-// seconds (the Section II motivation).
-func BenchmarkEnergyBySchedule(b *testing.B) {
-	for _, s := range []string{"bf", "affinity", "versioning"} {
-		b.Run(s, func(b *testing.B) {
-			b.ReportAllocs()
-			var joules, edp float64
-			for i := 0; i < b.N; i++ {
-				variant := apps.CholeskyPotrfGPU
-				if s == "versioning" {
-					variant = apps.CholeskyPotrfHybrid
-				}
-				r, err := ompss.NewRuntime(ompss.Config{Scheduler: s, SMPWorkers: 8, GPUs: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := apps.BuildCholesky(r, apps.CholeskyConfig{N: 16384, BS: 2048, Variant: variant}); err != nil {
-					b.Fatal(err)
-				}
-				r.Execute()
-				rep := r.EnergyReport(nil)
-				joules, edp = rep.TotalJoules(), rep.EDP()
-			}
-			b.ReportMetric(joules, "J")
-			b.ReportMetric(edp, "EDP")
-		})
-	}
-}
+// BenchmarkEnergyBySchedule regenerates ext-energy: the power model
+// integrated over each policy's Cholesky schedule.
+func BenchmarkEnergyBySchedule(b *testing.B) { benchExperiment(b, "ext-energy") }
 
 // BenchmarkStencilVariants compares gpu-only, smp-only and hybrid Jacobi:
 // bandwidth-bound tasks with halo transfers every sweep.

@@ -1,13 +1,14 @@
 // Package repro's root benchmarks regenerate every table and figure of
 // the paper's evaluation under testing.B, one benchmark per artifact,
-// plus ablation benchmarks for the design choices DESIGN.md calls out
-// (learning threshold, prefetch/overlap, the future-work extensions).
+// each through the same harness.Run path as ompss-bench, plus ablation
+// benchmarks for the scheduler's and runtime's design choices (learning
+// threshold, prefetch/overlap, the future-work extensions).
 //
 //	go test -bench=. -benchmem                 # everything, quick sizes
 //	go test -bench=BenchmarkFig6 -paper        # one figure at paper size
 //
-// Reported custom metrics: GFLOP/s (figures 6/9), seconds (figure 12) and
-// transferred gigabytes (figures 7/10/13).
+// Artifact benchmarks report the rendered row count; the ablations report
+// GFLOP/s, simulated seconds or transferred gigabytes.
 package repro
 
 import (
@@ -27,23 +28,23 @@ func opts() harness.Options {
 	return harness.Options{Quick: !*paperSizes}
 }
 
-// benchExperiment runs a whole harness experiment per iteration.
+// benchExperiment resolves one harness experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	e, ok := harness.ByID(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	b.ReportAllocs()
-	var rep *harness.Report
+	var reps []*harness.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = e.Run(opts())
+		reps, err = harness.Run([]harness.Experiment{e}, opts())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	if rep != nil {
-		b.ReportMetric(float64(len(rep.Rows)), "rows")
+	if reps != nil {
+		b.ReportMetric(float64(len(reps[0].Rows)), "rows")
 	}
 }
 
@@ -54,236 +55,37 @@ func BenchmarkTableI(b *testing.B) { benchExperiment(b, "table1") }
 // scenario.
 func BenchmarkFig5Decision(b *testing.B) { benchExperiment(b, "fig5") }
 
-// --- Figure 6/7/8: matrix multiplication ---
+// BenchmarkFig6MatmulPerf regenerates Figure 6 (matmul GFLOP/s).
+func BenchmarkFig6MatmulPerf(b *testing.B) { benchExperiment(b, "fig6") }
 
-func matmulBench(b *testing.B, variant apps.MatmulVariant, sched string, smp, gpus int) ompss.Result {
-	n := 8192
-	if *paperSizes {
-		n = 16384
-	}
-	var res ompss.Result
-	for i := 0; i < b.N; i++ {
-		r, err := ompss.NewRuntime(ompss.Config{Scheduler: sched, SMPWorkers: smp, GPUs: gpus})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := apps.BuildMatmul(r, apps.MatmulConfig{N: n, BS: 1024, Variant: variant}); err != nil {
-			b.Fatal(err)
-		}
-		res = r.Execute()
-	}
-	return res
-}
+// BenchmarkFig7MatmulTransfers regenerates Figure 7 (matmul transfers).
+func BenchmarkFig7MatmulTransfers(b *testing.B) { benchExperiment(b, "fig7") }
 
-// BenchmarkFig6MatmulPerf regenerates Figure 6: achieved GFLOP/s per
-// series; sub-benchmarks are the paper's series x resource grid.
-func BenchmarkFig6MatmulPerf(b *testing.B) {
-	for _, s := range []struct {
-		label   string
-		variant apps.MatmulVariant
-		sched   string
-	}{
-		{"mm-gpu-dep", apps.MatmulGPU, "dep"},
-		{"mm-gpu-aff", apps.MatmulGPU, "affinity"},
-		{"mm-hyb-ver", apps.MatmulHybrid, "versioning"},
-	} {
-		for _, gpus := range []int{1, 2} {
-			for _, smp := range []int{1, 8} {
-				b.Run(fmt.Sprintf("%s/gpus=%d/smp=%d", s.label, gpus, smp), func(b *testing.B) {
-					res := matmulBench(b, s.variant, s.sched, smp, gpus)
-					b.ReportMetric(res.GFlops, "GFLOP/s")
-				})
-			}
-		}
-	}
-}
+// BenchmarkFig8MatmulTaskStats regenerates Figure 8 (matmul version shares).
+func BenchmarkFig8MatmulTaskStats(b *testing.B) { benchExperiment(b, "fig8") }
 
-// BenchmarkFig7MatmulTransfers regenerates Figure 7: transferred bytes by
-// category for the GA/GD/HV configurations.
-func BenchmarkFig7MatmulTransfers(b *testing.B) {
-	for _, c := range []struct {
-		label   string
-		variant apps.MatmulVariant
-		sched   string
-	}{
-		{"GA", apps.MatmulGPU, "affinity"},
-		{"GD", apps.MatmulGPU, "dep"},
-		{"HV", apps.MatmulHybrid, "versioning"},
-	} {
-		b.Run(c.label, func(b *testing.B) {
-			res := matmulBench(b, c.variant, c.sched, 8, 2)
-			b.ReportMetric(float64(res.InputTxBytes)/1e9, "inGB")
-			b.ReportMetric(float64(res.OutputTxBytes)/1e9, "outGB")
-			b.ReportMetric(float64(res.DeviceTxBytes)/1e9, "devGB")
-		})
-	}
-}
+// BenchmarkFig9CholeskyPerf regenerates Figure 9 (Cholesky GFLOP/s).
+func BenchmarkFig9CholeskyPerf(b *testing.B) { benchExperiment(b, "fig9") }
 
-// BenchmarkFig8MatmulTaskStats regenerates Figure 8: the per-version task
-// shares under the versioning scheduler.
-func BenchmarkFig8MatmulTaskStats(b *testing.B) {
-	for _, gpus := range []int{1, 2} {
-		b.Run(fmt.Sprintf("gpus=%d", gpus), func(b *testing.B) {
-			res := matmulBench(b, apps.MatmulHybrid, "versioning", 8, gpus)
-			b.ReportMetric(100*res.VersionShare(apps.MatmulTaskType, "matmul_tile_smp"), "smp%")
-			b.ReportMetric(100*res.VersionShare(apps.MatmulTaskType, "matmul_tile_cuda"), "cuda%")
-			b.ReportMetric(100*res.VersionShare(apps.MatmulTaskType, "matmul_tile_cublas"), "cublas%")
-		})
-	}
-}
+// BenchmarkFig10CholeskyTransfers regenerates Figure 10 (Cholesky transfers).
+func BenchmarkFig10CholeskyTransfers(b *testing.B) { benchExperiment(b, "fig10") }
 
-// --- Figure 9/10/11: Cholesky ---
+// BenchmarkFig11CholeskyTaskStats regenerates Figure 11 (potrf version shares).
+func BenchmarkFig11CholeskyTaskStats(b *testing.B) { benchExperiment(b, "fig11") }
 
-func choleskyBench(b *testing.B, variant apps.CholeskyVariant, sched string, smp, gpus int) ompss.Result {
-	n := 16384
-	if *paperSizes {
-		n = 32768
-	}
-	var res ompss.Result
-	for i := 0; i < b.N; i++ {
-		r, err := ompss.NewRuntime(ompss.Config{Scheduler: sched, SMPWorkers: smp, GPUs: gpus})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := apps.BuildCholesky(r, apps.CholeskyConfig{N: n, BS: 2048, Variant: variant}); err != nil {
-			b.Fatal(err)
-		}
-		res = r.Execute()
-	}
-	return res
-}
+// BenchmarkFig12PBPIPerf regenerates Figure 12 (PBPI execution time).
+func BenchmarkFig12PBPIPerf(b *testing.B) { benchExperiment(b, "fig12") }
 
-// BenchmarkFig9CholeskyPerf regenerates Figure 9: GFLOP/s per series.
-func BenchmarkFig9CholeskyPerf(b *testing.B) {
-	for _, s := range []struct {
-		label   string
-		variant apps.CholeskyVariant
-		sched   string
-	}{
-		{"potrf-smp-dep", apps.CholeskyPotrfSMP, "dep"},
-		{"potrf-gpu-dep", apps.CholeskyPotrfGPU, "dep"},
-		{"potrf-gpu-aff", apps.CholeskyPotrfGPU, "affinity"},
-		{"potrf-hyb-ver", apps.CholeskyPotrfHybrid, "versioning"},
-	} {
-		for _, gpus := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/gpus=%d", s.label, gpus), func(b *testing.B) {
-				res := choleskyBench(b, s.variant, s.sched, 8, gpus)
-				b.ReportMetric(res.GFlops, "GFLOP/s")
-			})
-		}
-	}
-}
+// BenchmarkFig13PBPITransfers regenerates Figure 13 (PBPI transfers).
+func BenchmarkFig13PBPITransfers(b *testing.B) { benchExperiment(b, "fig13") }
 
-// BenchmarkFig10CholeskyTransfers regenerates Figure 10.
-func BenchmarkFig10CholeskyTransfers(b *testing.B) {
-	for _, c := range []struct {
-		label   string
-		variant apps.CholeskyVariant
-		sched   string
-	}{
-		{"GA", apps.CholeskyPotrfGPU, "affinity"},
-		{"GD", apps.CholeskyPotrfGPU, "dep"},
-		{"HV", apps.CholeskyPotrfHybrid, "versioning"},
-	} {
-		b.Run(c.label, func(b *testing.B) {
-			res := choleskyBench(b, c.variant, c.sched, 8, 2)
-			b.ReportMetric(float64(res.InputTxBytes)/1e9, "inGB")
-			b.ReportMetric(float64(res.OutputTxBytes)/1e9, "outGB")
-			b.ReportMetric(float64(res.DeviceTxBytes)/1e9, "devGB")
-		})
-	}
-}
+// BenchmarkFig14PBPILoop1Stats regenerates Figure 14 (first-loop shares).
+func BenchmarkFig14PBPILoop1Stats(b *testing.B) { benchExperiment(b, "fig14") }
 
-// BenchmarkFig11CholeskyTaskStats regenerates Figure 11: potrf version
-// shares under the versioning scheduler.
-func BenchmarkFig11CholeskyTaskStats(b *testing.B) {
-	for _, gpus := range []int{1, 2} {
-		b.Run(fmt.Sprintf("gpus=%d", gpus), func(b *testing.B) {
-			res := choleskyBench(b, apps.CholeskyPotrfHybrid, "versioning", 8, gpus)
-			b.ReportMetric(100*res.VersionShare(apps.CholPotrfType, "potrf_cblas"), "smp%")
-			b.ReportMetric(100*res.VersionShare(apps.CholPotrfType, "potrf_magma"), "gpu%")
-		})
-	}
-}
+// BenchmarkFig15PBPILoop2Stats regenerates Figure 15 (second-loop shares).
+func BenchmarkFig15PBPILoop2Stats(b *testing.B) { benchExperiment(b, "fig15") }
 
-// --- Figure 12/13/14/15: PBPI ---
-
-func pbpiBench(b *testing.B, variant apps.PBPIVariant, sched string, smp, gpus int) ompss.Result {
-	gens := 25
-	if *paperSizes {
-		gens = 120
-	}
-	var res ompss.Result
-	for i := 0; i < b.N; i++ {
-		r, err := ompss.NewRuntime(ompss.Config{Scheduler: sched, SMPWorkers: smp, GPUs: gpus})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := apps.BuildPBPI(r, apps.PBPIConfig{Generations: gens, Variant: variant}); err != nil {
-			b.Fatal(err)
-		}
-		res = r.Execute()
-	}
-	return res
-}
-
-// BenchmarkFig12PBPIPerf regenerates Figure 12: total execution time.
-func BenchmarkFig12PBPIPerf(b *testing.B) {
-	for _, s := range []struct {
-		label   string
-		variant apps.PBPIVariant
-		sched   string
-		gpus    int
-	}{
-		{"pbpi-smp", apps.PBPISMP, "dep", 0},
-		{"pbpi-gpu", apps.PBPIGPU, "dep", 2},
-		{"pbpi-hyb", apps.PBPIHybrid, "versioning", 2},
-	} {
-		for _, smp := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/smp=%d", s.label, smp), func(b *testing.B) {
-				res := pbpiBench(b, s.variant, s.sched, smp, s.gpus)
-				b.ReportMetric(res.Elapsed.Seconds(), "sim-s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig13PBPITransfers regenerates Figure 13.
-func BenchmarkFig13PBPITransfers(b *testing.B) {
-	for _, s := range []struct {
-		label   string
-		variant apps.PBPIVariant
-		sched   string
-		gpus    int
-	}{
-		{"pbpi-smp", apps.PBPISMP, "dep", 0},
-		{"pbpi-gpu", apps.PBPIGPU, "dep", 2},
-		{"pbpi-hyb", apps.PBPIHybrid, "versioning", 2},
-	} {
-		b.Run(s.label, func(b *testing.B) {
-			res := pbpiBench(b, s.variant, s.sched, 8, s.gpus)
-			b.ReportMetric(float64(res.InputTxBytes)/1e9, "inGB")
-			b.ReportMetric(float64(res.OutputTxBytes)/1e9, "outGB")
-			b.ReportMetric(float64(res.DeviceTxBytes)/1e9, "devGB")
-		})
-	}
-}
-
-// BenchmarkFig14PBPILoop1Stats regenerates Figure 14.
-func BenchmarkFig14PBPILoop1Stats(b *testing.B) {
-	res := pbpiBench(b, apps.PBPIHybrid, "versioning", 8, 2)
-	b.ReportMetric(100*res.VersionShare(apps.PBPILoop1Type, "loop1_smp"), "smp%")
-	b.ReportMetric(100*res.VersionShare(apps.PBPILoop1Type, "loop1_gpu"), "gpu%")
-}
-
-// BenchmarkFig15PBPILoop2Stats regenerates Figure 15.
-func BenchmarkFig15PBPILoop2Stats(b *testing.B) {
-	res := pbpiBench(b, apps.PBPIHybrid, "versioning", 8, 2)
-	b.ReportMetric(100*res.VersionShare(apps.PBPILoop2Type, "loop2_smp"), "smp%")
-	b.ReportMetric(100*res.VersionShare(apps.PBPILoop2Type, "loop2_gpu"), "gpu%")
-}
-
-// --- Ablations: the design knobs DESIGN.md calls out ---
+// --- Ablations: the design knobs of the scheduler and runtime ---
 
 // BenchmarkAblationLambda sweeps the learning threshold on Cholesky,
 // where the paper observes the learning phase hurting (few potrf

@@ -1,6 +1,7 @@
-// Command ompss-bench regenerates the paper's tables and figures: it runs
-// the experiment definitions in internal/harness and prints the same
-// rows/series the paper reports.
+// Command ompss-bench regenerates the paper's tables and figures: it
+// resolves the selected experiment definitions in internal/harness —
+// every figure's runs through one deduplicated campaign — and prints the
+// same rows/series the paper reports.
 //
 // Usage:
 //
@@ -34,27 +35,21 @@ func main() {
 		fmt.Println(strings.Join(harness.IDs(), "\n"))
 		return
 	}
-	opts := harness.Options{Quick: *quick, Seed: *seed, Noise: *noise}
-
-	run := func(e harness.Experiment) {
-		rep, err := e.Run(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ompss-bench: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.Format())
-	}
-
+	exps := harness.All()
 	if *experiment != "" {
 		e, ok := harness.ByID(*experiment)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "ompss-bench: unknown experiment %q (have %v)\n", *experiment, harness.IDs())
 			os.Exit(2)
 		}
-		run(e)
-		return
+		exps = []harness.Experiment{e}
 	}
-	for _, e := range harness.All() {
-		run(e)
+	reps, err := harness.Run(exps, harness.Options{Quick: *quick, Seed: *seed, Noise: *noise})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ompss-bench: %v\n", err)
+		os.Exit(1)
+	}
+	for _, rep := range reps {
+		fmt.Println(rep.Format())
 	}
 }

@@ -32,8 +32,10 @@ type Campaign struct {
 	// case). Exactly one of Grid and Specs must be set.
 	Grid Grid
 	// Specs declares the campaign as an explicit cell list instead — for
-	// callers (the paper harness) whose cases are not a product. Each
-	// spec is one cell; aggregation treats every run as its own cell and
+	// callers whose cases are not a product, chiefly harness.Run, which
+	// passes every paper figure's distinct specs as one campaign. Each
+	// spec is one cell (duplicates are not merged here: the caller
+	// deduplicates); aggregation treats every run as its own cell and
 	// the result's Grid is left zero.
 	Specs []RunSpec
 	// Store, if set, makes the campaign resumable (and is required for

@@ -8,10 +8,20 @@ import (
 	"repro/ompss"
 )
 
-// runTable1 reproduces Table I: the TaskVersionSet data structure after a
+// table1 reproduces Table I: the TaskVersionSet data structure after a
 // run in which one task type was called with two different data-set sizes
 // (three versions) and another with one (two versions).
-func runTable1(opts Options) (*Report, error) {
+var table1 = Experiment{
+	ID: "table1", Title: "TaskVersionSet data structure (profiling store dump)",
+	Header: []string{"TaskVersionSet dump"},
+	Notes: []string{
+		"structure matches Table I: per task type, one group per data-set size,",
+		"per version <VersionId, ExecTime, #Exec>",
+	},
+	Render: renderTable1,
+}
+
+func renderTable1(opts Options, rep *Report) error {
 	r, err := ompss.NewRuntime(ompss.Config{
 		Scheduler:  "versioning",
 		SMPWorkers: 4,
@@ -23,7 +33,7 @@ func runTable1(opts Options) (*Report, error) {
 		CreateOverhead: 2 * time.Millisecond,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// task1: three versions (like the paper's task1-v1..v3).
 	task1 := r.DeclareTaskType("task1")
@@ -59,18 +69,24 @@ func runTable1(opts Options) (*Report, error) {
 	r.Execute()
 
 	table := r.ProfileTable()
-	rep := &Report{ID: "table1", Title: "TaskVersionSet data structure (profiling store dump)",
-		Header: []string{"TaskVersionSet dump"}}
 	for _, line := range strings.Split(strings.TrimRight(table, "\n"), "\n") {
 		rep.Rows = append(rep.Rows, []string{line})
 	}
-	rep.Notes = append(rep.Notes,
-		"structure matches Table I: per task type, one group per data-set size,",
-		"per version <VersionId, ExecTime, #Exec>")
-	return rep, nil
+	return nil
 }
 
-func runFig5(opts Options) (*Report, error) {
+// fig5 reproduces Figure 5's earliest-executor decision.
+var fig5 = Experiment{
+	ID: "fig5", Title: "Earliest-executor scheduling decision (busy GPU vs idle SMP)",
+	Header: []string{"version", "instances", "share"},
+	Notes: []string{
+		"the GPU version is 2.5x faster, yet the SMP worker receives a substantial share:",
+		"whenever the GPU queue exceeds the SMP mean, the idle SMP worker is the earliest executor",
+	},
+	Render: renderFig5,
+}
+
+func renderFig5(opts Options, rep *Report) error {
 	// The GPU version is fastest, but with a single GPU worker its
 	// queue grows; whenever the queue's estimated busy time
 	// exceeds the SMP version's mean, the idle SMP worker becomes
@@ -80,13 +96,14 @@ func runFig5(opts Options) (*Report, error) {
 		SMPWorkers: 1,
 		GPUs:       1,
 		Seed:       opts.Seed,
+		NoiseSigma: opts.Noise,
 		// Task creation takes time on the master thread, so
 		// readiness spreads out and each assignment sees the
 		// queues the paper's Figure 5 depicts.
 		CreateOverhead: 50 * time.Microsecond,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	kernel := r.DeclareTaskType("kernel")
 	kernel.AddVersion("kernel_gpu", ompss.CUDA, ompss.Fixed{D: 2 * time.Millisecond}, nil)
@@ -104,18 +121,13 @@ func runFig5(opts Options) (*Report, error) {
 	})
 	res := r.Execute()
 
-	rep := &Report{ID: "fig5", Title: "Earliest-executor scheduling decision (busy GPU vs idle SMP)",
-		Header: []string{"version", "instances", "share"}}
 	counts := res.VersionCounts["kernel"]
 	for _, v := range []string{"kernel_gpu", "kernel_smp"} {
 		rep.Rows = append(rep.Rows, []string{
 			v, fmt.Sprint(counts[v]), pct(res.VersionShare("kernel", v)),
 		})
 	}
-	rep.Notes = append(rep.Notes,
-		"the GPU version is 2.5x faster, yet the SMP worker receives a substantial share:",
-		"whenever the GPU queue exceeds the SMP mean, the idle SMP worker is the earliest executor",
-		fmt.Sprintf("makespan %.3fs vs %.3fs if all %d tasks had queued on the GPU",
-			res.Elapsed.Seconds(), float64(n)*0.002, n))
-	return rep, nil
+	rep.Notes = append(rep.Notes, fmt.Sprintf("makespan %.3fs vs %.3fs if all %d tasks had queued on the GPU",
+		res.Elapsed.Seconds(), float64(n)*0.002, n))
+	return nil
 }

@@ -27,6 +27,7 @@ package ompss
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -191,6 +192,9 @@ type Runtime struct {
 // NewRuntime builds a runtime from the configuration.
 func NewRuntime(cfg Config) (*Runtime, error) {
 	cfg.fillDefaults()
+	if cfg.NoiseSigma < 0 || math.IsNaN(cfg.NoiseSigma) {
+		return nil, fmt.Errorf("ompss: noise sigma %v: want a non-negative number", cfg.NoiseSigma)
+	}
 
 	var policy rt.Scheduler
 	var vs *versioning.Versioning

@@ -1,6 +1,8 @@
 package ompss_test
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +44,17 @@ func TestDefaults(t *testing.T) {
 func TestUnknownSchedulerRejected(t *testing.T) {
 	if _, err := ompss.NewRuntime(ompss.Config{Scheduler: "wat"}); err == nil {
 		t.Error("unknown scheduler should error")
+	}
+}
+
+// TestBadNoiseSigmaRejected: a negative or NaN jitter sigma is a
+// configuration error naming the value, not a panic from the noise model.
+func TestBadNoiseSigmaRejected(t *testing.T) {
+	for _, sigma := range []float64{-1, math.NaN()} {
+		_, err := ompss.NewRuntime(ompss.Config{NoiseSigma: sigma})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(sigma)) {
+			t.Errorf("NoiseSigma %v: err = %v, want an error naming the value", sigma, err)
+		}
 	}
 }
 
