@@ -77,6 +77,7 @@ type Cholesky struct {
 	// Real data (Verify mode): lower-triangle tiles, row-major.
 	a    [][]float64 // working matrix, becomes L
 	orig [][]float64 // copy of the input for the final check
+	data tileData    // each tile object's working tile
 }
 
 // Task type names (one version set per kernel).
@@ -134,7 +135,7 @@ func BuildCholesky(r *ompss.Runtime, cfg CholeskyConfig) (*Cholesky, error) {
 		}
 	}
 	if cfg.Verify {
-		app.initData()
+		app.initData(obj)
 	}
 
 	potrfFlops := bs * bs * bs / 3
@@ -146,22 +147,21 @@ func BuildCholesky(r *ompss.Runtime, cfg CholeskyConfig) (*Cholesky, error) {
 	if cfg.PotrfPriority {
 		potrfPrio = 1
 	}
-	tasks := newTileTasks(app.TaskCount())
 	r.Main(func(m *ompss.Master) {
 		for k := 0; k < t; k++ {
-			acc, idx := tasks.add([3]int{k, k, k}, ompss.InOut(obj[k][k]))
-			m.SubmitPriority(potrf, acc, ompss.Work{Flops: potrfFlops, Bytes: tileBytes}, idx, potrfPrio)
+			m.SubmitPriority(potrf, []ompss.Access{ompss.InOut(obj[k][k])},
+				ompss.Work{Flops: potrfFlops, Bytes: tileBytes}, nil, potrfPrio)
 			for i := k + 1; i < t; i++ {
-				acc, idx := tasks.add([3]int{i, k, k}, ompss.In(obj[k][k]), ompss.InOut(obj[i][k]))
-				m.Submit(trsm, acc, ompss.Work{Flops: trsmFlops, Bytes: 2 * tileBytes}, idx)
+				m.Submit(trsm, []ompss.Access{ompss.In(obj[k][k]), ompss.InOut(obj[i][k])},
+					ompss.Work{Flops: trsmFlops, Bytes: 2 * tileBytes}, nil)
 			}
 			for i := k + 1; i < t; i++ {
 				for j := k + 1; j < i; j++ {
-					acc, idx := tasks.add([3]int{i, j, k}, ompss.In(obj[i][k]), ompss.In(obj[j][k]), ompss.InOut(obj[i][j]))
-					m.Submit(gemm, acc, ompss.Work{Flops: gemmFlops, Bytes: 3 * tileBytes}, idx)
+					m.Submit(gemm, []ompss.Access{ompss.In(obj[i][k]), ompss.In(obj[j][k]), ompss.InOut(obj[i][j])},
+						ompss.Work{Flops: gemmFlops, Bytes: 3 * tileBytes}, nil)
 				}
-				acc, idx := tasks.add([3]int{i, i, k}, ompss.In(obj[i][k]), ompss.InOut(obj[i][i]))
-				m.Submit(syrk, acc, ompss.Work{Flops: syrkFlops, Bytes: 2 * tileBytes}, idx)
+				m.Submit(syrk, []ompss.Access{ompss.In(obj[i][k]), ompss.InOut(obj[i][i])},
+					ompss.Work{Flops: syrkFlops, Bytes: 2 * tileBytes}, nil)
 			}
 		}
 		m.Taskwait()
@@ -182,9 +182,9 @@ func (a *Cholesky) TotalFlops() float64 {
 	return n * n * n / 3
 }
 
-// initData builds a symmetric positive definite matrix in tiles (Verify
-// mode): A = M*M^T + N*I with small integer M.
-func (a *Cholesky) initData() {
+// initData builds a symmetric positive definite matrix in the tiles of
+// obj (Verify mode): A = M*M^T + N*I with small integer M.
+func (a *Cholesky) initData(obj [][]*ompss.Object) {
 	t, bs := a.tiles, a.cfg.BS
 	n := a.cfg.N
 	// Dense build (small sizes only).
@@ -210,6 +210,7 @@ func (a *Cholesky) initData() {
 	}
 	a.a = make([][]float64, t*t)
 	a.orig = make([][]float64, t*t)
+	a.data = make(tileData, t*(t+1)/2)
 	for ti := 0; ti < t; ti++ {
 		for tj := 0; tj <= ti; tj++ {
 			tile := make([]float64, bs*bs)
@@ -219,6 +220,7 @@ func (a *Cholesky) initData() {
 				}
 			}
 			a.a[ti*t+tj] = tile
+			a.data[obj[ti][tj]] = tile
 			cp := make([]float64, len(tile))
 			copy(cp, tile)
 			a.orig[ti*t+tj] = cp
@@ -230,42 +232,35 @@ func (a *Cholesky) tile(i, j int) []float64 { return a.a[i*a.tiles+j] }
 
 // realPotrf factorizes the diagonal tile in place (unblocked Cholesky).
 func (a *Cholesky) realPotrf(ctx *ompss.ExecContext) {
-	if a.a == nil {
+	if a.data == nil {
 		return
 	}
-	idx := ctx.Task.Args.(*[3]int)
-	potrfKernel(a.tile(idx[0], idx[1]), a.cfg.BS)
+	potrfKernel(a.data.arg(ctx, 0), a.cfg.BS)
 }
 
 // realTrsm solves X * L^T = A for the panel tile: A[i][k] = A[i][k] *
 // L[k][k]^-T.
 func (a *Cholesky) realTrsm(ctx *ompss.ExecContext) {
-	if a.a == nil {
+	if a.data == nil {
 		return
 	}
-	idx := ctx.Task.Args.(*[3]int)
-	i, k := idx[0], idx[1]
-	trsmKernel(a.tile(k, k), a.tile(i, k), a.cfg.BS)
+	trsmKernel(a.data.arg(ctx, 0), a.data.arg(ctx, 1), a.cfg.BS)
 }
 
 // realSyrk updates the diagonal: A[i][i] -= A[i][k] * A[i][k]^T.
 func (a *Cholesky) realSyrk(ctx *ompss.ExecContext) {
-	if a.a == nil {
+	if a.data == nil {
 		return
 	}
-	idx := ctx.Task.Args.(*[3]int)
-	i, k := idx[0], idx[2]
-	syrkKernel(a.tile(i, k), a.tile(i, i), a.cfg.BS)
+	syrkKernel(a.data.arg(ctx, 0), a.data.arg(ctx, 1), a.cfg.BS)
 }
 
 // realGemm updates below the diagonal: A[i][j] -= A[i][k] * A[j][k]^T.
 func (a *Cholesky) realGemm(ctx *ompss.ExecContext) {
-	if a.a == nil {
+	if a.data == nil {
 		return
 	}
-	idx := ctx.Task.Args.(*[3]int)
-	i, j, k := idx[0], idx[1], idx[2]
-	gemmNTKernel(a.tile(i, k), a.tile(j, k), a.tile(i, j), a.cfg.BS)
+	gemmNTKernel(a.data.arg(ctx, 0), a.data.arg(ctx, 1), a.data.arg(ctx, 2), a.cfg.BS)
 }
 
 // Check verifies L*L^T equals the original matrix (Verify mode).

@@ -75,8 +75,10 @@ type Matmul struct {
 	cfg MatmulConfig
 	rt  *ompss.Runtime
 
-	// Real data (Verify mode only): row-major tiles.
+	// Real data (Verify mode only): row-major tiles, and each tile
+	// object's tile for the kernel to find through its accesses.
 	a, b, c [][]float64
+	data    tileData
 	tiles   int
 }
 
@@ -124,17 +126,15 @@ func BuildMatmul(r *ompss.Runtime, cfg MatmulConfig) (*Matmul, error) {
 		}
 	}
 	if cfg.Verify {
-		app.initData()
+		app.initData(objA, objB, objC)
 	}
 
-	tasks := newTileTasks(app.TaskCount())
 	r.Main(func(m *ompss.Master) {
 		for i := 0; i < t; i++ {
 			for j := 0; j < t; j++ {
 				for k := 0; k < t; k++ {
-					acc, idx := tasks.add([3]int{i, j, k},
-						ompss.In(objA[i][k]), ompss.In(objB[k][j]), ompss.InOut(objC[i][j]))
-					m.Submit(tt, acc, ompss.Work{Flops: tileFlops, Bytes: 3 * tileBytes}, idx)
+					m.Submit(tt, []ompss.Access{ompss.In(objA[i][k]), ompss.In(objB[k][j]), ompss.InOut(objC[i][j])},
+						ompss.Work{Flops: tileFlops, Bytes: 3 * tileBytes}, nil)
 				}
 			}
 		}
@@ -143,27 +143,14 @@ func BuildMatmul(r *ompss.Runtime, cfg MatmulConfig) (*Matmul, error) {
 	return app, nil
 }
 
-// tileTasks hands out the tiled apps' per-task accesses and tile indices
-// from one backing array each, so a build's submit loop allocates
-// nothing per task: a task's accesses are a full-capacity slice of accs
-// (an append through it cannot reach the next task's), and its args a
-// pointer into args (a pointer in an interface does not allocate).
-type tileTasks struct {
-	accs []ompss.Access
-	args [][3]int
-}
+// tileData maps each tile object to its real data (Verify mode). The
+// tiled apps' kernels find their tiles through the task's accesses, in
+// clause order, so their tasks carry no args.
+type tileData map[*ompss.Object][]float64
 
-// newTileTasks sizes the arrays for n tasks of at most 3 accesses each.
-func newTileTasks(n int) *tileTasks {
-	return &tileTasks{accs: make([]ompss.Access, 0, 3*n), args: make([][3]int, 0, n)}
-}
-
-// add records one task's tile indices and accesses.
-func (b *tileTasks) add(idx [3]int, acc ...ompss.Access) ([]ompss.Access, *[3]int) {
-	lo := len(b.accs)
-	b.accs = append(b.accs, acc...)
-	b.args = append(b.args, idx)
-	return b.accs[lo:len(b.accs):len(b.accs)], &b.args[len(b.args)-1]
+// arg returns the tile of the task's i-th access.
+func (d tileData) arg(ctx *ompss.ExecContext, i int) []float64 {
+	return d[ctx.Task.Accesses[i].Obj]
 }
 
 // TaskCount returns the number of tile tasks the app submits.
@@ -175,11 +162,13 @@ func (a *Matmul) TotalFlops() float64 {
 	return 2 * n * n * n
 }
 
-// initData allocates and fills real tiles (Verify mode).
-func (a *Matmul) initData() {
+// initData allocates and fills the real tiles of the objects (Verify
+// mode).
+func (a *Matmul) initData(objA, objB, objC [][]*ompss.Object) {
 	t := a.tiles
 	bs := a.cfg.BS
-	alloc := func(fill func(i, j, x, y int) float64) [][]float64 {
+	a.data = make(tileData, 3*t*t)
+	alloc := func(obj [][]*ompss.Object, fill func(i, j, x, y int) float64) [][]float64 {
 		tiles := make([][]float64, t*t)
 		for i := 0; i < t; i++ {
 			for j := 0; j < t; j++ {
@@ -190,31 +179,29 @@ func (a *Matmul) initData() {
 					}
 				}
 				tiles[i*t+j] = tile
+				a.data[obj[i][j]] = tile
 			}
 		}
 		return tiles
 	}
-	a.a = alloc(func(i, j, x, y int) float64 {
+	a.a = alloc(objA, func(i, j, x, y int) float64 {
 		gi, gj := i*bs+x, j*bs+y
 		return float64((gi+2*gj)%7) * 0.25
 	})
-	a.b = alloc(func(i, j, x, y int) float64 {
+	a.b = alloc(objB, func(i, j, x, y int) float64 {
 		gi, gj := i*bs+x, j*bs+y
 		return float64((3*gi+gj)%5) * 0.5
 	})
-	a.c = alloc(func(i, j, x, y int) float64 { return 0 })
+	a.c = alloc(objC, func(i, j, x, y int) float64 { return 0 })
 }
 
 // realTile is the genuine Go kernel used by every version in Verify mode
 // (all implementations compute the same function, as the paper requires).
 func (a *Matmul) realTile(ctx *ompss.ExecContext) {
-	if a.a == nil {
+	if a.data == nil {
 		return
 	}
-	idx := ctx.Task.Args.(*[3]int)
-	i, j, k := idx[0], idx[1], idx[2]
-	t := a.tiles
-	dgemmAcc(a.a[i*t+k], a.b[k*t+j], a.c[i*t+j], a.cfg.BS)
+	dgemmAcc(a.data.arg(ctx, 0), a.data.arg(ctx, 1), a.data.arg(ctx, 2), a.cfg.BS)
 }
 
 // Check recomputes the product sequentially and compares (Verify mode).

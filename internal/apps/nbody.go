@@ -131,52 +131,43 @@ func BuildNBody(r *ompss.Runtime, cfg NBodyConfig) (*NBody, error) {
 		app.initData()
 	}
 
-	// Every step submits the identical dependence pattern: access lists
-	// and boxed args depend only on the block pair, never on the step, so
-	// they are built once and shared across steps (the runtime treats
-	// submitted access slices and args as immutable).
-	forceAccs := make([][]ompss.Access, nb*nb)
+	// Every step submits the identical dependence pattern, and the boxed
+	// args depend only on the block pair, never on the step, so they are
+	// boxed once rather than per Submit (boxing a [2]int allocates).
 	forceArgs := make([]any, nb*nb)
-	for i := 0; i < nb; i++ {
-		for j := 0; j < nb; j++ {
-			accs := []ompss.Access{ompss.In(posObj[i])}
-			if j != i {
-				accs = append(accs, ompss.In(posObj[j]))
-			}
-			switch {
-			case j == 0:
-				// First pair overwrites the accumulator: no
-				// dependence on last step's acc contents.
-				accs = append(accs, ompss.Out(accObj[i]))
-			case cfg.Commutative:
-				accs = append(accs, ompss.Commutative(accObj[i]))
-			default:
-				accs = append(accs, ompss.InOut(accObj[i]))
-			}
-			forceAccs[i*nb+j] = accs
-			forceArgs[i*nb+j] = [2]int{i, j}
-		}
-	}
-	updateAccs := make([][]ompss.Access, nb)
 	updateArgs := make([]any, nb)
 	for i := 0; i < nb; i++ {
-		updateAccs[i] = []ompss.Access{
-			ompss.InOut(posObj[i]),
-			ompss.InOut(velObj[i]),
-			ompss.In(accObj[i]),
+		for j := 0; j < nb; j++ {
+			forceArgs[i*nb+j] = [2]int{i, j}
 		}
 		updateArgs[i] = i
 	}
 
 	r.Main(func(m *ompss.Master) {
+		var buf [3]ompss.Access // own positions, the source's, the accumulator
 		for s := 0; s < cfg.Steps; s++ {
 			for i := 0; i < nb; i++ {
 				for j := 0; j < nb; j++ {
-					m.Submit(force, forceAccs[i*nb+j], forceWork, forceArgs[i*nb+j])
+					accs := append(buf[:0], ompss.In(posObj[i]))
+					if j != i {
+						accs = append(accs, ompss.In(posObj[j]))
+					}
+					switch {
+					case j == 0:
+						// First pair overwrites the accumulator: no
+						// dependence on last step's acc contents.
+						accs = append(accs, ompss.Out(accObj[i]))
+					case cfg.Commutative:
+						accs = append(accs, ompss.Commutative(accObj[i]))
+					default:
+						accs = append(accs, ompss.InOut(accObj[i]))
+					}
+					m.Submit(force, accs, forceWork, forceArgs[i*nb+j])
 				}
 			}
 			for i := 0; i < nb; i++ {
-				m.Submit(update, updateAccs[i], updateWork, updateArgs[i])
+				m.Submit(update, []ompss.Access{ompss.InOut(posObj[i]), ompss.InOut(velObj[i]), ompss.In(accObj[i])},
+					updateWork, updateArgs[i])
 			}
 		}
 		m.Taskwait()

@@ -146,12 +146,13 @@ func BuildRandDAG(r *ompss.Runtime, cfg RandDAGConfig) (*RandDAG, error) {
 
 	work := ompss.Work{Bytes: cfg.ObjectBytes, Elems: cfg.ObjectBytes / 8}
 	r.Main(func(m *ompss.Master) {
+		var accs []ompss.Access // rebuilt per task: Submit copies it
 		for id, nd := range nodes {
-			accs := []ompss.Access{ompss.Out(outs[id])}
+			accs = append(accs[:0], ompss.Out(outs[id]))
 			for _, p := range nd.preds {
 				accs = append(accs, ompss.In(outs[p]))
 			}
-			m.Submit(tts[nd.typ], accs, work, id)
+			m.Submit(tts[nd.typ], accs, work, nil)
 		}
 		m.Taskwait()
 	})

@@ -129,46 +129,40 @@ func BuildStencil(r *ompss.Runtime, cfg StencilConfig) (*Stencil, error) {
 	}
 
 	// Every sweep submits the same tile pattern; only the grid parity
-	// alternates. Hoisting the two parities' access lists and boxed args
-	// out of the sweep loop makes the master loop allocation-free (the
-	// runtime treats submitted access slices and args as immutable). The
-	// kernel only consumes s mod 2, so boxing the parity preserves it.
-	var genAccs [2][][]ompss.Access
+	// alternates. The two parities' boxed args are built once (boxing a
+	// [3]int per Submit allocates); the kernel only consumes s mod 2, so
+	// boxing the parity preserves it.
 	var genArgs [2][]any
 	for p := 0; p < 2; p++ {
-		cur, next := gen[p], gen[1-p]
-		genAccs[p] = make([][]ompss.Access, t*t)
 		genArgs[p] = make([]any, t*t)
 		for i := 0; i < t; i++ {
 			for j := 0; j < t; j++ {
-				accs := []ompss.Access{
-					ompss.In(cur[i][j]),
-					ompss.Out(next[i][j]),
-				}
-				if i > 0 {
-					accs = append(accs, ompss.In(cur[i-1][j]))
-				}
-				if i < t-1 {
-					accs = append(accs, ompss.In(cur[i+1][j]))
-				}
-				if j > 0 {
-					accs = append(accs, ompss.In(cur[i][j-1]))
-				}
-				if j < t-1 {
-					accs = append(accs, ompss.In(cur[i][j+1]))
-				}
-				genAccs[p][i*t+j] = accs
 				genArgs[p][i*t+j] = [3]int{i, j, p}
 			}
 		}
 	}
 
 	r.Main(func(m *ompss.Master) {
+		var buf [6]ompss.Access // center, output, up to four halos
 		for s := 0; s < cfg.Sweeps; s++ {
 			p := s % 2
+			cur, next := gen[p], gen[1-p]
 			for i := 0; i < t; i++ {
 				for j := 0; j < t; j++ {
-					m.Submit(tt, genAccs[p][i*t+j], work, genArgs[p][i*t+j])
+					accs := append(buf[:0], ompss.In(cur[i][j]), ompss.Out(next[i][j]))
+					if i > 0 {
+						accs = append(accs, ompss.In(cur[i-1][j]))
+					}
+					if i < t-1 {
+						accs = append(accs, ompss.In(cur[i+1][j]))
+					}
+					if j > 0 {
+						accs = append(accs, ompss.In(cur[i][j-1]))
+					}
+					if j < t-1 {
+						accs = append(accs, ompss.In(cur[i][j+1]))
+					}
+					m.Submit(tt, accs, work, genArgs[p][i*t+j])
 				}
 			}
 		}

@@ -297,10 +297,20 @@ func (c *DirStore) closeJournal(owner string) error {
 // poll) and returns the full merged timeline. The returned slice is
 // reused by later polls; callers must not retain it.
 func (c *DirStore) PollJournal() ([]journal.Record, journal.ReadStats, error) {
+	recs, stats, _, err := c.PollJournalRev()
+	return recs, stats, err
+}
+
+// PollJournalRev is PollJournal plus the revision of the returned view
+// (journal.Tailer.Rev), taken in the same critical section as the poll
+// and serialized with this store's own appends, which rotate and
+// compact the directory.
+func (c *DirStore) PollJournalRev() ([]journal.Record, journal.ReadStats, int64, error) {
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
 	if c.tail == nil {
 		c.tail = journal.NewTailer(c.JournalDir())
 	}
-	return c.tail.Poll()
+	recs, stats, err := c.tail.Poll()
+	return recs, stats, c.tail.Rev(), err
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,6 +49,10 @@ type Tailer struct {
 	// lastPollBytes is the number of journal-file bytes the most recent
 	// Poll read.
 	lastPollBytes int64
+	// rev counts the Polls whose timeline or stats differed from the
+	// previous Poll's; stats are the most recent Poll's.
+	rev   int64
+	stats ReadStats
 }
 
 // tailFile is the tail state of one journal file.
@@ -95,6 +100,14 @@ func NewTailer(dir string) *Tailer {
 // Poll read: zero on a poll over an unchanged directory.
 func (t *Tailer) LastPollBytes() int64 { return t.lastPollBytes }
 
+// Rev numbers the view the most recent Poll returned: it moves whenever
+// a Poll's records or stats differ from the previous Poll's, even when
+// their counts do not (a rotation that folds a one-record segment swaps
+// a record for a checkpoint), so a poller can serve "unchanged" by
+// comparing revisions. It starts at zero, the revision of an empty
+// journal.
+func (t *Tailer) Rev() int64 { return t.rev }
+
 // Poll reads whatever the journal files grew by since the previous Poll
 // and returns the full merged timeline, equivalent to ReadDir over the
 // same directory (see the type comment for the torn-tail difference).
@@ -102,11 +115,9 @@ func (t *Tailer) LastPollBytes() int64 { return t.lastPollBytes }
 // it across calls.
 func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 	t.lastPollBytes = 0
+	// A missing directory lists no files: an empty journal.
 	entries, err := os.ReadDir(t.dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ReadStats{}, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, ReadStats{}, fmt.Errorf("journal: reading directory: %w", err)
 	}
 	names := make([]string, 0, len(entries))
@@ -117,6 +128,17 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 	}
 	sort.Strings(names)
 
+	// A segment name not seen before, listed or folded, means its
+	// owner's active file was rotated since an earlier poll may have
+	// read it. The file under that name now can match the old one in
+	// size and even inode (a folded segment's inode is free for reuse),
+	// so it is re-read from byte zero below.
+	var rotated []string
+	noteSegment := func(name string) {
+		if stem, _, ok := splitSegmentName(name); ok && t.merged != nil && !slices.Contains(rotated, stem+suffix) {
+			rotated = append(rotated, stem+suffix)
+		}
+	}
 	dirty := false
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -128,6 +150,7 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 		if tf == nil {
 			tf = &tailFile{}
 			t.files[name] = tf
+			noteSegment(name)
 		}
 		changed, err := t.pollFile(name, tf)
 		if err != nil {
@@ -151,7 +174,19 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 	// a superseded checkpoint's own folds are not lost.
 	for _, tf := range t.files {
 		for _, name := range tf.folds {
-			t.superseded[name] = true
+			if !t.superseded[name] {
+				t.superseded[name] = true
+				noteSegment(name)
+			}
+		}
+	}
+	for _, name := range rotated {
+		if tf := t.files[name]; tf != nil && tf.size > 0 {
+			tf.reset()
+			if _, err := t.pollFile(name, tf); err != nil {
+				return nil, ReadStats{}, err
+			}
+			dirty = true
 		}
 	}
 	for name := range t.files {
@@ -185,6 +220,10 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 		sort.SliceStable(t.merged, func(i, j int) bool { return t.merged[i].T < t.merged[j].T })
 	}
 	stats.Records = len(t.merged)
+	if dirty || stats != t.stats {
+		t.rev++
+	}
+	t.stats = stats
 	return t.merged, stats, nil
 }
 
@@ -194,10 +233,12 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 	path := filepath.Join(t.dir, name)
 	changed := false
-	fi, err := os.Stat(path)
+	// Stat the open file, not the name, so the size read below is this
+	// file's even if it is renamed or deleted meanwhile.
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			// Deleted between ReadDir and Stat. Drop what it had — the
+			// Deleted between ReadDir and Open. Drop what it had — the
 			// caller's vanish sweep only catches files gone by the
 			// directory listing, and serving records from a file that
 			// no longer exists is exactly the stale-merge bug.
@@ -207,6 +248,11 @@ func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 			}
 			return false, nil
 		}
+		return false, fmt.Errorf("journal: reading %s: %w", name, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
 		return false, fmt.Errorf("journal: stat %s: %w", name, err)
 	}
 	sz := fi.Size()
@@ -227,11 +273,6 @@ func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 		return changed, nil
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		return changed, fmt.Errorf("journal: reading %s: %w", name, err)
-	}
-	defer f.Close()
 	buf := make([]byte, sz-tf.offset)
 	if _, err := io.ReadFull(io.NewSectionReader(f, tf.offset, sz-tf.offset), buf); err != nil {
 		return changed, fmt.Errorf("journal: reading %s: %w", name, err)

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -289,5 +290,82 @@ func TestTailerSkipStatsRewoundOnReplace(t *testing.T) {
 	}
 	if stats != wantStats {
 		t.Errorf("stats after vanish = %+v, want ReadDir's %+v", stats, wantStats)
+	}
+}
+
+// TestTailerSeesSameSizeReplacement: a rotation renames the active
+// file aside as a segment and starts a new one under its name. When the
+// new file has exactly the old one's size, only the new segment tells
+// the two apart; the poll must match ReadDir and move Rev, and an idle
+// poll must not.
+func TestTailerSeesSameSizeReplacement(t *testing.T) {
+	dir := t.TempDir()
+	line := func(i int) []byte {
+		return fmt.Appendf(nil, `{"v":%d,"t":%d,"type":"done","owner":"w","index":%d}`+"\n", Version, i+1, i)
+	}
+	appendRaw(t, dir, "w.jsonl", line(0))
+	tl := NewTailer(dir)
+	if _, _, err := tl.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	rev := tl.Rev()
+	if err := os.Rename(filepath.Join(dir, "w.jsonl"), filepath.Join(dir, "w.000001.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, dir, "w.jsonl", line(1))
+	want, wantStats, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := tl.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+		t.Fatalf("poll after same-size replacement = %+v %+v, want ReadDir's %+v %+v", got, gotStats, want, wantStats)
+	}
+	if tl.Rev() == rev {
+		t.Error("Rev did not move when the timeline changed")
+	}
+	rev = tl.Rev()
+	if _, _, err := tl.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if tl.Rev() != rev {
+		t.Error("Rev moved on an idle poll")
+	}
+}
+
+// TestTailerRereadsActiveFileAfterFold: a rotation renames the active
+// file aside, starts a new one, and folds the segment into a checkpoint
+// that deletes it, freeing its inode for a later active file. The new
+// active file can then match the old one in name, size and identity;
+// the checkpoint's fold of the owner's segment is what tells the tailer
+// to re-read it. Simulated here by rewriting the file in place.
+func TestTailerRereadsActiveFileAfterFold(t *testing.T) {
+	dir := t.TempDir()
+	line := func(i int) []byte {
+		return fmt.Appendf(nil, `{"v":%d,"t":%d,"type":"done","owner":"w","index":%d}`+"\n", Version, i+1, i)
+	}
+	appendRaw(t, dir, "w.jsonl", line(0))
+	tl := NewTailer(dir)
+	if _, _, err := tl.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	ck := fmt.Appendf(nil, `{"v":%d,"t":1,"type":"checkpoint","owner":"w","checkpoint":{"folds":["w.000001.jsonl"],"records":1}}`+"\n", Version)
+	appendRaw(t, dir, "checkpoint-000001.jsonl", ck)
+	if err := os.WriteFile(filepath.Join(dir, "w.jsonl"), line(1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := tl.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+		t.Errorf("poll after fold = %+v %+v, want ReadDir's %+v %+v", got, gotStats, want, wantStats)
 	}
 }

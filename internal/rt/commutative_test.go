@@ -158,8 +158,8 @@ func TestCommutativeMultiObjectNoDeadlock(t *testing.T) {
 	if ran != 6 {
 		t.Errorf("ran %d of 6 multi-lock tasks", ran)
 	}
-	if r.Outstanding() != 0 {
-		t.Errorf("outstanding = %d (deadlock?)", r.Outstanding())
+	if n := int(r.TasksSubmitted) - r.TasksCompleted(); n != 0 {
+		t.Errorf("outstanding = %d (deadlock?)", n)
 	}
 }
 

@@ -35,9 +35,11 @@ func (m *Master) Now() sim.Time { return m.rt.eng.Now() }
 func (m *Master) Sleep(d sim.Duration) { m.p.Sleep(d) }
 
 // Submit creates one task instance of the given type with the given
-// dependence accesses and work descriptor. If the runtime is configured
-// with a CreateOverhead, the master's virtual time advances by that much
-// per creation (task creation is work the master thread does).
+// dependence accesses and work descriptor. The task keeps its own copy
+// of accs: the caller may overwrite and reuse the slice as soon as
+// Submit returns. If the runtime is configured with a CreateOverhead,
+// the master's virtual time advances by that much per creation (task
+// creation is work the master thread does).
 func (m *Master) Submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, args any) *Task {
 	return m.SubmitPriority(tt, accs, work, args, 0)
 }

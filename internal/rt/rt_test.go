@@ -479,7 +479,7 @@ func TestMainVersionIsFirst(t *testing.T) {
 	tt := r.DeclareTaskType("w")
 	v1 := tt.AddVersion("main", machine.KindCUDA, perfmodel.Fixed{}, nil)
 	v2 := tt.AddVersion("alt", machine.KindSMP, perfmodel.Fixed{}, nil)
-	if !v1.IsMain() || v2.IsMain() || tt.Main() != v1 {
+	if tt.Main() != v1 || v2.Type().Main() == v2 {
 		t.Error("main version bookkeeping wrong")
 	}
 	if v1.Type() != tt {
@@ -502,7 +502,7 @@ func TestWorkerAccessors(t *testing.T) {
 	if ws[0].Kind() != machine.KindSMP || ws[2].Kind() != machine.KindCUDA {
 		t.Error("worker order should be SMP then GPU")
 	}
-	if !ws[0].Idle() || ws[0].Current() != nil {
+	if ws[0].Current() != nil {
 		t.Error("fresh worker should be idle")
 	}
 	if ws[2].Space() == machine.HostSpace {
@@ -539,5 +539,51 @@ func TestDiamondDependence(t *testing.T) {
 		if x.State() != rt.StateFinished {
 			t.Errorf("%v not finished", x)
 		}
+	}
+}
+
+// TestSubmitCopiesAccesses: the master overwrites one access slice in
+// place for every Submit. Each task must keep the accesses it was
+// submitted with: its Accesses, its dependence edges, and the objects
+// its GPU worker stages in all follow the list as it was at its Submit,
+// not as a later Submit left the shared slice.
+func TestSubmitCopiesAccesses(t *testing.T) {
+	r := newRT(t, 0, 1, false)
+	tt := r.DeclareTaskType("k")
+	tt.AddVersion("k_gpu", machine.KindCUDA, perfmodel.Fixed{D: time.Millisecond}, nil)
+	a, b := r.Register("a", 100), r.Register("b", 200)
+	x, y := r.Register("x", 300), r.Register("y", 400)
+	want := [][]deps.Access{
+		{deps.Out(x), deps.In(a)},
+		{deps.In(x), deps.Out(y)},
+		{deps.In(y), deps.InOut(b)},
+	}
+	var tasks []*rt.Task
+	r.SpawnMain(func(m *rt.Master) {
+		accs := make([]deps.Access, 2)
+		for _, w := range want {
+			copy(accs, w)
+			tasks = append(tasks, m.Submit(tt, accs, perfmodel.Work{}, nil))
+		}
+		m.TaskwaitNoflush()
+	})
+	r.Run()
+
+	for i, task := range tasks {
+		if !reflect.DeepEqual(task.Accesses, want[i]) {
+			t.Errorf("task %d accesses = %v, want %v", i+1, task.Accesses, want[i])
+		}
+	}
+	if got := [][]int64{tasks[0].PredIDs(), tasks[1].PredIDs(), tasks[2].PredIDs()}; !reflect.DeepEqual(got, [][]int64{nil, {1}, {2}}) {
+		t.Errorf("pred IDs = %v, want [[] [1] [2]]", got)
+	}
+	var staged []string
+	for _, rec := range r.Tracer().Transfers {
+		if rec.To != machine.HostSpace {
+			staged = append(staged, rec.Tag)
+		}
+	}
+	if !reflect.DeepEqual(staged, []string{"a", "b"}) {
+		t.Errorf("objects staged in = %v, want [a b] (x and y are produced on the GPU)", staged)
 	}
 }

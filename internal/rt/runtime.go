@@ -72,10 +72,12 @@ type Runtime struct {
 	// never reused within a run, so *Task pointers stay valid for the
 	// run's lifetime. Slabs come from the process-wide free lists (see
 	// Release) before they are allocated. ids hands out predID backing
-	// storage and edges successor-list edges the same way.
+	// storage, edges successor-list edges and accs the task's own copy
+	// of its access list the same way.
 	tasks slab.Arena[Task]
 	ids   slab.Arena[int64]
 	edges slab.Arena[edge]
+	accs  slab.Arena[deps.Access]
 
 	// objStamp and dssEpoch dedup objects in dataSetSize: an object
 	// counts once per submit when its stamp (indexed by mem.ObjectID)
@@ -135,6 +137,7 @@ func New(cfg Config) *Runtime {
 		tasks:    slab.NewArena(taskSlabs),
 		ids:      slab.NewArena(idSlabs),
 		edges:    slab.NewArena(edgeSlabs),
+		accs:     slab.NewArena(accSlabs),
 		sched:    cfg.Scheduler,
 		noise:    perfmodel.NewNoise(cfg.NoiseSigma, cfg.Seed),
 		tracer:   tracer,
@@ -247,11 +250,8 @@ func (r *Runtime) DeclareTaskType(name string) *TaskType {
 // TaskType returns a declared task type, or nil.
 func (r *Runtime) TaskType(name string) *TaskType { return r.types[name] }
 
-// Outstanding returns the number of submitted-but-unfinished tasks.
-func (r *Runtime) Outstanding() int { return r.outstanding }
-
 // arenaChunk is how many Task records (and successor edges) each arena
-// slab holds; pred-ID slabs hold idChunk IDs.
+// slab holds; pred-ID and access slabs hold idChunk elements.
 const (
 	arenaChunk = 256
 	idChunk    = 4 * arenaChunk
@@ -259,17 +259,19 @@ const (
 
 // The free lists finished runs return their slabs to (see Release). Each
 // cap is the number of slabs one pinned pbpi cell (pbpi-hyb at quick
-// size: 6,625 tasks, ~32k dependence edges) draws: 26 task, 125 edge and
-// 33 pred-ID slabs. A serial campaign of cells up to that size allocates
-// no slab after its first cell, and a process retains at most ~2.4 MB of
-// them, and none once it stops simulating (see package slab).
+// size: 6,625 tasks, ~32k dependence edges) draws: 26 task, 125 edge,
+// 33 pred-ID and 25 access slabs. A serial campaign of cells up to that
+// size allocates no slab after its first cell, and a process retains at
+// most ~3.2 MB of them, and none once it stops simulating (see package
+// slab).
 var (
 	taskSlabs = slab.New[Task](arenaChunk, 26)
 	edgeSlabs = slab.New[edge](arenaChunk, 125)
 	idSlabs   = slab.New[int64](idChunk, 33)
+	accSlabs  = slab.New[deps.Access](idChunk, 25)
 )
 
-// Release returns the run's task, edge and pred-ID slabs, its
+// Release returns the run's task, edge, pred-ID and access slabs, its
 // dependence tracker's slabs and its directory's slabs to the free lists
 // the next runtime in the process draws from. Call it only after Run has
 // returned normally (never after a panic, which may leave tasks
@@ -278,10 +280,11 @@ var (
 // runs, so every *Task and *mem.Object of the run is invalid once it
 // returns. Counters, version counts and the tracer stay readable; a
 // traced runtime keeps its pred-ID slabs, because its trace's task
-// records alias them. A second call is a no-op.
+// records alias them (they hold no accesses). A second call is a no-op.
 func (r *Runtime) Release() {
 	r.tasks.Release()
 	r.edges.Release()
+	r.accs.Release()
 	if r.tracer == nil {
 		r.ids.Release()
 	}
@@ -290,8 +293,11 @@ func (r *Runtime) Release() {
 }
 
 // submit creates a task instance, wires its dependences and hands it to
-// the scheduler when ready. Must run in engine or master context.
-func (r *Runtime) submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, args any, priority int) *Task {
+// the scheduler when ready. Must run in engine or master context. The
+// task keeps its own copy of clauses, so the caller's slice is free for
+// reuse as soon as submit returns (and, not escaping, can live on the
+// caller's stack).
+func (r *Runtime) submit(tt *TaskType, clauses []deps.Access, work perfmodel.Work, args any, priority int) *Task {
 	if len(tt.Versions) == 0 {
 		panic(fmt.Sprintf("rt: submit of task %q with no versions", tt.Name))
 	}
@@ -308,6 +314,9 @@ func (r *Runtime) submit(tt *TaskType, accs []deps.Access, work perfmodel.Work, 
 			panic(fmt.Sprintf("rt: task %q has no version runnable on any configured worker", tt.Name))
 		}
 	}
+
+	accs := r.accs.Alloc(len(clauses))
+	copy(accs, clauses)
 
 	r.taskSeq++
 	t := r.tasks.New()

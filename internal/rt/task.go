@@ -46,8 +46,10 @@ func (s State) String() string {
 
 // Task is one task instance created by a Submit call.
 type Task struct {
-	ID       int64
-	Type     *TaskType
+	ID   int64
+	Type *TaskType
+	// Accesses is the task's own copy of the access list given to
+	// Submit, in clause order.
 	Accesses []deps.Access
 	Work     perfmodel.Work
 	// Args carries application data for RealCompute implementations.

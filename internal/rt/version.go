@@ -49,7 +49,6 @@ type Version struct {
 	Fn func(*ExecContext)
 
 	taskType *TaskType
-	index    int
 	runs     int // completed instances (Runtime.VersionCounts)
 }
 
@@ -63,10 +62,6 @@ func (v *Version) RunsOn(kind machine.DeviceKind) bool {
 	}
 	return false
 }
-
-// IsMain reports whether this is the main implementation (the one
-// schedulers without version support would run).
-func (v *Version) IsMain() bool { return v.index == 0 }
 
 // Type returns the owning task type.
 func (v *Version) Type() *TaskType { return v.taskType }
@@ -136,7 +131,6 @@ func (tt *TaskType) AddMultiDeviceVersion(name string, devices []machine.DeviceK
 		Model:    model,
 		Fn:       fn,
 		taskType: tt,
-		index:    len(tt.Versions),
 	}
 	tt.Versions = append(tt.Versions, v)
 	tt.invalidate()

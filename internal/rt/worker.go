@@ -67,9 +67,6 @@ func (w *Worker) Kind() machine.DeviceKind { return w.dev.Kind }
 // Space returns the memory space the worker computes from.
 func (w *Worker) Space() machine.SpaceID { return w.dev.Space }
 
-// Idle reports whether the worker has no current task.
-func (w *Worker) Idle() bool { return w.current == nil }
-
 // Down reports whether the device has been removed by fault injection.
 func (w *Worker) Down() bool { return w.down }
 

@@ -63,11 +63,12 @@ type Versioning struct {
 	// queued + dispatched but unfinished work, in nanoseconds of estimated
 	// execution time.
 	outstanding []time.Duration
-	// assigned counts learning-phase assignments per group and version.
-	// Round-robin must cycle on assignment (not completion): when many
-	// tasks become ready in a burst, completions lag and counting only
-	// finished executions would send the whole burst to one version.
-	assigned map[*verprof.Group]map[string]int64
+	// assigned counts learning-phase assignments per group, indexed by
+	// the version's position in its task type's Versions. Round-robin
+	// must cycle on assignment (not completion): when many tasks become
+	// ready in a burst, completions lag and counting only finished
+	// executions would send the whole burst to one version.
+	assigned map[*verprof.Group][]int64
 
 	// blocked parks ready tasks none of whose compatible workers are up
 	// (fault injection dropped them all); WorkerUp re-decides them.
@@ -101,7 +102,7 @@ func New(opts Options) *Versioning {
 	return &Versioning{
 		opts:     opts,
 		store:    store,
-		assigned: make(map[*verprof.Group]map[string]int64),
+		assigned: make(map[*verprof.Group][]int64),
 	}
 }
 
@@ -203,9 +204,9 @@ func (s *Versioning) estimate(g *verprof.Group, v *rt.Version) time.Duration {
 // the partial profiles allow, so a burst of ready tasks does not flood a
 // slow version beyond its lambda forced runs.
 func (s *Versioning) learningPick(t *rt.Task, g *verprof.Group) (*rt.Worker, rt.Assignment) {
-	asg, ok := s.assigned[g]
-	if !ok {
-		asg = make(map[string]int64)
+	asg := s.assigned[g]
+	if n := len(t.Type.Versions); len(asg) < n {
+		asg = append(asg, make([]int64, n-len(asg))...)
 		s.assigned[g] = asg
 	}
 	// Paper behaviour: force each version lambda times. With the
@@ -219,25 +220,19 @@ func (s *Versioning) learningPick(t *rt.Task, g *verprof.Group) (*rt.Worker, rt.
 		limit = int64(verprof.ConfidenceCap * s.store.Lambda)
 	}
 
-	var version *rt.Version
-	var leastCount int64
-	for _, v := range t.Type.Versions {
-		if !s.hasWorkerFor(v) {
+	least := -1
+	for i, v := range t.Type.Versions {
+		if !s.hasWorkerFor(v) || asg[i] >= limit {
 			continue
 		}
-		c := asg[v.Name]
-		if c >= limit {
-			continue
-		}
-		if version == nil || c < leastCount {
-			version = v
-			leastCount = c
+		if least < 0 || asg[i] < asg[least] {
+			least = i
 		}
 	}
-	if version != nil {
-		asg[version.Name]++
-		w := s.leastBusyWorker(version)
-		return w, rt.Assignment{Task: t, Version: version}
+	if least >= 0 {
+		asg[least]++
+		version := t.Type.Versions[least]
+		return s.leastBusyWorker(version), rt.Assignment{Task: t, Version: version}
 	}
 
 	// All versions already have their lambda forced assignments in
@@ -247,11 +242,10 @@ func (s *Versioning) learningPick(t *rt.Task, g *verprof.Group) (*rt.Worker, rt.
 	}
 	// Nothing recorded yet at all: run the main implementation (what the
 	// other schedulers would do) on its least busy worker.
-	for _, v := range t.Type.Versions {
+	for i, v := range t.Type.Versions {
 		if s.hasWorkerFor(v) {
-			asg[v.Name]++
-			w := s.leastBusyWorker(v)
-			return w, rt.Assignment{Task: t, Version: v}
+			asg[i]++
+			return s.leastBusyWorker(v), rt.Assignment{Task: t, Version: v}
 		}
 	}
 	return nil, rt.Assignment{}

@@ -47,11 +47,9 @@ type Server struct {
 	leases map[string]*heldLease
 
 	// jmu serializes journal polls: the store's tailer reuses its
-	// merged slice across polls, so fingerprinting + marshaling must
-	// not overlap the next poll's rebuild.
-	jmu  sync.Mutex
-	jrev int64
-	jfp  journalFingerprint
+	// merged slice across polls, so marshaling must not overlap the
+	// next poll's rebuild.
+	jmu sync.Mutex
 
 	janitorEvery time.Duration
 	stop         chan struct{}
@@ -65,15 +63,6 @@ type heldLease struct {
 	owner    string
 	ttl      time.Duration
 	lastBeat time.Time
-}
-
-// journalFingerprint detects journal change without hashing content:
-// records only ever append (or vanish wholesale with their file), so
-// (records, skipped, files) moves exactly when the merged view does.
-type journalFingerprint struct {
-	records int
-	skipped int
-	files   int
 }
 
 // NewServer wraps a DirStore in the control-plane API and starts the
@@ -92,7 +81,6 @@ func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 		WatchTick:      500 * time.Millisecond,
 		HeartbeatEvery: 15 * time.Second,
 		leases:         make(map[string]*heldLease),
-		jrev:           1,
 		janitorEvery:   janitorEvery,
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
@@ -383,18 +371,13 @@ func queryRev(r *http.Request) int64 {
 
 func (s *Server) handleJournalPoll(w http.ResponseWriter, r *http.Request) {
 	s.jmu.Lock()
-	recs, stats, err := s.store.PollJournal()
+	recs, stats, rev, err := s.store.PollJournalRev()
 	if err != nil {
 		s.jmu.Unlock()
 		writeErr(w, http.StatusInternalServerError, "polling journal: %v", err)
 		return
 	}
-	fp := journalFingerprint{records: len(recs), skipped: stats.Skipped(), files: stats.Files}
-	if fp != s.jfp {
-		s.jrev++
-		s.jfp = fp
-	}
-	rev := s.jrev
+	rev++ // a client's rev 0 means it has nothing cached
 	if cr := queryRev(r); cr == rev {
 		s.jmu.Unlock()
 		writeJSON(w, journalResponse{Rev: rev, Unchanged: true})

@@ -3,6 +3,7 @@ package sweepd
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/exp/storetest"
+	"repro/internal/journal"
 	"repro/ompss"
 )
 
@@ -262,5 +264,93 @@ func TestCellHashValidation(t *testing.T) {
 	}
 	if _, ok := client.LoadCell(other, other.Hash()); ok {
 		t.Error("mismatched PUT stored a cell under the path hash")
+	}
+}
+
+// TestJournalRevisionSeesCountPreservingRotation: with every append
+// rotating, each one folds the previous record's one-record segment and
+// the previous checkpoint into a new checkpoint, so the journal keeps
+// two files holding two records while its content changes. A poller
+// holding the last revision must still see the new record.
+func TestJournalRevisionSeesCountPreservingRotation(t *testing.T) {
+	ds, _, _, client := startDaemon(t, time.Hour)
+	ds.SetJournalRotateBytes(1)
+	for i := 0; i < 4; i++ {
+		hash := exp.RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 1, Seed: int64(i)}.Hash()
+		if err := client.AppendJournal("w1", journal.Record{Type: journal.TypeDone, Index: i, Hash: hash}); err != nil {
+			t.Fatal(err)
+		}
+		recs, stats, err := client.PollJournal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && (stats.Records != 2 || stats.Files != 2) {
+			t.Fatalf("append %d: %d records in %d files, want 2 in 2 (a count-preserving rotation)", i, stats.Records, stats.Files)
+		}
+		var done []string // the unfolded done records: only the newest
+		for _, r := range recs {
+			if r.Type == journal.TypeDone {
+				done = append(done, r.Hash)
+			}
+		}
+		if len(done) != 1 || done[0] != hash {
+			t.Fatalf("append %d: unfolded done records %q, want only the new one %q", i, done, hash)
+		}
+	}
+}
+
+// TestJournalPollDuringRotatingAppends: the daemon's own appends rotate
+// and compact the journal directory while HTTP pollers read it. Every
+// poll must succeed, and the replayed done count must never fall — a
+// poll that lists a segment and then finds it folded away must not
+// serve a view missing its records.
+func TestJournalPollDuringRotatingAppends(t *testing.T) {
+	ds, _, _, client := startDaemon(t, time.Hour)
+	ds.SetJournalRotateBytes(1)
+	const n = 150
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			hash := exp.RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 1, Seed: int64(i)}.Hash()
+			rec := journal.Record{Type: journal.TypeDone, Index: i, Hash: hash, T: float64(i + 1)}
+			if err := ds.AppendJournal("w1", rec); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	last := 0
+	poll := func() error {
+		recs, _, err := client.PollJournal()
+		if err != nil {
+			return fmt.Errorf("poll during rotating appends: %v", err)
+		}
+		done := journal.Replay(recs).Done
+		if done < last {
+			return fmt.Errorf("done count fell from %d to %d", last, done)
+		}
+		last = done
+		return nil
+	}
+	for {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := poll(); err != nil { // every append has returned
+				t.Fatal(err)
+			}
+			if last != n {
+				t.Errorf("final poll replays %d done cells, want %d", last, n)
+			}
+			return
+		default:
+		}
+		if err := poll(); err != nil {
+			<-errc // let the appender finish before the store closes
+			t.Fatal(err)
+		}
 	}
 }

@@ -23,6 +23,10 @@
 //	})
 //	res := r.Execute()
 //	fmt.Println(res.Elapsed, res.GFlops)
+//
+// Submit copies its access list into the task, so a literal like the one
+// above stays on the master's stack, and a loop may rebuild one scratch
+// slice for every task it submits.
 package ompss
 
 import (
