@@ -406,14 +406,18 @@ func main() {
 			// on a fully warm re-run and after a -procs fan-out. The
 			// "cache:" prefix is part of the stable format; requeued=
 			// appears only when this process's own simulations saw fault
-			// injection (a warm render or a -procs coordinator shows none —
-			// the workers report their own).
-			requeued := ""
+			// injection, and preruns= only when some of them had to
+			// pre-run their no-chaos baseline (a warm render or a -procs
+			// coordinator shows neither — the workers report their own).
+			extra := ""
 			if res.Requeued > 0 {
-				requeued = fmt.Sprintf(" requeued=%d", res.Requeued)
+				extra += fmt.Sprintf(" requeued=%d", res.Requeued)
+			}
+			if res.PreRuns > 0 {
+				extra += fmt.Sprintf(" preruns=%d", res.PreRuns)
 			}
 			fmt.Fprintf(os.Stderr, "ompss-sweep: cache: simulated=%d cached=%d%s store=%s\n",
-				res.Simulated, res.CacheHits, requeued, store.Description())
+				res.Simulated, res.CacheHits, extra, store.Description())
 		}
 	}
 	if camp.Budget != nil {

@@ -22,7 +22,11 @@ import (
 	"repro/ompss"
 )
 
-func run(spec string) ompss.Result {
+// run simulates the workload under a chaos spec. Percent-relative
+// points ("drop@40%") are anchored to horizon, the no-chaos makespan of
+// the same configuration: the clean run's Elapsed, since the simulation
+// is deterministic.
+func run(spec string, horizon time.Duration) ompss.Result {
 	r, err := ompss.NewRuntime(ompss.Config{
 		Scheduler:  "versioning",
 		SMPWorkers: 8,
@@ -34,31 +38,12 @@ func run(spec string) ompss.Result {
 	if _, err := apps.BuildPBPI(r, apps.PBPIConfig{Generations: 40, Variant: apps.PBPIHybrid}); err != nil {
 		log.Fatal(err)
 	}
-
 	plan, err := chaos.Parse(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !plan.Empty() {
-		// Percent-relative points ("drop@40%") are anchored to the
-		// no-chaos makespan of the same spec: a deterministic baseline
-		// pre-run resolves the horizon.
-		var horizon time.Duration
-		if plan.NeedsHorizonOn(r.Runtime) {
-			base, err := ompss.NewRuntime(ompss.Config{
-				Scheduler: "versioning", SMPWorkers: 8, GPUs: 2,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := apps.BuildPBPI(base, apps.PBPIConfig{Generations: 40, Variant: apps.PBPIHybrid}); err != nil {
-				log.Fatal(err)
-			}
-			horizon = base.Execute().Elapsed
-		}
-		if err := plan.Arm(r.Runtime, horizon); err != nil {
-			log.Fatal(err)
-		}
+	if err := plan.Arm(r.Runtime, horizon); err != nil {
+		log.Fatal(err)
 	}
 	return r.Execute()
 }
@@ -67,9 +52,9 @@ func main() {
 	fmt.Println("PBPI hybrid, versioning scheduler, 8 SMP threads + 2 GPUs")
 	fmt.Println()
 
-	clean := run("")
-	drop := run("gpu0:drop@40%")
-	blip := run("gpu0:drop@40%+recover@70%")
+	clean := run("", 0)
+	drop := run("gpu0:drop@40%", clean.Elapsed)
+	blip := run("gpu0:drop@40%+recover@70%", clean.Elapsed)
 
 	for _, row := range []struct {
 		label string
@@ -90,7 +75,7 @@ func main() {
 
 	// Determinism check: rerunning the same chaos spec reproduces the
 	// run byte-for-byte — same makespan, same fault and requeue counts.
-	again := run("gpu0:drop@40%")
+	again := run("gpu0:drop@40%", clean.Elapsed)
 	if again.Elapsed != drop.Elapsed || again.TasksRequeued != drop.TasksRequeued {
 		log.Fatalf("chaos run not deterministic: %v/%d vs %v/%d",
 			again.Elapsed, again.TasksRequeued, drop.Elapsed, drop.TasksRequeued)

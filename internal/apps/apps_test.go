@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/ompss"
@@ -16,6 +17,20 @@ func newRT(t *testing.T, cfg ompss.Config) *ompss.Runtime {
 }
 
 // --- matmul ---
+
+// TestTileNameMatchesSprintf: the tile names are part of every trace and
+// transfer record, so the fmt-free builder must spell them exactly as
+// the format it replaced.
+func TestTileNameMatchesSprintf(t *testing.T) {
+	for _, m := range []byte{'A', 'B', 'C'} {
+		for _, ij := range [][2]int{{0, 0}, {3, 17}, {99, 100}, {123456, 7}} {
+			i, j := ij[0], ij[1]
+			if got, want := tileName(m, i, j), fmt.Sprintf("%c[%d][%d]", m, i, j); got != want {
+				t.Errorf("tileName(%c, %d, %d) = %q, want %q", m, i, j, got, want)
+			}
+		}
+	}
+}
 
 func TestMatmulTaskCount(t *testing.T) {
 	r := newRT(t, ompss.Config{SMPWorkers: 2, GPUs: 1})

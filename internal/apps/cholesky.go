@@ -131,7 +131,7 @@ func BuildCholesky(r *ompss.Runtime, cfg CholeskyConfig) (*Cholesky, error) {
 	for i := 0; i < t; i++ {
 		obj[i] = make([]*ompss.Object, t)
 		for j := 0; j <= i; j++ {
-			obj[i][j] = r.Register(fmt.Sprintf("A[%d][%d]", i, j), tileBytes)
+			obj[i][j] = r.Register(tileName('A', i, j), tileBytes)
 		}
 	}
 	if cfg.Verify {

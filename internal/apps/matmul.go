@@ -15,6 +15,7 @@ package apps
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/ompss"
 )
@@ -120,9 +121,9 @@ func BuildMatmul(r *ompss.Runtime, cfg MatmulConfig) (*Matmul, error) {
 		objB[i] = make([]*ompss.Object, t)
 		objC[i] = make([]*ompss.Object, t)
 		for j := 0; j < t; j++ {
-			objA[i][j] = r.Register(fmt.Sprintf("A[%d][%d]", i, j), tileBytes)
-			objB[i][j] = r.Register(fmt.Sprintf("B[%d][%d]", i, j), tileBytes)
-			objC[i][j] = r.Register(fmt.Sprintf("C[%d][%d]", i, j), tileBytes)
+			objA[i][j] = r.Register(tileName('A', i, j), tileBytes)
+			objB[i][j] = r.Register(tileName('B', i, j), tileBytes)
+			objC[i][j] = r.Register(tileName('C', i, j), tileBytes)
 		}
 	}
 	if cfg.Verify {
@@ -249,4 +250,15 @@ func dgemmAcc(a, b, c []float64, bs int) {
 			}
 		}
 	}
+}
+
+// tileName is the object name of tile (i, j) of matrix m, "m[i][j]",
+// built without fmt: a paper-size build registers hundreds of tiles.
+func tileName(m byte, i, j int) string {
+	var buf [24]byte
+	b := append(buf[:0], m, '[')
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, ']', '[')
+	b = strconv.AppendInt(b, int64(j), 10)
+	return string(append(b, ']'))
 }

@@ -117,6 +117,10 @@ type ClaimStats struct {
 	// simulated runs only, so a fleet's per-claimant counts add up to
 	// the single-process total). Always zero without a chaos axis.
 	Requeued int64
+	// PreRuns counts this claimant's own faulted simulations that had to
+	// pre-run their no-chaos baseline (see RunResult.PreRun). Zero when
+	// every such cell's sibling ran earlier in this process.
+	PreRuns int
 }
 
 func (s ClaimStats) String() string {
@@ -127,6 +131,9 @@ func (s ClaimStats) String() string {
 	}
 	if s.Requeued > 0 {
 		out += fmt.Sprintf(" requeued=%d", s.Requeued)
+	}
+	if s.PreRuns > 0 {
+		out += fmt.Sprintf(" preruns=%d", s.PreRuns)
 	}
 	return out
 }
@@ -180,6 +187,7 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 		Simulated:      stats.Simulated,
 		CacheHits:      stats.Hits,
 		Requeued:       stats.Requeued,
+		PreRuns:        stats.PreRuns,
 		Wall:           time.Since(start),
 	}, stats, nil
 }
@@ -434,6 +442,9 @@ func (e *engine) dispatch() (ClaimStats, error) {
 		}
 		stats.Simulated++
 		stats.Requeued += o.rr.TasksRequeued
+		if o.rr.PreRun {
+			stats.PreRuns++
+		}
 		e.emitFault(o.idx, o.rr)
 		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.hash(o.idx)})
 	}

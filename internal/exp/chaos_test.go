@@ -27,10 +27,15 @@ func chaosGrid() Grid {
 }
 
 // TestChaosCampaignDeterminism is the in-process half of the CI chaos
-// gate: a faulted campaign renders byte-identically at any
-// parallelism, and the dropout cell actually re-queued work.
+// gate: a faulted campaign renders byte-identically at any parallelism,
+// from a cold or a warm horizon table, and the dropout cell actually
+// re-queued work. Serially, every faulted cell's "none" sibling runs
+// first, so no cell pre-runs its baseline.
 func TestChaosCampaignDeterminism(t *testing.T) {
-	render := func(parallel int) (string, *SweepResult) {
+	render := func(parallel int, cold bool) (string, *SweepResult) {
+		if cold {
+			clearHorizons()
+		}
 		res, err := runCampaign(chaosGrid(), nil, parallel, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -41,10 +46,18 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 		}
 		return buf.String(), res
 	}
-	serial, res := render(1)
-	parallel, _ := render(4)
-	if serial != parallel {
-		t.Errorf("chaos CSV differs between -parallel 1 and -parallel 4:\n%s\nvs\n%s", serial, parallel)
+	serial, res := render(1, true)
+	if res.PreRuns != 0 {
+		t.Errorf("serial campaign pre-ran %d baselines, want 0 (each sibling precedes its faulted cell)", res.PreRuns)
+	}
+	for _, c := range []struct {
+		parallel int
+		cold     bool
+	}{{4, true}, {4, false}} {
+		if got, _ := render(c.parallel, c.cold); got != serial {
+			t.Errorf("chaos CSV at -parallel %d (cold table %v) differs from -parallel 1:\n%s\nvs\n%s",
+				c.parallel, c.cold, got, serial)
+		}
 	}
 	if res.Requeued == 0 {
 		t.Error("campaign with a permanent GPU dropout re-queued no tasks")

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -123,7 +124,9 @@ type RunSpec struct {
 	// machine dynamics — GPU dropout, throttling, stragglers, blackouts —
 	// scheduled over virtual time. Empty means no faults. Percent points
 	// (e.g. "gpu1:drop@40%") are relative to the cell's own no-chaos
-	// makespan, measured by a deterministic baseline pre-run.
+	// makespan: the Elapsed of the same spec with Chaos "", taken from
+	// the process's horizon table when this process already ran that
+	// spec, and from a deterministic baseline pre-run otherwise.
 	Chaos string `json:"chaos,omitempty"`
 }
 
@@ -210,6 +213,10 @@ type RunResult struct {
 	// Cached marks a result served from a campaign cache instead of a
 	// fresh simulation (also excluded from deterministic outputs).
 	Cached bool
+	// PreRun marks a faulted run that simulated its no-chaos baseline
+	// because the horizon table held none (an execution fact, excluded
+	// from deterministic outputs like Cached).
+	PreRun bool
 }
 
 // Build constructs the traced runtime for a spec and installs the
@@ -284,41 +291,88 @@ func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) 
 		return RunResult{}, nil, err
 	}
 	start := time.Now()
+	var preRun bool
 	if spec.Chaos != "" {
-		if err := armChaos(r, spec); err != nil {
+		if preRun, err = armChaos(r, spec); err != nil {
 			return RunResult{}, nil, err
 		}
 	}
 	res := r.Execute()
 	r.Release()
-	return RunResult{Spec: spec, Result: res, Wall: time.Since(start)}, r.Tracer(), nil
+	if spec.Chaos == "" {
+		horizons.put(spec, res.Elapsed)
+	}
+	return RunResult{Spec: spec, Result: res, Wall: time.Since(start), PreRun: preRun}, r.Tracer(), nil
 }
 
 // armChaos compiles the spec's chaos plan and schedules it on the
-// runtime. Percent points that act on this machine need a horizon — the
-// same cell's no-chaos makespan — which is measured by a deterministic
-// baseline pre-run (itself a pure function of the spec, so the faulted
-// run stays replayable byte for byte); a plan whose percent clauses are
-// all inert here skips it. The baseline's wall cost folds into the
-// faulted run's Wall; its virtual results are discarded, so it runs
-// untraced and releases its slabs to the faulted run.
-func armChaos(r *ompss.Runtime, spec RunSpec) error {
+// runtime, reporting whether it had to pre-run the baseline. Percent
+// points that act on this machine need a horizon: the same spec's
+// no-chaos makespan. It comes from the horizon table when this process
+// has already run that spec (a grid's "none" sibling, or an earlier
+// pre-run), and otherwise from a deterministic baseline pre-run, whose
+// result the table then keeps. Either way it is a pure function of the
+// spec, so the faulted run stays replayable byte for byte. A plan whose
+// percent clauses are all inert here needs neither. The pre-run's wall
+// cost folds into the faulted run's Wall; its other results are
+// discarded, so it runs untraced and releases its slabs to the faulted
+// run.
+func armChaos(r *ompss.Runtime, spec RunSpec) (preRun bool, err error) {
 	plan, err := chaos.Parse(spec.Chaos)
 	if err != nil {
-		return err
+		return false, err
 	}
 	var horizon time.Duration
 	if plan.NeedsHorizonOn(r.Runtime) {
 		base := spec
 		base.Chaos = ""
-		br, err := build(base, false)
-		if err != nil {
-			return err
+		var ok bool
+		if horizon, ok = horizons.get(base); !ok {
+			br, err := build(base, false)
+			if err != nil {
+				return false, err
+			}
+			horizon = br.Execute().Elapsed
+			br.Release()
+			horizons.put(base, horizon)
+			preRun = true
 		}
-		horizon = br.Execute().Elapsed
-		br.Release()
 	}
-	return plan.Arm(r.Runtime, horizon)
+	return preRun, plan.Arm(r.Runtime, horizon)
+}
+
+// horizonCap bounds the horizon table. An entry costs ~190 bytes of map
+// (the key's strings are shared with the specs), so a full table stays
+// under 1 MB, and it holds the base specs of a grid many times the size
+// of the 720-run acceptance grid (240 base specs).
+const horizonCap = 4096
+
+// horizons maps a filled no-chaos spec to its makespan, for every
+// successful no-chaos simulation this process ran. Equal keys are the
+// same deterministic simulation, so a hit is exactly what a pre-run
+// would measure. The table reads no store: it never trusts another
+// process's bytes. When full it is cleared, which costs only pre-runs.
+var horizons = horizonTable{m: make(map[RunSpec]time.Duration)}
+
+type horizonTable struct {
+	mu sync.Mutex
+	m  map[RunSpec]time.Duration
+}
+
+func (h *horizonTable) get(base RunSpec) (time.Duration, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	d, ok := h.m[base]
+	return d, ok
+}
+
+func (h *horizonTable) put(base RunSpec, d time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.m[base]; !ok && len(h.m) >= horizonCap {
+		clear(h.m)
+	}
+	h.m[base] = d
 }
 
 // TraceString serializes a run's task trace deterministically (submission

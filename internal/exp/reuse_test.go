@@ -40,7 +40,7 @@ func TestRecycledSlabsLeakNothing(t *testing.T) {
 		slab.Drain()
 		r, err := Build(s)
 		if err == nil {
-			err = armChaos(r, s)
+			_, err = armChaos(r, s)
 		}
 		if err != nil {
 			t.Fatal(err)

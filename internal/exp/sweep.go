@@ -66,6 +66,9 @@ type SweepResult struct {
 	// process's own simulated runs (see ClaimStats.Requeued) — an
 	// execution fact like Simulated, zero on warm renders.
 	Requeued int64 `json:"-"`
+	// PreRuns counts this process's faulted runs that pre-ran their
+	// no-chaos baseline (see ClaimStats.PreRuns), an execution fact too.
+	PreRuns int `json:"-"`
 	// Wall is the host time for the whole sweep (not written to CSV/JSON
 	// outputs, which must be deterministic).
 	Wall time.Duration `json:"-"`

@@ -78,22 +78,21 @@ type Recorder interface {
 	RecordTransfer(Record)
 }
 
-// engine is the DMA engine of one directed link.
-type engine struct {
-	link      machine.Link
-	busyUntil sim.Time
-}
-
 // numCategories sizes the per-category accounting arrays.
 const numCategories = int(CatDevice) + 1
 
 // Fabric routes and times transfers across all machine links.
 type Fabric struct {
-	eng     *sim.Engine
-	mach    *machine.Machine
-	engines []engine // indexed by the dense machine.LinkID
-	routes  map[[2]machine.SpaceID][]machine.Link
-	rec     Recorder
+	eng  *sim.Engine
+	mach *machine.Machine
+	// busyUntil is when each link's DMA engine frees up, indexed by the
+	// dense machine.LinkID.
+	busyUntil []sim.Time
+	// routes caches the link path of every (from, to) pair met so far,
+	// indexed by from*len(mach.Spaces)+to; nil marks a pair not yet
+	// routed (distinct spaces always route over at least one link).
+	routes [][]machine.Link
+	rec    Recorder
 
 	// TotalBytes accumulates transferred bytes per category (indexed by
 	// Category, which is dense).
@@ -104,17 +103,13 @@ type Fabric struct {
 
 // NewFabric builds the fabric for a machine. rec may be nil.
 func NewFabric(e *sim.Engine, m *machine.Machine, rec Recorder) *Fabric {
-	f := &Fabric{
-		eng:     e,
-		mach:    m,
-		engines: make([]engine, len(m.Links)),
-		routes:  make(map[[2]machine.SpaceID][]machine.Link),
-		rec:     rec,
+	return &Fabric{
+		eng:       e,
+		mach:      m,
+		busyUntil: make([]sim.Time, len(m.Links)),
+		routes:    make([][]machine.Link, len(m.Spaces)*len(m.Spaces)),
+		rec:       rec,
 	}
-	for _, l := range m.Links {
-		f.engines[l.ID] = engine{link: l}
-	}
-	return f
 }
 
 // transferDuration is the pure wire time of a transfer on a link.
@@ -147,15 +142,17 @@ func (f *Fabric) Transfer(from, to machine.SpaceID, bytes int64, tag string, onD
 
 // route returns the (cached) link path between two distinct spaces.
 func (f *Fabric) route(from, to machine.SpaceID) []machine.Link {
-	key := [2]machine.SpaceID{from, to}
-	if p, ok := f.routes[key]; ok {
-		return p
+	n := machine.SpaceID(len(f.mach.Spaces))
+	if from < n && to < n {
+		if p := f.routes[from*n+to]; p != nil {
+			return p
+		}
 	}
 	p, ok := f.mach.Path(from, to)
 	if !ok {
 		panic(fmt.Sprintf("xfer: no route between space %d and space %d", from, to))
 	}
-	f.routes[key] = p
+	f.routes[from*n+to] = p
 	return p
 }
 
@@ -173,30 +170,21 @@ func (f *Fabric) transferPath(path []machine.Link, bytes int64, tag string, onDo
 	if len(path) == 1 {
 		// Single-leg fast path: the overwhelmingly common case (host<->GPU
 		// over PCIe) needs no continuation closure.
-		f.transferDirect(path[0].From, path[0].To, bytes, tag, onDone)
+		f.transferDirect(path[0], bytes, tag, onDone)
 		return
 	}
-	leg := path[0]
 	rest := path[1:]
-	f.transferDirect(leg.From, leg.To, bytes, tag, func() {
+	f.transferDirect(path[0], bytes, tag, func() {
 		f.transferPath(rest, bytes, tag, onDone)
 	})
 }
 
-// transferDirect schedules a copy over an existing direct link.
-func (f *Fabric) transferDirect(from, to machine.SpaceID, bytes int64, tag string, onDone func()) {
-	link, ok := f.mach.LinkBetween(from, to)
-	if !ok {
-		panic(fmt.Sprintf("xfer: no direct link %d->%d", from, to))
-	}
-	en := &f.engines[link.ID]
-	now := f.eng.Now()
-	start := now
-	if en.busyUntil > start {
-		start = en.busyUntil
-	}
+// transferDirect schedules a copy over one link of a route.
+func (f *Fabric) transferDirect(link machine.Link, bytes int64, tag string, onDone func()) {
+	from, to := link.From, link.To
+	start := max(f.eng.Now(), f.busyUntil[link.ID])
 	end := start.Add(transferDuration(link, bytes))
-	en.busyUntil = end
+	f.busyUntil[link.ID] = end
 
 	cat := Classify(from, to)
 	f.TotalBytes[cat] += bytes
