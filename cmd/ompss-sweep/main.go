@@ -380,12 +380,12 @@ func main() {
 			}
 			if camp.Budget != nil {
 				// The fleet spent the budget; the coordinator must render,
-				// not simulate. Marking the budget fully spent makes it
-				// admit nothing, so every cell the workers skipped is
-				// reported here as skipped instead of quietly run locally
-				// (the fleet's cost model moved when its cells landed, so
-				// re-deciding admission would not be the workers' decision).
-				camp.Budget.SpentSec = camp.Budget.Limit.Seconds()
+				// not simulate. A zero limit admits nothing, so every cell
+				// the workers skipped is reported here as skipped instead
+				// of quietly run locally (the fleet's cost model moved when
+				// its cells landed, so re-deciding admission would not be
+				// the workers' decision). The report still prints -budget.
+				camp.Budget.Limit = 0
 			}
 		}
 		res, _, err = camp.Execute()
@@ -396,7 +396,7 @@ func main() {
 			fatal(err)
 		}
 		if cachedBeforeFleet >= 0 {
-			// The coordinator itself admitted nothing (budget pre-spent);
+			// The coordinator itself admitted nothing (zero limit);
 			// report the fleet's admission decision instead, so the one
 			// report the coordinator prints matches what actually ran.
 			res.BudgetAdmitted = grid.NumRuns() - cachedBeforeFleet - len(res.Skipped)
@@ -424,7 +424,7 @@ func main() {
 		// The skip report prints even under -quiet: like the claim stats
 		// it is protocol evidence — CI greps it, and a budgeted campaign
 		// that skipped silently would look complete.
-		if err := exp.WriteSkipReport(prefixWriter(os.Stderr, "ompss-sweep: "), res, camp.Budget); err != nil {
+		if err := exp.WriteSkipReport(prefixWriter(os.Stderr, "ompss-sweep: "), res, *budgetFlag); err != nil {
 			fatal(err)
 		}
 	}

@@ -94,8 +94,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
-			// SSE watchers hold their connections open; after the grace
-			// period they are cut, which a reconnecting client tolerates.
+			// Requests still open after the grace period are cut.
 			hs.Close()
 		}
 	case err := <-errc:

@@ -17,7 +17,7 @@ import (
 //
 //   - Spend is charged at admission, from estimates, never from actual
 //     wall clocks: the admitted set is a pure function of (plan order,
-//     cost model, Limit, SpentSec), so the skip report is deterministic
+//     cost model, Limit), so the skip report is deterministic
 //     and identical at any Parallel, and the budget can be enforced
 //     before execution rather than raced against it. "Estimated spend
 //     of completed + in-flight work" and "estimated spend of admitted
@@ -42,13 +42,11 @@ type BudgetOptions struct {
 	// seconds (the cost model's unit: single-run wall cost, so the
 	// budget bounds serial simulation work, independent of Parallel).
 	// A non-positive limit admits nothing: spend starts at or past the
-	// ceiling, and the hard stop fires on the first cell.
+	// ceiling, and the hard stop fires on the first cell. The -procs
+	// coordinator renders with a zero limit, so after its worker fleet
+	// returns it reports every still-uncached cell as skipped instead
+	// of simulating it.
 	Limit time.Duration
-	// SpentSec is spend already charged against the limit before this
-	// campaign starts — the -procs coordinator sets it to the full
-	// limit so that, after its worker fleet returns, it reports every
-	// still-uncached cell as skipped instead of simulating it.
-	SpentSec float64
 	// Model supplies the estimates. Nil with a cached campaign builds
 	// the model from the cache at every Execute (never written back
 	// here, so a reused BudgetOptions prices each campaign with the
@@ -81,7 +79,7 @@ func admitBudget(b *BudgetOptions, model *CostModel, planned []PlanCell) (admitt
 		return planned, nil
 	}
 	limit := b.Limit.Seconds()
-	spent := b.SpentSec
+	spent := 0.0
 	admitting := true
 	admitted = planned[:0:0]
 	for _, cell := range planned {
@@ -90,8 +88,7 @@ func admitBudget(b *BudgetOptions, model *CostModel, planned []PlanCell) (admitt
 			est, known = model.Estimate(cell.Spec)
 		}
 		// spent < limit keeps free (unknown-cost) cells from slipping in
-		// once the budget is exactly exhausted — the same state a
-		// pre-spent SpentSec expresses must make the same decision.
+		// once the budget is exactly exhausted, or when it is zero.
 		if admitting && spent < limit && spent+est <= limit {
 			admitted = append(admitted, cell)
 			spent += est
@@ -108,10 +105,11 @@ func admitBudget(b *BudgetOptions, model *CostModel, planned []PlanCell) (admitt
 }
 
 // WriteSkipReport renders a budgeted campaign's skipped cells: one
-// summary line plus one line per skipped run in expansion order. The
-// report is deterministic for a fixed grid, plan and cost model — CI
-// greps it, and operators diff it between budget levels.
-func WriteSkipReport(w io.Writer, res *SweepResult, b *BudgetOptions) error {
+// summary line, which prints limit, plus one line per skipped run in
+// expansion order. The report is deterministic for a fixed grid, plan
+// and cost model — CI greps it, and operators diff it between budget
+// levels.
+func WriteSkipReport(w io.Writer, res *SweepResult, limit time.Duration) error {
 	var estSum float64
 	for _, s := range res.Skipped {
 		estSum += s.EstSec
@@ -119,7 +117,7 @@ func WriteSkipReport(w io.Writer, res *SweepResult, b *BudgetOptions) error {
 	// admitted counts only cells the budget actually let through — cache
 	// hits cost nothing and are not part of the admission decision.
 	if _, err := fmt.Fprintf(w, "budget: limit=%v admitted=%d skipped=%d est_skipped=%ss\n",
-		b.Limit, res.BudgetAdmitted, len(res.Skipped), ftoa(estSum)); err != nil {
+		limit, res.BudgetAdmitted, len(res.Skipped), ftoa(estSum)); err != nil {
 		return err
 	}
 	for _, s := range res.Skipped {

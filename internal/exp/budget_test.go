@@ -203,7 +203,7 @@ func TestBudgetDeterminismClaimMode(t *testing.T) {
 }
 
 // TestAdmitBudget pins the admission rule: in-order charge, unknown
-// cells free, hard stop at the first overflow, pre-spent budgets admit
+// cells free, hard stop at the first overflow, zero budgets admit
 // nothing, skip report in expansion order.
 func TestAdmitBudget(t *testing.T) {
 	cells := func(idxs ...int) []PlanCell {
@@ -245,17 +245,17 @@ func TestAdmitBudget(t *testing.T) {
 		t.Errorf("unknown cell under open budget: admitted %d skipped %d", len(adm), len(skip))
 	}
 	// ...and an exactly-exhausted budget admits no further cell, unknown
-	// or not — the same decision the equivalent pre-spent state makes.
+	// or not — the same decision a zero limit makes.
 	exhaust := &BudgetOptions{Limit: 6 * time.Second, Model: model}
 	adm, skip = admitBudget(exhaust, model, append(cells(0, 1), unknown...))
 	if len(adm) != 2 || len(skip) != 1 || skip[0].Index != 9 {
 		t.Errorf("exhausted budget: admitted %+v skipped %+v, want the free cell cut", adm, skip)
 	}
-	// ...but a pre-spent (or non-positive) budget admits nothing at all.
-	spent := &BudgetOptions{Limit: 7 * time.Second, SpentSec: 7, Model: model}
-	adm, skip = admitBudget(spent, model, unknown)
+	// ...but a zero limit (the -procs coordinator's render budget)
+	// admits nothing at all, not even an unknown-cost cell.
+	adm, skip = admitBudget(&BudgetOptions{Model: model}, model, unknown)
 	if len(adm) != 0 || len(skip) != 1 {
-		t.Errorf("pre-spent budget: admitted %d skipped %d", len(adm), len(skip))
+		t.Errorf("zero budget: admitted %d skipped %d", len(adm), len(skip))
 	}
 	if s := skip[0]; s.Known || s.EstSec != 0 {
 		t.Errorf("unknown skip carries estimate (%g, %t)", s.EstSec, s.Known)
@@ -313,7 +313,7 @@ func TestWriteSkipReport(t *testing.T) {
 	}
 	res, _ := budgetCampaign(t, cache, 1, nil)
 	var buf bytes.Buffer
-	if err := WriteSkipReport(&buf, res, &BudgetOptions{Limit: 10 * time.Second}); err != nil {
+	if err := WriteSkipReport(&buf, res, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -35,8 +35,9 @@ type Campaign struct {
 	// callers whose cases are not a product, chiefly harness.Run, which
 	// passes every paper figure's distinct specs as one campaign. Each
 	// spec is one cell (duplicates are not merged here: the caller
-	// deduplicates); aggregation treats every run as its own cell and
-	// the result's Grid is left zero.
+	// deduplicates), filled and validated like a grid's cells, all
+	// before any simulation; aggregation treats every run as its own
+	// cell and the result's Grid is left zero.
 	Specs []RunSpec
 	// Store, if set, makes the campaign resumable (and is required for
 	// claim mode): cells the store already holds are not re-simulated,
@@ -145,14 +146,14 @@ func (s ClaimStats) String() string {
 func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 	var stats ClaimStats
 	start := time.Now()
-	specs, grid, replicas, err := c.expand()
+	cells, grid, replicas, err := c.expand()
 	if err != nil {
 		return nil, stats, err
 	}
 	if c.Claim != nil && c.Store == nil {
 		return nil, stats, errors.New("exp: claim campaigns need a Store (the store is the claim substrate)")
 	}
-	e := &engine{c: c, specs: specs, results: make([]RunResult, len(specs))}
+	e := &engine{c: c, cells: cells, results: make([]RunResult, len(cells))}
 	if c.Budget != nil {
 		// The model is resolved per Execute, into the engine — never
 		// written back into the caller's BudgetOptions, so a reused
@@ -164,15 +165,6 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 				return nil, stats, err
 			}
 			e.budgetModel = m
-		}
-	}
-	if c.Store != nil {
-		// Hashes are immutable per spec but claim mode revisits
-		// peer-held cells every poll; precompute them once instead of
-		// re-running canonicalization + SHA-256 per cell per visit.
-		e.hashes = make([]string, len(specs))
-		for i := range specs {
-			e.hashes[i] = specs[i].Hash()
 		}
 	}
 	if stats, err = e.dispatch(); err != nil {
@@ -192,62 +184,54 @@ func (c *Campaign) Execute() (*SweepResult, ClaimStats, error) {
 	}, stats, nil
 }
 
-// expand resolves the campaign definition into run specs (defaults
-// filled) plus the grid and replica count the result will carry.
-func (c *Campaign) expand() ([]RunSpec, Grid, int, error) {
+// expand resolves the campaign definition into its cells plus the grid
+// and replica count the result will carry.
+func (c *Campaign) expand() ([]PlanCell, Grid, int, error) {
+	if len(c.Specs) > 0 && !c.Grid.isZero() {
+		return nil, Grid{}, 0, errors.New("exp: Campaign takes a Grid or explicit Specs, not both")
+	}
+	cells, err := expand(c.Grid, c.Specs)
+	if err != nil {
+		return nil, Grid{}, 0, err
+	}
 	if len(c.Specs) > 0 {
-		if !c.Grid.isZero() {
-			return nil, Grid{}, 0, errors.New("exp: Campaign takes a Grid or explicit Specs, not both")
-		}
-		specs := make([]RunSpec, len(c.Specs))
-		copy(specs, c.Specs)
-		for i := range specs {
-			specs[i].fillDefaults()
-			if err := specs[i].validate(); err != nil {
-				return nil, Grid{}, 0, err
-			}
-		}
-		return specs, Grid{}, 1, nil
+		return cells, Grid{}, 1, nil
 	}
 	grid := c.Grid
 	grid.fillDefaults()
-	if err := grid.Validate(); err != nil {
-		return nil, Grid{}, 0, err
-	}
-	specs := grid.Runs()
-	for i := range specs {
-		specs[i].fillDefaults()
-	}
-	return specs, grid, grid.Replicas, nil
+	return cells, grid, grid.Replicas, nil
 }
 
-// validate checks one explicit spec against the registries and the
-// machine model — the per-spec mirror of Grid.Validate, so explicit-spec
-// campaigns fail fast too.
-func (s RunSpec) validate() error {
-	if _, err := ParseSize(string(s.Size)); err != nil {
-		return err
+// expand turns an explicit spec list, or the grid when specs is empty,
+// into cells in expansion order: every spec filled, validated and
+// hashed once, before any simulation. The hash names the cell to the
+// store, the planner, the budget and every event.
+func expand(g Grid, specs []RunSpec) ([]PlanCell, error) {
+	var err error
+	if len(specs) > 0 {
+		specs = slices.Clone(specs)
+		err = checkSpecs(specs)
+	} else {
+		specs, err = g.filledRuns()
 	}
-	app, ok := LookupApp(s.App)
-	if !ok {
-		return fmt.Errorf("exp: unknown app %q (have %v)", s.App, AppNames())
-	}
-	if s.GPUs < app.MinGPUs {
-		return fmt.Errorf("exp: app %q needs at least %d GPU(s), spec has %d",
-			s.App, app.MinGPUs, s.GPUs)
-	}
-	if err := sched.CheckName(s.Scheduler); err != nil {
-		return fmt.Errorf("exp: spec references unknown scheduler: %w", err)
-	}
-	canon, err := ParseMachineSpec(string(s.Machine))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if canon != s.Machine {
-		return fmt.Errorf("exp: spec machine %q is not canonical (want %q)", s.Machine, canon)
+	cells := make([]PlanCell, len(specs))
+	for i, s := range specs {
+		cells[i] = PlanCell{Index: i, Spec: s, Hash: s.Hash()}
 	}
-	if _, err := s.Machine.Materialize(s.SMPWorkers, s.GPUs); err != nil {
-		return err
+	return cells, nil
+}
+
+// checkSpecs fills every spec in place and validates it, so one bad
+// spec fails the whole list.
+func checkSpecs(specs []RunSpec) error {
+	for i := range specs {
+		specs[i].fillDefaults()
+		if _, err := specs[i].validate(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -255,8 +239,7 @@ func (s RunSpec) validate() error {
 // engine is one Execute call's mutable state.
 type engine struct {
 	c       *Campaign
-	specs   []RunSpec
-	hashes  []string // nil when the campaign has no store
+	cells   []PlanCell // expansion order: cells[i].Index == i
 	results []RunResult
 	skipped []SkippedRun // budget skips, expansion-index order
 	// admitted counts the uncached cells the budget let through
@@ -287,18 +270,11 @@ func (e *engine) emitFault(idx int, rr RunResult) {
 	}
 	e.emit(CellFaultInjected{
 		Index:    idx,
-		Hash:     e.hash(idx),
+		Hash:     e.cells[idx].Hash,
 		Chaos:    rr.Spec.Chaos,
 		Faults:   rr.FaultsInjected,
 		Requeued: rr.TasksRequeued,
 	})
-}
-
-func (e *engine) hash(idx int) string {
-	if e.hashes == nil {
-		return ""
-	}
-	return e.hashes[idx]
 }
 
 func (e *engine) workers() int {
@@ -306,8 +282,8 @@ func (e *engine) workers() int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > len(e.specs) {
-		n = len(e.specs)
+	if n > len(e.cells) {
+		n = len(e.cells)
 	}
 	return n
 }
@@ -341,12 +317,13 @@ func (e *engine) runner() func(RunSpec) (RunResult, *trace.Tracer, error) {
 // silently unpersisted result is exactly what the cache exists to
 // prevent.
 func (e *engine) satisfy(idx int, run func(RunSpec) (RunResult, *trace.Tracer, error)) (RunResult, bool, error) {
+	cell := e.cells[idx]
 	if e.c.Store != nil {
-		if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
+		if rr, ok := e.c.Store.LoadCell(cell.Spec, cell.Hash); ok {
 			return rr, true, nil
 		}
 	}
-	rr, tr, err := run(e.specs[idx])
+	rr, tr, err := run(cell.Spec)
 	if err != nil {
 		return RunResult{}, false, err
 	}
@@ -425,7 +402,7 @@ type outcome struct {
 // lease, after satisfy's store re-check inside that lease: a peer that
 // stored the cell first turns the claim into a hit.
 func (e *engine) dispatch() (ClaimStats, error) {
-	stats := ClaimStats{Runs: len(e.specs)}
+	stats := ClaimStats{Runs: len(e.cells)}
 	var firstErr error
 	commit := func(o outcome) {
 		if o.err != nil {
@@ -437,7 +414,7 @@ func (e *engine) dispatch() (ClaimStats, error) {
 		e.results[o.idx] = o.rr
 		if o.hit {
 			stats.Hits++
-			e.emit(CellCached{Index: o.idx, Result: o.rr, Hash: e.hash(o.idx), Warm: o.warm})
+			e.emit(CellCached{Index: o.idx, Result: o.rr, Hash: e.cells[o.idx].Hash, Warm: o.warm})
 			return
 		}
 		stats.Simulated++
@@ -446,18 +423,18 @@ func (e *engine) dispatch() (ClaimStats, error) {
 			stats.PreRuns++
 		}
 		e.emitFault(o.idx, o.rr)
-		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.hash(o.idx)})
+		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.cells[o.idx].Hash})
 	}
 
-	pending := make([]PlanCell, 0, len(e.specs))
-	for idx := range e.specs {
+	pending := make([]PlanCell, 0, len(e.cells))
+	for _, cell := range e.cells {
 		if e.c.Store != nil {
-			if rr, ok := e.c.Store.LoadCell(e.specs[idx], e.hashes[idx]); ok {
-				commit(outcome{idx: idx, rr: rr, hit: true, warm: true})
+			if rr, ok := e.c.Store.LoadCell(cell.Spec, cell.Hash); ok {
+				commit(outcome{idx: cell.Index, rr: rr, hit: true, warm: true})
 				continue
 			}
 		}
-		pending = append(pending, PlanCell{Index: idx, Spec: e.specs[idx], Hash: e.hash(idx)})
+		pending = append(pending, cell)
 	}
 	planned, err := applyPlan(e.c.Planner, pending)
 	if err != nil {
@@ -482,7 +459,8 @@ func (e *engine) dispatch() (ClaimStats, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for j := range jobs {
-				e.emit(CellStarted{Index: j.idx, Spec: e.specs[j.idx], Hash: e.hash(j.idx)})
+				cell := e.cells[j.idx]
+				e.emit(CellStarted{Index: cell.Index, Spec: cell.Spec, Hash: cell.Hash})
 				rr, hit, err := e.satisfy(j.idx, run)
 				if j.lease != nil {
 					close(j.stopHB)

@@ -88,15 +88,6 @@ func (m *CostModel) Estimate(spec RunSpec) (float64, bool) {
 	return 0, false
 }
 
-// Observations is the number of recorded costs folded in (diagnostics).
-func (m *CostModel) Observations() int {
-	n := 0
-	for _, o := range m.coarse {
-		n += o.n
-	}
-	return n
-}
-
 // LoadCostModel folds a store's manifest snapshot into a cost model —
 // no cell file is read. Cells stored before costs existed carry WallSec
 // 0, which Observe ignores; the model stays best-effort by design, and a
@@ -150,7 +141,6 @@ func WriteCostCSV(w io.Writer, res *SweepResult) error {
 			continue
 		}
 		s := r.Spec
-		s.fillDefaults()
 		source := "simulated"
 		if r.Cached {
 			source = "cached"
@@ -189,9 +179,7 @@ func WriteCostJSON(w io.Writer, res *SweepResult) error {
 		if skipped[i] {
 			continue
 		}
-		s := r.Spec
-		s.fillDefaults()
-		rows = append(rows, costRow{Spec: s, Cached: r.Cached, WallSec: r.Wall.Seconds()})
+		rows = append(rows, costRow{Spec: r.Spec, Cached: r.Cached, WallSec: r.Wall.Seconds()})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

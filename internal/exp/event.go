@@ -38,8 +38,7 @@ type CellStarted struct {
 	// Index is the cell's position in the campaign's expansion order.
 	Index int
 	Spec  RunSpec
-	// Hash is the spec's content hash ("" when the campaign has no cache:
-	// hashes are only computed when a cache directory keys them).
+	// Hash is the spec's content hash.
 	Hash string
 }
 
@@ -48,9 +47,8 @@ type CellStarted struct {
 type CellDone struct {
 	Index  int
 	Result RunResult
-	// Hash is the spec's content hash ("" without a cache), carried so
-	// observers that persist events (the campaign journal) need not
-	// re-hash the spec.
+	// Hash is the spec's content hash, carried so observers that
+	// persist events (the campaign journal) need not re-hash the spec.
 	Hash string
 }
 
@@ -61,7 +59,7 @@ type CellDone struct {
 // campaign journal) can record the fault forensics next to the result.
 type CellFaultInjected struct {
 	Index int
-	// Hash is the spec's content hash ("" without a cache).
+	// Hash is the spec's content hash.
 	Hash string
 	// Chaos is the cell's chaos spec as swept (the compact grammar form).
 	Chaos string
@@ -76,7 +74,7 @@ type CellFaultInjected struct {
 type CellCached struct {
 	Index  int
 	Result RunResult
-	// Hash is the spec's content hash (cached cells always have one).
+	// Hash is the spec's content hash.
 	Hash string
 	// Warm marks a pre-scan hit: the cell was already complete on disk
 	// before this campaign started, as opposed to one a peer stored

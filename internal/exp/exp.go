@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/ompss"
 )
@@ -139,6 +140,12 @@ func (s RunSpec) Config() (ompss.Config, error) {
 	if err != nil {
 		return ompss.Config{}, err
 	}
+	return s.config(mach), nil
+}
+
+// config is Config on a filled spec whose machine is already
+// materialized.
+func (s RunSpec) config(mach *ompss.Machine) ompss.Config {
 	return ompss.Config{
 		Machine:       mach,
 		Scheduler:     s.Scheduler,
@@ -150,7 +157,7 @@ func (s RunSpec) Config() (ompss.Config, error) {
 		LocalityAware: s.LocalityAware,
 		NoiseSigma:    s.NoiseSigma,
 		Seed:          s.Seed,
-	}, nil
+	}
 }
 
 // String is a compact human-readable cell label. Non-default machine
@@ -202,6 +209,70 @@ func (s *RunSpec) fillDefaults() {
 	}
 }
 
+// checkedSpec is what validate resolved on its way to accepting a spec,
+// kept so a run builds from it instead of resolving it again.
+type checkedSpec struct {
+	app  App
+	mach *ompss.Machine // nil for the node shape (see Materialize)
+	plan *chaos.Plan    // nil without chaos
+}
+
+// validate is the one gate every spec passes before it is simulated,
+// cached or watched: grids, explicit spec lists, watchers and bare runs
+// all call it on the filled spec (fillDefaults applied), so a bad cell
+// fails before any simulation with an error naming the offending value.
+// It checks the size, the app and its MinGPUs, the scheduler name, a
+// canonical machine shape that can host the worker counts, non-negative
+// GPUs, lambda and size tolerance, an EWMA alpha in [0, 1], and a chaos
+// spec that parses.
+func (s RunSpec) validate() (checkedSpec, error) {
+	var c checkedSpec
+	if _, err := ParseSize(string(s.Size)); err != nil {
+		return c, err
+	}
+	app, ok := LookupApp(s.App)
+	if !ok {
+		return c, fmt.Errorf("exp: unknown app %q (have %v)", s.App, AppNames())
+	}
+	if s.GPUs < 0 {
+		return c, fmt.Errorf("exp: spec GPU count %d must be non-negative", s.GPUs)
+	}
+	if s.GPUs < app.MinGPUs {
+		return c, fmt.Errorf("exp: app %q needs at least %d GPU(s), spec has %d",
+			s.App, app.MinGPUs, s.GPUs)
+	}
+	if err := sched.CheckName(s.Scheduler); err != nil {
+		return c, fmt.Errorf("exp: spec references unknown scheduler: %w", err)
+	}
+	canon, err := ParseMachineSpec(string(s.Machine))
+	if err != nil {
+		return c, err
+	}
+	if canon != s.Machine {
+		return c, fmt.Errorf("exp: spec machine %q is not canonical (want %q)", s.Machine, canon)
+	}
+	mach, err := s.Machine.Materialize(s.SMPWorkers, s.GPUs)
+	if err != nil {
+		return c, err
+	}
+	if s.Lambda < 0 {
+		return c, fmt.Errorf("exp: spec lambda %d must be non-negative (0 = default)", s.Lambda)
+	}
+	if s.SizeTolerance < 0 {
+		return c, fmt.Errorf("exp: spec size tolerance %g must be non-negative", s.SizeTolerance)
+	}
+	if s.EWMAAlpha < 0 || s.EWMAAlpha > 1 {
+		return c, fmt.Errorf("exp: spec EWMA alpha %g must be in [0, 1]", s.EWMAAlpha)
+	}
+	var plan *chaos.Plan
+	if s.Chaos != "" {
+		if plan, err = chaos.Parse(s.Chaos); err != nil {
+			return c, fmt.Errorf("exp: spec chaos %q: %w", s.Chaos, err)
+		}
+	}
+	return checkedSpec{app: app, mach: mach, plan: plan}, nil
+}
+
 // RunResult is the outcome of one run: the spec it came from, the
 // virtual-time metrics, and the wall-clock cost of simulating it.
 type RunResult struct {
@@ -223,33 +294,26 @@ type RunResult struct {
 // application, but does not execute it: callers that need the runtime
 // afterwards (trace extraction, energy reports, profile dumps) use
 // Build + Execute; everyone else uses Run.
-func Build(spec RunSpec) (*ompss.Runtime, error) { return build(spec, true) }
-
-// build is Build with the trace optional: an untraced runtime keeps only
-// the counters Result reads.
-func build(spec RunSpec, traced bool) (*ompss.Runtime, error) {
+func Build(spec RunSpec) (*ompss.Runtime, error) {
 	spec.fillDefaults()
-	if _, err := ParseSize(string(spec.Size)); err != nil {
-		return nil, err
-	}
-	app, ok := LookupApp(spec.App)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown app %q (have %v)", spec.App, AppNames())
-	}
-	if spec.GPUs < app.MinGPUs {
-		return nil, fmt.Errorf("exp: app %q needs at least %d GPU(s), spec has %d",
-			spec.App, app.MinGPUs, spec.GPUs)
-	}
-	cfg, err := spec.Config()
+	c, err := spec.validate()
 	if err != nil {
 		return nil, err
 	}
+	return build(spec, c, true)
+}
+
+// build constructs the runtime of a filled spec from what validate
+// resolved, with the trace optional: an untraced runtime keeps only the
+// counters Result reads.
+func build(spec RunSpec, c checkedSpec, traced bool) (*ompss.Runtime, error) {
+	cfg := spec.config(c.mach)
 	cfg.NoTrace = !traced
 	r, err := ompss.NewRuntime(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := app.Build(r, spec.Size); err != nil {
+	if err := c.app.Build(r, spec.Size); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -286,14 +350,18 @@ func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) 
 			err = fmt.Errorf("exp: run %v panicked: %v", spec, p)
 		}
 	}()
-	r, err := build(spec, traced)
+	c, err := spec.validate()
+	if err != nil {
+		return RunResult{}, nil, err
+	}
+	r, err := build(spec, c, traced)
 	if err != nil {
 		return RunResult{}, nil, err
 	}
 	start := time.Now()
 	var preRun bool
-	if spec.Chaos != "" {
-		if preRun, err = armChaos(r, spec); err != nil {
+	if c.plan != nil {
+		if preRun, err = armChaos(r, spec, c); err != nil {
 			return RunResult{}, nil, err
 		}
 	}
@@ -305,7 +373,7 @@ func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) 
 	return RunResult{Spec: spec, Result: res, Wall: time.Since(start), PreRun: preRun}, r.Tracer(), nil
 }
 
-// armChaos compiles the spec's chaos plan and schedules it on the
+// armChaos schedules the spec's chaos plan, compiled by validate, on the
 // runtime, reporting whether it had to pre-run the baseline. Percent
 // points that act on this machine need a horizon: the same spec's
 // no-chaos makespan. It comes from the horizon table when this process
@@ -317,18 +385,14 @@ func run(spec RunSpec, traced bool) (rr RunResult, tr *trace.Tracer, err error) 
 // cost folds into the faulted run's Wall; its other results are
 // discarded, so it runs untraced and releases its slabs to the faulted
 // run.
-func armChaos(r *ompss.Runtime, spec RunSpec) (preRun bool, err error) {
-	plan, err := chaos.Parse(spec.Chaos)
-	if err != nil {
-		return false, err
-	}
+func armChaos(r *ompss.Runtime, spec RunSpec, c checkedSpec) (preRun bool, err error) {
 	var horizon time.Duration
-	if plan.NeedsHorizonOn(r.Runtime) {
+	if c.plan.NeedsHorizonOn(r.Runtime) {
 		base := spec
 		base.Chaos = ""
 		var ok bool
 		if horizon, ok = horizons.get(base); !ok {
-			br, err := build(base, false)
+			br, err := build(base, c, false)
 			if err != nil {
 				return false, err
 			}
@@ -338,7 +402,7 @@ func armChaos(r *ompss.Runtime, spec RunSpec) (preRun bool, err error) {
 			preRun = true
 		}
 	}
-	return preRun, plan.Arm(r.Runtime, horizon)
+	return preRun, c.plan.Arm(r.Runtime, horizon)
 }
 
 // horizonCap bounds the horizon table. An entry costs ~190 bytes of map

@@ -662,9 +662,10 @@ func TestTables(t *testing.T) {
 	}
 
 	_, facadeErr := ompss.NewRuntime(ompss.Config{Scheduler: "nope", SMPWorkers: 1, GPUs: 1})
+	_, specErr := RunSpec{App: "matmul-hyb", Size: SizeTiny, Scheduler: "nope", SMPWorkers: 1, GPUs: 1}.validate()
 	for what, err := range map[string]error{
 		"grid":   Grid{Schedulers: []string{"nope"}}.Validate(),
-		"spec":   RunSpec{App: "matmul-hyb", Size: SizeTiny, Scheduler: "nope", SMPWorkers: 1, GPUs: 1}.validate(),
+		"spec":   specErr,
 		"facade": facadeErr,
 	} {
 		if err == nil {

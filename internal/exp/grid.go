@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"repro/internal/chaos"
-	"repro/internal/sched"
-)
+import "fmt"
 
 // replicaSeedStride spaces replica seeds so adjacent cells never share a
 // jitter stream even if a caller picks adjacent base seeds.
@@ -130,72 +125,29 @@ func (g Grid) chaosSpecs() []string {
 	return g.Chaos
 }
 
-// Validate checks every axis value against the registries before any
-// simulation starts, so a typo fails fast instead of 40 cells in.
+// Validate checks the grid before any simulation starts, so a typo
+// fails fast instead of 40 cells in. Only the SMP axis is checked as an
+// axis — filling would turn a non-positive entry into 1, which no filled
+// spec can reveal; every expanded spec then passes RunSpec.validate, the
+// gate campaigns, watchers and bare runs share.
 func (g Grid) Validate() error {
+	_, err := g.filledRuns()
+	return err
+}
+
+// filledRuns is Runs with every spec filled and validated.
+func (g Grid) filledRuns() ([]RunSpec, error) {
 	g.fillDefaults()
-	if _, err := ParseSize(string(g.Size)); err != nil {
-		return err
-	}
 	for _, n := range g.SMPWorkers {
 		if n <= 0 {
-			return fmt.Errorf("exp: grid SMP worker count %d must be positive", n)
+			return nil, fmt.Errorf("exp: grid SMP worker count %d must be positive", n)
 		}
 	}
-	for _, n := range g.GPUs {
-		if n < 0 {
-			return fmt.Errorf("exp: grid GPU count %d must be non-negative", n)
-		}
+	specs := g.Runs()
+	if err := checkSpecs(specs); err != nil {
+		return nil, err
 	}
-	for _, a := range g.Apps {
-		if _, ok := LookupApp(a); !ok {
-			return fmt.Errorf("exp: grid references unknown app %q (have %v)", a, AppNames())
-		}
-	}
-	for _, s := range g.Schedulers {
-		if err := sched.CheckName(s); err != nil {
-			return fmt.Errorf("exp: grid references unknown scheduler: %w", err)
-		}
-	}
-	for _, l := range g.lambdas() {
-		if l < 0 {
-			return fmt.Errorf("exp: grid lambda %d must be non-negative (0 = default)", l)
-		}
-	}
-	for _, tol := range g.sizeTolerances() {
-		if tol < 0 {
-			return fmt.Errorf("exp: grid size tolerance %g must be non-negative", tol)
-		}
-	}
-	for _, a := range g.ewmaAlphas() {
-		if a < 0 || a > 1 {
-			return fmt.Errorf("exp: grid EWMA alpha %g must be in [0, 1]", a)
-		}
-	}
-	for _, c := range g.chaosSpecs() {
-		if _, err := chaos.Parse(c); err != nil {
-			return fmt.Errorf("exp: grid chaos axis: %w", err)
-		}
-	}
-	// Machine shapes must be canonical (so equal cells share one cache
-	// hash) and able to host every swept worker-count combination.
-	for _, m := range g.machines() {
-		canon, err := ParseMachineSpec(string(m))
-		if err != nil {
-			return err
-		}
-		if canon != m {
-			return fmt.Errorf("exp: grid machine %q is not canonical (want %q)", m, canon)
-		}
-		for _, smp := range g.SMPWorkers {
-			for _, gpus := range g.GPUs {
-				if _, err := m.Materialize(smp, gpus); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return specs, nil
 }
 
 // NumCells is the number of distinct (app, scheduler, machine, smp,

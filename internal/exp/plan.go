@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// PlanCell is one uncached cell handed to a Planner: its position in the
-// campaign's expansion order, the spec, and (when the campaign has a
-// cache) the spec's content hash.
+// PlanCell is one cell of a campaign: its position in the campaign's
+// expansion order, the filled and validated spec, and the spec's content
+// hash. Planners receive the cells still uncached.
 type PlanCell struct {
 	Index int
 	Spec  RunSpec

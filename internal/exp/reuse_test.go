@@ -40,7 +40,9 @@ func TestRecycledSlabsLeakNothing(t *testing.T) {
 		slab.Drain()
 		r, err := Build(s)
 		if err == nil {
-			_, err = armChaos(r, s)
+			s.fillDefaults()
+			c, _ := s.validate() // Build has just accepted s
+			_, err = armChaos(r, s, c)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -139,7 +139,6 @@ func writeArtifact(path string, write func(io.Writer) error) error {
 // clear text, everything else (machine shape, extension knobs) folded
 // into a 12-hex spec-hash prefix that keeps distinct cells distinct.
 func artifactSlug(spec RunSpec) string {
-	spec.fillDefaults()
 	slug := fmt.Sprintf("%s_%s_%s_smp%d_gpu%d_n%s_s%d_%s",
 		spec.App, spec.Size, spec.Scheduler, spec.SMPWorkers, spec.GPUs,
 		ftoa(spec.NoiseSigma), spec.Seed, spec.Hash()[:12])

@@ -3,7 +3,6 @@ package exp
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -49,28 +48,38 @@ const SimBehaviorVersion = 1
 // describe the same simulation under the same model if and only if their
 // canonical strings are equal; the golden tests in spechash_test.go
 // freeze this format and FuzzCanonicalSpec checks injectivity.
-func (s RunSpec) CanonicalString() string {
+func (s RunSpec) CanonicalString() string { return string(s.appendCanonical(nil)) }
+
+// appendCanonical appends the canonical string to b, so Hash can build
+// it in one stack buffer.
+func (s RunSpec) appendCanonical(b []byte) []byte {
 	s.fillDefaults()
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	q := func(v string) string { return strconv.Quote(coerceUTF8(v)) }
-	var b strings.Builder
-	fmt.Fprintf(&b, "spechash/v%d\n", SpecHashVersion)
-	fmt.Fprintf(&b, "format=%d\n", CacheFormatVersion)
-	fmt.Fprintf(&b, "model=%d\n", SimBehaviorVersion)
-	fmt.Fprintf(&b, "app=%s\n", q(s.App))
-	fmt.Fprintf(&b, "size=%s\n", q(string(s.Size)))
-	fmt.Fprintf(&b, "scheduler=%s\n", q(s.Scheduler))
-	fmt.Fprintf(&b, "machine=%s\n", q(string(s.Machine)))
-	fmt.Fprintf(&b, "smp=%d\n", s.SMPWorkers)
-	fmt.Fprintf(&b, "gpus=%d\n", s.GPUs)
-	fmt.Fprintf(&b, "lambda=%d\n", s.Lambda)
-	fmt.Fprintf(&b, "size_tolerance=%s\n", f(s.SizeTolerance))
-	fmt.Fprintf(&b, "ewma_alpha=%s\n", f(s.EWMAAlpha))
-	fmt.Fprintf(&b, "locality_aware=%t\n", s.LocalityAware)
-	fmt.Fprintf(&b, "chaos=%s\n", q(s.Chaos))
-	fmt.Fprintf(&b, "noise=%s\n", f(s.NoiseSigma))
-	fmt.Fprintf(&b, "seed=%d\n", s.Seed)
-	return b.String()
+	line := func(key string) { b = append(append(b, key...), '=') }
+	end := func() { b = append(b, '\n') }
+	quoted := func(key, v string) { line(key); b = strconv.AppendQuote(b, coerceUTF8(v)); end() }
+	integer := func(key string, v int64) { line(key); b = strconv.AppendInt(b, v, 10); end() }
+	float := func(key string, v float64) { line(key); b = strconv.AppendFloat(b, v, 'g', -1, 64); end() }
+	b = append(b, "spechash/v"...)
+	b = strconv.AppendInt(b, SpecHashVersion, 10)
+	end()
+	integer("format", CacheFormatVersion)
+	integer("model", SimBehaviorVersion)
+	quoted("app", s.App)
+	quoted("size", string(s.Size))
+	quoted("scheduler", s.Scheduler)
+	quoted("machine", string(s.Machine))
+	integer("smp", int64(s.SMPWorkers))
+	integer("gpus", int64(s.GPUs))
+	integer("lambda", int64(s.Lambda))
+	float("size_tolerance", s.SizeTolerance)
+	float("ewma_alpha", s.EWMAAlpha)
+	line("locality_aware")
+	b = strconv.AppendBool(b, s.LocalityAware)
+	end()
+	quoted("chaos", s.Chaos)
+	float("noise", s.NoiseSigma)
+	integer("seed", s.Seed)
+	return b
 }
 
 // coerceUTF8 rewrites each invalid UTF-8 byte to U+FFFD, byte for byte —
@@ -105,6 +114,9 @@ func coerceUTF8(s string) string {
 // simulator-behaviour fingerprint — changes the hash. The result cache
 // files and their lease files are named by this hash.
 func (s RunSpec) Hash() string {
-	sum := sha256.Sum256([]byte(s.CanonicalString()))
-	return hex.EncodeToString(sum[:])
+	var buf [320]byte
+	sum := sha256.Sum256(s.appendCanonical(buf[:0]))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }

@@ -92,7 +92,6 @@ group:
 			}
 		}
 		spec := group[0].Spec
-		spec.fillDefaults()
 		c := CellSummary{
 			App:           spec.App,
 			Size:          spec.Size,

@@ -201,9 +201,8 @@ func (j JournalStatus) OwnersLine() string {
 // memoizes per-poll state (the uncached set, the cost model) so the
 // store's cost data is only re-folded when a new cell landed.
 type Watcher struct {
-	store  CellStore
-	specs  []RunSpec
-	hashes []string
+	store CellStore
+	cells []PlanCell
 	// TTL, when set, is the lease staleness threshold used to flag
 	// likely-dead claimants in rendered status lines.
 	TTL time.Duration
@@ -234,20 +233,14 @@ type leaseObs struct {
 	seed   time.Duration // snapshot age it carried at that instant
 }
 
-// NewWatcher validates the grid and precomputes its spec hashes over
-// any CellStore.
+// NewWatcher expands the grid the way a Campaign does — every spec
+// filled, validated and hashed once — over any CellStore.
 func NewWatcher(s CellStore, g Grid) (*Watcher, error) {
-	g.fillDefaults()
-	if err := g.Validate(); err != nil {
+	cells, err := expand(g, nil)
+	if err != nil {
 		return nil, err
 	}
-	specs := g.Runs()
-	hashes := make([]string, len(specs))
-	for i := range specs {
-		specs[i].fillDefaults()
-		hashes[i] = specs[i].Hash()
-	}
-	return &Watcher{store: s, specs: specs, hashes: hashes}, nil
+	return &Watcher{store: s, cells: cells}, nil
 }
 
 // Status snapshots the campaign: which runs are settled in the store
@@ -257,14 +250,14 @@ func NewWatcher(s CellStore, g Grid) (*Watcher, error) {
 // whichever claimant next touches it), so a poll is grid-size map
 // lookups against the store snapshot, no cell I/O.
 func (w *Watcher) Status() (CampaignStatus, error) {
-	st := CampaignStatus{Runs: len(w.hashes), TTL: w.TTL}
+	st := CampaignStatus{Runs: len(w.cells), TTL: w.TTL}
 	snap, err := w.store.Snapshot()
 	if err != nil {
 		return CampaignStatus{}, err
 	}
 	w.uncached = w.uncached[:0]
-	for i, h := range w.hashes {
-		if _, ok := snap.Cells[h]; ok {
+	for i, c := range w.cells {
+		if _, ok := snap.Cells[c.Hash]; ok {
 			st.Done++
 		} else {
 			w.uncached = append(w.uncached, i)
@@ -363,7 +356,7 @@ func (w *Watcher) JournalStatus() (*JournalStatus, error) {
 			return nil, err
 		}
 	}
-	done := len(w.hashes) - len(w.uncached)
+	done := len(w.cells) - len(w.uncached)
 	if w.model == nil || done != w.modelDone {
 		model, err := LoadCostModel(w.store)
 		if err != nil {
@@ -373,7 +366,7 @@ func (w *Watcher) JournalStatus() (*JournalStatus, error) {
 	}
 	for _, i := range w.uncached {
 		js.Remaining++
-		if est, ok := w.model.Estimate(w.specs[i]); ok {
+		if est, ok := w.model.Estimate(w.cells[i].Spec); ok {
 			js.RemainingEstSec += est
 			js.EstKnown++
 		}

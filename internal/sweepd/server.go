@@ -29,13 +29,6 @@ type Server struct {
 	store *exp.DirStore
 	mux   *http.ServeMux
 
-	// WatchTick is the SSE poll cadence (default 500ms). Set before
-	// serving.
-	WatchTick time.Duration
-	// HeartbeatEvery is the SSE keep-alive comment cadence (default
-	// 15s). Set before serving.
-	HeartbeatEvery time.Duration
-
 	// smu serializes manifest readers (snapshot + marshal) against cell
 	// writers: StoreSnapshot's map is shared with the store and mutated
 	// by StoreCell, so the server must not iterate it while a PUT folds
@@ -77,13 +70,11 @@ func NewServer(store *exp.DirStore) *Server {
 // assertions exercise the claim protocol, not the janitor.
 func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 	s := &Server{
-		store:          store,
-		WatchTick:      500 * time.Millisecond,
-		HeartbeatEvery: 15 * time.Second,
-		leases:         make(map[string]*heldLease),
-		janitorEvery:   janitorEvery,
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
+		store:        store,
+		leases:       make(map[string]*heldLease),
+		janitorEvery: janitorEvery,
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +89,6 @@ func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 	mux.HandleFunc("POST /v1/journal", s.handleJournalAppend)
 	mux.HandleFunc("GET /v1/journal", s.handleJournalPoll)
 	mux.HandleFunc("GET /v1/manifest", s.handleManifest)
-	mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux = mux
 	go s.janitor()
@@ -428,71 +418,4 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, metricsResponse{CellReads: s.store.CellReads()})
-}
-
-// handleWatch streams campaign state changes as server-sent events: one
-// "status" event whenever the manifest revision or the outstanding
-// lease count moves, keep-alive comments in between. Each poll costs a
-// manifest stat and a lease ReadDir — never a cell read — so a fleet of
-// watchers is free no matter how big the campaign.
-func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	tick := time.NewTicker(s.WatchTick)
-	defer tick.Stop()
-	hb := time.NewTicker(s.HeartbeatEvery)
-	defer hb.Stop()
-
-	var last watchEvent
-	sent := false
-	emit := func() {
-		s.smu.RLock()
-		snap, err := s.store.Snapshot()
-		var ev watchEvent
-		if err == nil {
-			ev = watchEvent{Rev: snap.Rev, Cells: len(snap.Cells)}
-		}
-		s.smu.RUnlock()
-		if err != nil {
-			return // transient; the next tick retries
-		}
-		leases, err := s.store.LeaseStatuses()
-		if err != nil {
-			return
-		}
-		ev.Leases = len(leases)
-		if sent && ev == last {
-			return
-		}
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: status\ndata: %s\n\n", data)
-		fl.Flush()
-		last, sent = ev, true
-	}
-
-	emit() // the connection opens with the current state
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
-			return
-		case <-tick.C:
-			emit()
-		case <-hb.C:
-			fmt.Fprint(w, ": keep-alive\n\n")
-			fl.Flush()
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/exp/storetest"
 	"repro/internal/journal"
-	"repro/ompss"
 )
 
 // startDaemon wires the full stack under test: a DirStore, a Server
@@ -150,84 +148,6 @@ func TestJanitorExpiresAbandonedLease(t *testing.T) {
 		t.Fatalf("Claim after expiry: lease=%v err=%v", l2, err)
 	}
 	l2.Release()
-}
-
-// TestWatchStream drives the SSE endpoint: the stream opens with the
-// current state and emits a new status event when a cell lands, and an
-// idle stream costs the backing store zero cell reads.
-func TestWatchStream(t *testing.T) {
-	ds, srv, ts, client := startDaemon(t, time.Hour)
-	srv.WatchTick = 20 * time.Millisecond
-
-	resp, err := http.Get(ts.URL + "/v1/watch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-
-	events := make(chan watchEvent, 16)
-	go func() {
-		defer close(events)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var ev watchEvent
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				continue
-			}
-			events <- ev
-		}
-	}()
-	next := func(what string) watchEvent {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				t.Fatalf("stream closed waiting for %s", what)
-			}
-			return ev
-		case <-time.After(10 * time.Second):
-			t.Fatalf("no SSE event within 10s waiting for %s", what)
-		}
-		panic("unreachable")
-	}
-
-	first := next("the opening event")
-	if first.Cells != 0 {
-		t.Fatalf("opening event reports %d cells, want 0", first.Cells)
-	}
-
-	// An idle stream must not scan cells while it waits.
-	before := ds.CellReads()
-	time.Sleep(5 * srv.WatchTick)
-	if after := ds.CellReads(); after != before {
-		t.Errorf("idle watch stream read %d cell files, want 0", after-before)
-	}
-
-	// A cell stored through the API surfaces as a status event.
-	sp := exp.RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 7}
-	rr := exp.RunResult{Spec: sp, Result: ompss.Result{Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Tasks: 1}}
-	if err := client.StoreCell(rr); err != nil {
-		t.Fatalf("StoreCell: %v", err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ev := next("the cells=1 event")
-		if ev.Cells == 1 {
-			if ev.Rev <= first.Rev {
-				t.Errorf("event rev did not advance: %d -> %d", first.Rev, ev.Rev)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never saw the stored cell on the stream")
-		}
-	}
 }
 
 // TestCellHashValidation: the server must reject both malformed hashes

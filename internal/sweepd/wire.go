@@ -23,7 +23,6 @@
 //	POST /v1/journal           ← journalAppend → 204 (rotates and compacts here)
 //	GET  /v1/journal?rev=N     → journalResponse (full or unchanged)
 //	GET  /v1/manifest?rev=N    → manifestResponse (full or unchanged)
-//	GET  /v1/watch             → SSE stream of watchEvent
 //	GET  /v1/metrics           → metricsResponse
 //	GET  /healthz              → 200 "ok"
 //
@@ -103,14 +102,6 @@ type leaseWire struct {
 // leasesResponse lists the outstanding leases, stalest first.
 type leasesResponse struct {
 	Leases []leaseWire `json:"leases"`
-}
-
-// watchEvent is one SSE "status" payload: enough for a dashboard to
-// know the campaign moved and re-poll the cheap views.
-type watchEvent struct {
-	Rev    int64 `json:"rev"`
-	Cells  int   `json:"cells"`
-	Leases int   `json:"leases"`
 }
 
 // metricsResponse exposes the backing store's counters — CellReads is
