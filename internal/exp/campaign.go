@@ -387,8 +387,9 @@ type outcome struct {
 }
 
 // dispatch executes the campaign, in either mode. A serial store
-// pre-scan settles the already-cached cells (in expansion order, so the
-// warm CellCached events are deterministic), the planner orders the
+// pre-scan (one LoadCells call on a CellBatchLoader) settles the
+// already-cached cells (in expansion order, so the warm CellCached
+// events are deterministic), the planner orders the
 // rest, the budget admits what fits, and up to Parallel workers resolve
 // the admitted cells through satisfy. Every outcome is committed on the
 // dispatching goroutine by expansion index, so outputs are independent
@@ -426,13 +427,25 @@ func (e *engine) dispatch() (ClaimStats, error) {
 		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.cells[o.idx].Hash})
 	}
 
+	// A store that offers a batch read answers the whole pre-scan at
+	// once; the hits still commit here, one by one in expansion order.
+	var batch []RunResult
+	var inBatch []bool
+	if bl, ok := e.c.Store.(CellBatchLoader); ok {
+		batch, inBatch = bl.LoadCells(e.cells)
+	}
 	pending := make([]PlanCell, 0, len(e.cells))
-	for _, cell := range e.cells {
-		if e.c.Store != nil {
-			if rr, ok := e.c.Store.LoadCell(cell.Spec, cell.Hash); ok {
-				commit(outcome{idx: cell.Index, rr: rr, hit: true, warm: true})
-				continue
-			}
+	for i, cell := range e.cells {
+		var rr RunResult
+		var ok bool
+		if batch != nil {
+			rr, ok = batch[i], inBatch[i]
+		} else if e.c.Store != nil {
+			rr, ok = e.c.Store.LoadCell(cell.Spec, cell.Hash)
+		}
+		if ok {
+			commit(outcome{idx: cell.Index, rr: rr, hit: true, warm: true})
+			continue
 		}
 		pending = append(pending, cell)
 	}

@@ -458,6 +458,22 @@ func TestCostModelTiers(t *testing.T) {
 	}
 }
 
+// TestCostModelEstimateAllocs: the planner, budget admission and every
+// watch poll estimate each uncached cell, so a lookup must not build
+// its keys on the heap, at either tier or on a miss.
+func TestCostModelEstimateAllocs(t *testing.T) {
+	m := NewCostModel()
+	base := RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1}
+	m.Observe(base, 2.0)
+	coarse := base
+	coarse.Scheduler = "dep"
+	for _, spec := range []RunSpec{base, coarse, {App: "stencil"}} {
+		if allocs := testing.AllocsPerRun(100, func() { m.Estimate(spec) }); allocs != 0 {
+			t.Errorf("Estimate(%s/%s) allocates %.0f times, want 0", spec.App, spec.Scheduler, allocs)
+		}
+	}
+}
+
 func TestCacheCostModelScan(t *testing.T) {
 	cache, err := OpenDirStore(t.TempDir())
 	if err != nil {

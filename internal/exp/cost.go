@@ -3,7 +3,6 @@ package exp
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -28,8 +27,8 @@ import (
 // campaign that grows a new scheduler or machine axis still gets a
 // usable estimate from cells of the same app.
 type CostModel struct {
-	exact  map[string]*costObs
-	coarse map[string]*costObs
+	exact  map[costKey]*costObs
+	coarse map[coarseKey]*costObs
 }
 
 type costObs struct {
@@ -39,20 +38,29 @@ type costObs struct {
 
 func (o *costObs) mean() float64 { return o.sum / float64(o.n) }
 
-func costKeyExact(s RunSpec) string {
-	s.fillDefaults()
-	return fmt.Sprintf("%s|%s|%s|%s|%d|%d",
-		s.App, s.Size, s.Scheduler, s.Machine, s.SMPWorkers, s.GPUs)
+// costKey is the exact granularity, coarseKey the coarse one; both are
+// taken from the filled spec.
+type costKey struct {
+	app, scheduler string
+	size           Size
+	machine        MachineSpec
+	smp, gpus      int
 }
 
-func costKeyCoarse(s RunSpec) string {
+type coarseKey struct {
+	app  string
+	size Size
+}
+
+func costKeys(s RunSpec) (costKey, coarseKey) {
 	s.fillDefaults()
-	return s.App + "|" + string(s.Size)
+	return costKey{app: s.App, scheduler: s.Scheduler, size: s.Size, machine: s.Machine, smp: s.SMPWorkers, gpus: s.GPUs},
+		coarseKey{app: s.App, size: s.Size}
 }
 
 // NewCostModel returns an empty model (every estimate misses).
 func NewCostModel() *CostModel {
-	return &CostModel{exact: map[string]*costObs{}, coarse: map[string]*costObs{}}
+	return &CostModel{exact: map[costKey]*costObs{}, coarse: map[coarseKey]*costObs{}}
 }
 
 // Observe folds one recorded cost (seconds of host time) into the model.
@@ -62,27 +70,29 @@ func (m *CostModel) Observe(spec RunSpec, wallSec float64) {
 	if wallSec <= 0 {
 		return
 	}
-	for key, agg := range map[string]map[string]*costObs{
-		costKeyExact(spec):  m.exact,
-		costKeyCoarse(spec): m.coarse,
-	} {
-		o := agg[key]
-		if o == nil {
-			o = &costObs{}
-			agg[key] = o
-		}
-		o.sum += wallSec
-		o.n++
+	exact, coarse := costKeys(spec)
+	observe(m.exact, exact, wallSec)
+	observe(m.coarse, coarse, wallSec)
+}
+
+func observe[K comparable](agg map[K]*costObs, key K, wallSec float64) {
+	o := agg[key]
+	if o == nil {
+		o = &costObs{}
+		agg[key] = o
 	}
+	o.sum += wallSec
+	o.n++
 }
 
 // Estimate returns the expected wall cost of a spec in seconds, false if
 // the model has no observation at any granularity.
 func (m *CostModel) Estimate(spec RunSpec) (float64, bool) {
-	if o := m.exact[costKeyExact(spec)]; o != nil {
+	exact, coarse := costKeys(spec)
+	if o := m.exact[exact]; o != nil {
 		return o.mean(), true
 	}
-	if o := m.coarse[costKeyCoarse(spec)]; o != nil {
+	if o := m.coarse[coarse]; o != nil {
 		return o.mean(), true
 	}
 	return 0, false

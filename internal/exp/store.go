@@ -69,6 +69,21 @@ type CellStore interface {
 	Close() error
 }
 
+// CellBatchLoader is an optional CellStore upgrade, in the style of
+// io.WriterTo: a store whose every cell read costs a round trip (the
+// sweepd HTTPStore) resolves a whole campaign's pre-scan in a few
+// requests instead of one per cell. The engine type-asserts for it, so
+// a decorator that embeds CellStore keeps the per-cell LoadCell path,
+// and DirStore, whose reads have no round trip to save, does not
+// implement it.
+type CellBatchLoader interface {
+	// LoadCells looks every cell up by its precomputed hash. Results
+	// and hit flags are aligned with cells. The read-side semantics are
+	// LoadCell's: any failure is a miss, and each result carries the
+	// caller's spec.
+	LoadCells(cells []PlanCell) ([]RunResult, []bool)
+}
+
 // StoreLease is a held claim on one cell: while it exists and is
 // refreshed, no other claimant simulates that spec hash. See Lease for
 // the DirStore semantics every implementation mirrors.

@@ -162,7 +162,38 @@ func (s *HTTPStore) LoadCell(spec exp.RunSpec, hash string) (exp.RunResult, bool
 	if err := s.doJSON(http.MethodGet, "/v1/cells/"+hash, nil, &d); err != nil {
 		return exp.RunResult{}, false
 	}
-	if d.Spec.Hash() != hash {
+	return servedCell(spec, hash, &d)
+}
+
+// LoadCells implements exp.CellBatchLoader: one POST /v1/cells per
+// maxBatchCells cells. A failed request misses its whole chunk, and
+// each served cell is re-checked against its hash as LoadCell does.
+func (s *HTTPStore) LoadCells(cells []exp.PlanCell) ([]exp.RunResult, []bool) {
+	rrs := make([]exp.RunResult, len(cells))
+	hits := make([]bool, len(cells))
+	req := cellsRequest{Hashes: make([]string, 0, min(len(cells), maxBatchCells))}
+	for lo := 0; lo < len(cells); lo += maxBatchCells {
+		chunk := cells[lo:min(lo+maxBatchCells, len(cells))]
+		req.Hashes = req.Hashes[:0]
+		for _, c := range chunk {
+			req.Hashes = append(req.Hashes, c.Hash)
+		}
+		var resp cellsResponse
+		if err := s.doJSON(http.MethodPost, "/v1/cells", req, &resp); err != nil || len(resp.Cells) != len(chunk) {
+			continue
+		}
+		for i, c := range chunk {
+			rrs[lo+i], hits[lo+i] = servedCell(c.Spec, c.Hash, resp.Cells[i])
+		}
+	}
+	return rrs, hits
+}
+
+// servedCell turns a cell the coordinator served for hash into the
+// caller's result: a miss when there is none or its spec hashes to
+// something else.
+func servedCell(spec exp.RunSpec, hash string, d *exp.CellData) (exp.RunResult, bool) {
+	if d == nil || d.Spec.Hash() != hash {
 		return exp.RunResult{}, false
 	}
 	return exp.RunResult{

@@ -82,6 +82,7 @@ func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 	})
 	mux.HandleFunc("GET /v1/cells/{hash}", s.handleGetCell)
 	mux.HandleFunc("PUT /v1/cells/{hash}", s.handlePutCell)
+	mux.HandleFunc("POST /v1/cells", s.handleGetCells)
 	mux.HandleFunc("POST /v1/claim", s.handleClaim)
 	mux.HandleFunc("POST /v1/lease/refresh", s.handleRefresh)
 	mux.HandleFunc("POST /v1/lease/release", s.handleRelease)
@@ -189,6 +190,33 @@ func (s *Server) handleGetCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, d)
+}
+
+// handleGetCells is the batch read: every hash is gated like a path
+// hash, and each answer is the cell or null, as GET /v1/cells/{hash}
+// answers it or 404s.
+func (s *Server) handleGetCells(w http.ResponseWriter, r *http.Request) {
+	var req cellsRequest
+	if !readBody(w, r, &req) {
+		return
+	}
+	if len(req.Hashes) > maxBatchCells {
+		writeErr(w, http.StatusBadRequest, "%d hashes in one batch, the limit is %d", len(req.Hashes), maxBatchCells)
+		return
+	}
+	for _, h := range req.Hashes {
+		if !validHash(h) {
+			writeErr(w, http.StatusBadRequest, "malformed cell hash %q", h)
+			return
+		}
+	}
+	resp := cellsResponse{Cells: make([]*exp.CellData, len(req.Hashes))}
+	for i, h := range req.Hashes {
+		if d, ok := s.store.ReadCellData(h); ok {
+			resp.Cells[i] = &d
+		}
+	}
+	writeJSON(w, resp)
 }
 
 func (s *Server) handlePutCell(w http.ResponseWriter, r *http.Request) {

@@ -15,6 +15,7 @@
 // Endpoints (all JSON unless noted):
 //
 //	GET  /v1/cells/{hash}      → CellData | 404
+//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes)
 //	PUT  /v1/cells/{hash}      ← CellData, hash-validated → 204
 //	POST /v1/claim             ← claimRequest → claimResponse
 //	POST /v1/lease/refresh     ← tokenRequest → 204 | 410 gone
@@ -39,6 +40,22 @@ import (
 	"repro/internal/exp"
 	"repro/internal/journal"
 )
+
+// maxBatchCells caps the hashes one POST /v1/cells may name: the server
+// answers 400 above it, and HTTPStore.LoadCells sends longer lists in
+// chunks of this size.
+const maxBatchCells = 1024
+
+// cellsRequest names the cells a batch read looks up.
+type cellsRequest struct {
+	Hashes []string `json:"hashes"`
+}
+
+// cellsResponse answers a batch read, aligned with the request: each
+// entry is the stored cell or null for a miss.
+type cellsResponse struct {
+	Cells []*exp.CellData `json:"cells"`
+}
 
 // claimRequest asks for an exclusive lease on one cell.
 type claimRequest struct {
