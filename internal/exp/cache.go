@@ -63,8 +63,7 @@ type DirStore struct {
 	mu        sync.Mutex
 	manifest  map[string]ManifestEntry
 	rev       int64
-	mfOffset  int64 // consumed bytes of manifest.jsonl (start of a line)
-	mfSize    int64 // size observed by the last poll (skip torn re-reads)
+	mfTail    journal.LineTail // the manifest.jsonl read position
 	cellReads atomic.Int64
 
 	// jmu guards the lazily created journal writers and tailer.
@@ -165,6 +164,17 @@ func (c *DirStore) LoadCell(spec RunSpec, hash string) (RunResult, bool) {
 	// report (WriteCostCSV) and plan on (CostModel) real costs.
 	wall := time.Duration(e.WallSec * float64(time.Second))
 	return RunResult{Spec: spec, Result: e.Result, Wall: wall, Cached: true}, true
+}
+
+// LoadCells implements CellStore as a LoadCell per cell: a local read
+// has no round trip to save.
+func (c *DirStore) LoadCells(cells []PlanCell) ([]RunResult, []bool) {
+	rrs := make([]RunResult, len(cells))
+	hits := make([]bool, len(cells))
+	for i, cell := range cells {
+		rrs[i], hits[i] = c.LoadCell(cell.Spec, cell.Hash)
+	}
+	return rrs, hits
 }
 
 // readCell reads and validates one cell file (shared by LoadCell and

@@ -254,3 +254,59 @@ func TestOpenDirStoreErrors(t *testing.T) {
 		t.Error("OpenDirStore under a regular file did not error")
 	}
 }
+
+// TestSnapshotFollowsManifestReset: a manifest.jsonl that is deleted or
+// truncated was reset wholesale, so the next Snapshot moves Rev and
+// empties the view rather than serving the one the old file held; an
+// idle Snapshot afterwards does not move Rev again.
+func TestSnapshotFollowsManifestReset(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reset func(path string) error
+	}{
+		{"deleted", os.Remove},
+		{"truncated", func(path string) error { return os.Truncate(path, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := OpenDirStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 5}
+			spec.fillDefaults()
+			rr, err := fakeRun(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.StoreCell(rr); err != nil {
+				t.Fatal(err)
+			}
+			before, err := cache.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(before.Cells) != 1 {
+				t.Fatalf("snapshot holds %d cells, want 1", len(before.Cells))
+			}
+			rev := before.Rev
+			if err := tc.reset(filepath.Join(cache.Dir(), manifestName)); err != nil {
+				t.Fatal(err)
+			}
+			after, err := cache.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Rev == rev || len(after.Cells) != 0 {
+				t.Errorf("snapshot after the reset: rev %d → %d with %d cells, want a new rev and no cells",
+					rev, after.Rev, len(after.Cells))
+			}
+			idle, err := cache.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idle.Rev != after.Rev {
+				t.Errorf("idle snapshot moved rev %d → %d", after.Rev, idle.Rev)
+			}
+		})
+	}
+}

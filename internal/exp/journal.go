@@ -123,16 +123,6 @@ func (j *JournalRecorder) Err() error {
 	return j.err
 }
 
-// Path returns the journal file this recorder appends to (which exists
-// only once something has been recorded), or "" for stores whose
-// journal is not a local file (HTTP stores journal on the daemon).
-func (j *JournalRecorder) Path() string {
-	if ds, ok := j.store.(*DirStore); ok {
-		return journal.FilePath(ds.JournalDir(), j.owner)
-	}
-	return ""
-}
-
 // Close releases this owner's journal resources in the store (for a
 // DirStore, the lazily opened file; a later append would reopen it).
 func (j *JournalRecorder) Close() error {

@@ -37,8 +37,8 @@ func TestJournalRecorderRoundTrip(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rec.Path(), filepath.Join(cache.JournalDir(), "round-trip.jsonl"); got != want {
-		t.Errorf("journal path = %s, want %s", got, want)
+	if _, err := os.Stat(journal.FilePath(cache.JournalDir(), "round-trip")); err != nil {
+		t.Errorf("recorder wrote no journal file of its own: %v", err)
 	}
 
 	recs, rstats, err := journal.ReadDir(cache.JournalDir())

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,52 +127,23 @@ func (c *DirStore) foldManifestLocked(entries []ManifestEntry) {
 	}
 }
 
-// pollManifestLocked advances the manifest tail: it reads only the
-// bytes manifest.jsonl grew by since the previous poll and folds the
-// newline-terminated lines in. An unterminated tail (a peer's append in
-// flight, or a torn crash remnant) is left unconsumed until the file
-// grows past it — only the newline proves the writer finished the line.
+// pollManifestLocked advances the manifest tail (a journal.LineTail,
+// the journal tailer's own line reader) and folds the newly completed
+// lines in. A manifest that shrank or vanished was replaced or removed
+// wholesale (an operator reset): the view starts over from what the
+// file holds now, and the rev bump tells pollers it changed even if it
+// converges to the same cells.
 func (c *DirStore) pollManifestLocked() error {
-	path := c.manifestPath()
-	fi, err := os.Stat(path)
+	lines, _, reset, err := c.mfTail.Read(c.manifestPath())
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // no manifest yet: an empty (or unreconciled) store
-		}
 		return fmt.Errorf("exp: reading manifest: %w", err)
 	}
-	sz := fi.Size()
-	if sz < c.mfOffset {
-		// The manifest shrank — it is append-only, so it was replaced
-		// wholesale (an operator reset). Start over from byte zero; the
-		// rev bump tells pollers the view changed even if it converges
-		// to the same cells.
-		c.mfOffset, c.mfSize = 0, 0
+	if reset {
 		c.manifest = make(map[string]ManifestEntry)
 		c.rev++
 	}
-	if sz == c.mfSize {
-		return nil // unchanged since last poll: zero bytes to read
-	}
-	c.mfSize = sz
-	if sz == c.mfOffset {
-		return nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("exp: reading manifest: %w", err)
-	}
-	defer f.Close()
-	buf := make([]byte, sz-c.mfOffset)
-	if _, err := io.ReadFull(io.NewSectionReader(f, c.mfOffset, sz-c.mfOffset), buf); err != nil {
-		return fmt.Errorf("exp: reading manifest: %w", err)
-	}
-	consumed := bytes.LastIndexByte(buf, '\n') + 1
-	if consumed == 0 {
-		return nil
-	}
 	var entries []ManifestEntry
-	for _, line := range bytes.Split(buf[:consumed-1], []byte("\n")) {
+	for _, line := range lines {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -184,7 +154,6 @@ func (c *DirStore) pollManifestLocked() error {
 		entries = append(entries, e)
 	}
 	c.foldManifestLocked(entries)
-	c.mfOffset += int64(consumed)
 	return nil
 }
 

@@ -11,9 +11,9 @@ import (
 	"strings"
 )
 
-// Tailer is the incremental counterpart of ReadDir for pollers: it keeps
-// a per-file byte offset and, on each Poll, reads only the bytes
-// appended since the previous one. A watch loop over an hour-long
+// Tailer is the incremental counterpart of ReadDir for pollers: it
+// follows each file with a LineTail and, on each Poll, reads only the
+// bytes appended since the previous one. A watch loop over an hour-long
 // campaign calls Poll every few seconds; with ReadDir each tick re-reads
 // every claimant's full history, with a Tailer a tick on an unchanged
 // directory stats the files and reads zero bytes.
@@ -21,11 +21,9 @@ import (
 // Poll returns the same merged timeline ReadDir would (all records so
 // far, sorted by time; ties keep per-file append order and sorted
 // file-name order across files), with one deliberate difference: an
-// unterminated final line is never consumed, even if it happens to parse
-// — it may be the front half of an in-flight append, and only the
-// newline proves the writer finished it. The offset holds at the start
-// of such a tail (counted in ReadStats.TruncatedTails) and the line is
-// re-examined once the file grows.
+// unterminated final line is never consumed (see LineTail); it is
+// counted in ReadStats.TruncatedTails and re-examined once the file
+// grows.
 //
 // Rotation and compaction are transparent: rotated segments are just
 // more .jsonl files, and files superseded by a checkpoint's Folds list
@@ -55,18 +53,81 @@ type Tailer struct {
 	stats ReadStats
 }
 
+// LineTail follows one append-only line file (a journal file, a
+// campaign manifest): each Read returns only the newline-terminated
+// bytes appended since the previous Read. Only the newline proves the
+// writer finished a line, so an unterminated tail — an append in
+// flight, or a torn crash remnant — is never returned, even if it would
+// parse; the offset holds at its start and the line is re-examined once
+// the file grows. A Read of an unchanged size reads zero bytes, even
+// while a torn tail is held.
+//
+// A LineTail is not safe for concurrent use.
+type LineTail struct {
+	// offset is the byte position up to which the file has been
+	// returned: always the start of a line.
+	offset int64
+	// size is the file size the last Read observed.
+	size int64
+	// Torn records whether the unreturned [offset, size) region is a
+	// non-blank unterminated tail.
+	Torn bool
+}
+
+// Read returns the complete lines the file at path grew by since the
+// previous Read (without their newlines), and n, the number of bytes it
+// read from the file. reset reports that bytes earlier Reads returned,
+// or a torn tail one held, no longer exist: the file shrank below the
+// offset (an append-only file shrinks only when replaced wholesale) or
+// vanished. The caller drops whatever it derived from them; the tail
+// has started over from byte zero, and lines holds the replacement's.
+// A missing file reads as empty, not as an error.
+func (lt *LineTail) Read(path string) (lines [][]byte, n int64, reset bool, err error) {
+	// Stat the open file, not the name, so the size read below is this
+	// file's even if it is renamed or deleted meanwhile.
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			reset = lt.offset > 0 || lt.Torn
+			*lt = LineTail{}
+			return nil, 0, reset, nil
+		}
+		return nil, 0, false, fmt.Errorf("journal: tailing %s: %w", path, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("journal: tailing %s: %w", path, err)
+	}
+	sz := fi.Size()
+	if sz < lt.offset {
+		*lt = LineTail{}
+		reset = true
+	}
+	if sz == lt.size {
+		return nil, 0, reset, nil // unchanged since the last Read: zero bytes to read
+	}
+	lt.size = sz
+	if sz == lt.offset {
+		lt.Torn = false
+		return nil, 0, reset, nil
+	}
+	buf := make([]byte, sz-lt.offset)
+	if _, err := io.ReadFull(io.NewSectionReader(f, lt.offset, sz-lt.offset), buf); err != nil {
+		return nil, 0, reset, fmt.Errorf("journal: tailing %s: %w", path, err)
+	}
+	consumed := bytes.LastIndexByte(buf, '\n') + 1
+	lt.Torn = len(bytes.TrimSpace(buf[consumed:])) > 0
+	if consumed == 0 {
+		return nil, int64(len(buf)), reset, nil
+	}
+	lt.offset += int64(consumed)
+	return bytes.Split(buf[:consumed-1], []byte("\n")), int64(len(buf)), reset, nil
+}
+
 // tailFile is the tail state of one journal file.
 type tailFile struct {
-	// offset is the byte position up to which the file has been
-	// consumed: always the start of a line (one past the last consumed
-	// newline).
-	offset int64
-	// size is the file size the last poll observed; an unchanged size
-	// means nothing to read, even when a torn tail holds offset < size.
-	size int64
-	// pendingTorn records whether the unconsumed [offset, size) region
-	// is a non-blank unterminated tail (reported as a truncated tail).
-	pendingTorn bool
+	tail LineTail
 	// recs are the records consumed from this file, in append order.
 	recs []Record
 	// skips are this file's consumed skip counts and folded checkpoint
@@ -79,11 +140,10 @@ type tailFile struct {
 	folds []string
 }
 
-// reset forgets everything consumed from the file, as if it had never
-// been read: the file was replaced wholesale (or vanished) and its old
-// contents no longer exist on disk.
-func (tf *tailFile) reset() {
-	tf.offset, tf.size, tf.pendingTorn = 0, 0, false
+// drop forgets everything decoded from the file's consumed lines: the
+// file was replaced wholesale (or vanished) and its old contents no
+// longer exist on disk.
+func (tf *tailFile) drop() {
 	tf.recs = tf.recs[:0]
 	tf.skips = ReadStats{}
 	tf.folds = nil
@@ -181,8 +241,9 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 		}
 	}
 	for _, name := range rotated {
-		if tf := t.files[name]; tf != nil && tf.size > 0 {
-			tf.reset()
+		if tf := t.files[name]; tf != nil && tf.tail.size > 0 {
+			tf.tail = LineTail{}
+			tf.drop()
 			if _, err := t.pollFile(name, tf); err != nil {
 				return nil, ReadStats{}, err
 			}
@@ -205,7 +266,7 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 		stats.TruncatedTails += tf.skips.TruncatedTails
 		stats.Malformed += tf.skips.Malformed
 		stats.VersionSkew += tf.skips.VersionSkew
-		if tf.pendingTorn {
+		if tf.tail.Torn {
 			stats.TruncatedTails++
 		}
 	}
@@ -231,65 +292,19 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 // consumed state changed: new records or skip-counted lines, or a
 // replaced/vanished file whose old contents were dropped.
 func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
-	path := filepath.Join(t.dir, name)
-	changed := false
-	// Stat the open file, not the name, so the size read below is this
-	// file's even if it is renamed or deleted meanwhile.
-	f, err := os.Open(path)
+	lines, n, reset, err := tf.tail.Read(filepath.Join(t.dir, name))
 	if err != nil {
-		if os.IsNotExist(err) {
-			// Deleted between ReadDir and Open. Drop what it had — the
-			// caller's vanish sweep only catches files gone by the
-			// directory listing, and serving records from a file that
-			// no longer exists is exactly the stale-merge bug.
-			if tf.offset > 0 || len(tf.recs) > 0 || tf.skips != (ReadStats{}) || tf.pendingTorn {
-				tf.reset()
-				return true, nil
-			}
-			return false, nil
-		}
-		return false, fmt.Errorf("journal: reading %s: %w", name, err)
+		return false, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return false, fmt.Errorf("journal: stat %s: %w", name, err)
-	}
-	sz := fi.Size()
-	if sz < tf.offset {
-		// The file shrank — journals are append-only, so it was replaced
-		// wholesale. Start over from byte zero; dropping the old records
-		// is itself a change even if the replacement is empty (the
-		// sz == tf.size fast path below would otherwise hide it).
-		tf.reset()
-		changed = true
-	}
-	if sz == tf.size {
-		return changed, nil // unchanged since last poll: zero bytes to read
-	}
-	tf.size = sz
-	if sz == tf.offset {
-		tf.pendingTorn = false
-		return changed, nil
-	}
-
-	buf := make([]byte, sz-tf.offset)
-	if _, err := io.ReadFull(io.NewSectionReader(f, tf.offset, sz-tf.offset), buf); err != nil {
-		return changed, fmt.Errorf("journal: reading %s: %w", name, err)
-	}
-	t.lastPollBytes += int64(len(buf))
-
-	// Consume only newline-terminated lines; an unterminated tail (even
-	// a parsable one) may still be mid-append, so the offset holds at
-	// its start until the newline lands.
-	consumed := bytes.LastIndexByte(buf, '\n') + 1
-	tail := buf[consumed:]
-	tf.pendingTorn = len(bytes.TrimSpace(tail)) > 0
-	if consumed == 0 {
-		return changed, nil
+	t.lastPollBytes += n
+	if reset {
+		// Dropping the old records is itself a change, even if the
+		// replacement is empty; serving records from a file that no
+		// longer exists is exactly the stale-merge bug.
+		tf.drop()
 	}
 	skips, recs := tf.skips, len(tf.recs)
-	for _, line := range bytes.Split(buf[:consumed-1], []byte("\n")) {
+	for _, line := range lines {
 		r, ok := decodeLine(line, &tf.skips)
 		if !ok {
 			continue
@@ -301,6 +316,5 @@ func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 		}
 		tf.recs = append(tf.recs, r)
 	}
-	tf.offset += int64(consumed)
-	return changed || tf.skips != skips || len(tf.recs) != recs, nil
+	return reset || tf.skips != skips || len(tf.recs) != recs, nil
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -368,4 +369,47 @@ func TestTailerRereadsActiveFileAfterFold(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
 		t.Errorf("poll after fold = %+v %+v, want ReadDir's %+v %+v", got, gotStats, want, wantStats)
 	}
+}
+
+// TestLineTail: a LineTail returns only newline-terminated bytes, holds
+// a torn tail until its newline lands, reads zero bytes while the size
+// is unchanged, and resets when the file shrinks or vanishes.
+func TestLineTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lines.jsonl")
+	var lt LineTail
+	read := func(step, want string, wantN int64, wantReset, wantTorn bool) {
+		t.Helper()
+		lines, n, reset, err := lt.Read(path)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got := string(bytes.Join(lines, []byte("|"))); got != want || n != wantN || reset != wantReset || lt.Torn != wantTorn {
+			t.Errorf("%s: Read = (%q, n=%d, reset=%t), Torn=%t; want (%q, n=%d, reset=%t), Torn=%t",
+				step, got, n, reset, lt.Torn, want, wantN, wantReset, wantTorn)
+		}
+	}
+	read("missing file", "", 0, false, false)
+	appendRaw(t, dir, "lines.jsonl", []byte("a\nb"))
+	read("torn tail", "a", 3, false, true)
+	read("unchanged size", "", 0, false, true)
+	appendRaw(t, dir, "lines.jsonl", []byte("c\n"))
+	appendRaw(t, dir, "lines.jsonl", []byte("d\n"))
+	read("tail completed", "bc|d", 5, false, false)
+	read("idle", "", 0, false, false)
+	if err := os.WriteFile(path, []byte("x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	read("shrink", "x", 2, true, false)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	read("vanish", "", 0, true, false)
+	read("still gone", "", 0, false, false)
+	appendRaw(t, dir, "lines.jsonl", []byte("y"))
+	read("torn new file", "", 1, false, true)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	read("torn tail vanished", "", 0, true, false)
 }

@@ -18,24 +18,21 @@ import (
 	"repro/ompss"
 )
 
-// countingHandler counts the cell reads that reach the server, by
-// route, and can fail every batch read.
+// countingHandler counts the cell reads (POST /v1/cells) that reach
+// the server, and can fail every one of them.
 type countingHandler struct {
-	next          http.Handler
-	failBatch     bool
-	batch, single atomic.Int64 // POST /v1/cells, GET /v1/cells/{hash}
+	next      http.Handler
+	failBatch bool
+	batch     atomic.Int64
 }
 
 func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/cells":
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/cells" {
 		h.batch.Add(1)
 		if h.failBatch {
 			writeErr(w, http.StatusServiceUnavailable, "batch reads are down")
 			return
 		}
-	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cells/"):
-		h.single.Add(1)
 	}
 	h.next.ServeHTTP(w, r)
 }
@@ -111,7 +108,7 @@ func storeFake(t *testing.T, ds *exp.DirStore, spec exp.RunSpec) {
 }
 
 // TestLoadCellsAgreesWithLoadCell: a batch read answers every kind of
-// cell exactly as the per-cell read does — a stored cell, an absent
+// cell exactly as the one-cell read does — a stored cell, an absent
 // one, a garbage file, and a file whose stored spec hashes to
 // something else.
 func TestLoadCellsAgreesWithLoadCell(t *testing.T) {
@@ -157,10 +154,6 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		t.Run(fmt.Sprintf("short=%t", short), func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodGet {
-					writeJSON(w, wrong)
-					return
-				}
 				var req cellsRequest
 				if !readBody(w, r, &req) {
 					return
@@ -183,11 +176,11 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 			_, hits := client.LoadCells(cells)
 			for i, c := range cells {
 				_, ok := client.LoadCell(c.Spec, c.Hash)
-				// Cell 1 is the served spec: a full batch and the
-				// per-cell read both accept it.
+				// Cell 1 is the served spec: a full answer accepts it,
+				// a short one misses every cell, one-cell reads too.
 				want := i == 1 && !short
-				if hits[i] != want || (i == 1) != ok {
-					t.Errorf("cell %d: LoadCells hit %t, LoadCell hit %t; want %t and %t", i, hits[i], ok, want, i == 1)
+				if hits[i] != want || ok != want {
+					t.Errorf("cell %d: LoadCells hit %t, LoadCell hit %t; want %t", i, hits[i], ok, want)
 				}
 			}
 		})
@@ -195,7 +188,7 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 }
 
 // TestWarmCampaignBatchTraffic: a warm campaign over HTTP reads its
-// cells in ⌈cells/1,024⌉ requests and never per cell.
+// cells in ⌈cells/1,024⌉ requests.
 func TestWarmCampaignBatchTraffic(t *testing.T) {
 	ds, h, client := countedDaemon(t, false)
 	fillStore(t, ds)
@@ -206,8 +199,8 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	if stats.Simulated != 0 || stats.Hits != len(res.Runs) {
 		t.Fatalf("warm campaign simulated %d and hit %d of %d cells", stats.Simulated, stats.Hits, len(res.Runs))
 	}
-	if b, s := h.batch.Load(), h.single.Load(); b != 1 || s != 0 {
-		t.Errorf("warm 96-cell campaign made %d batch and %d per-cell reads, want 1 and 0", b, s)
+	if b := h.batch.Load(); b != 1 {
+		t.Errorf("warm 96-cell campaign made %d reads, want 1", b)
 	}
 
 	// 1,025 cells take two requests; the chunk boundary keeps each
@@ -218,8 +211,8 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	storeFake(t, ds, first.Spec)
 	storeFake(t, ds, last.Spec)
 	rrs, hits := client.LoadCells(cells)
-	if b, s := h.batch.Load(), h.single.Load(); b != 2 || s != 0 {
-		t.Errorf("%d cells made %d batch and %d per-cell reads, want 2 and 0", len(cells), b, s)
+	if b := h.batch.Load(); b != 2 {
+		t.Errorf("%d cells made %d reads, want 2", len(cells), b)
 	}
 	for i, hit := range hits {
 		if want := i == 0 || i == maxBatchCells; hit != want {
@@ -231,9 +224,10 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	}
 }
 
-// TestWarmCampaignSurvivesFailedBatch: a batch read that fails is a
-// miss for every cell, and satisfy's own per-cell re-check still finds
-// them all — the blip costs round trips, not simulations.
+// TestWarmCampaignSurvivesFailedBatch: with every cell read failing,
+// every cell is a miss, never an error: the campaign simulates and
+// stores the whole grid and renders the bytes the warm DirStore
+// campaign does — the outage costs simulations, not results.
 func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
 	ds, h, client := countedDaemon(t, true)
 	want := fillStore(t, ds)
@@ -241,14 +235,15 @@ func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Simulated != 0 || stats.Hits != len(res.Runs) {
-		t.Fatalf("campaign after a failed batch simulated %d and hit %d of %d cells", stats.Simulated, stats.Hits, len(res.Runs))
+	if stats.Simulated != len(res.Runs) || stats.Hits != 0 || len(res.Runs) != 96 {
+		t.Fatalf("campaign with cell reads down simulated %d and hit %d of %d cells, want all 96 simulated",
+			stats.Simulated, stats.Hits, len(res.Runs))
 	}
-	if b, s := h.batch.Load(), h.single.Load(); b != 1 || s != int64(len(res.Runs)) {
-		t.Errorf("made %d batch and %d per-cell reads, want 1 and %d", b, s, len(res.Runs))
+	if h.batch.Load() == 0 {
+		t.Error("the campaign never tried to read a cell")
 	}
 	if got := csvOf(t, res); !bytes.Equal(got, want) {
-		t.Error("campaign after a failed batch renders different CSV")
+		t.Error("campaign with cell reads down renders different CSV")
 	}
 }
 
@@ -328,5 +323,49 @@ func TestBatchRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unparsable body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRefused: every route stops reading a request body at
+// maxBodyBytes and answers 413, so a batch far over its hash cap is
+// refused before the array is decoded, and nothing reaches the store.
+func TestOversizedBodyRefused(t *testing.T) {
+	ds, srv, _, _ := startDaemon(t, time.Hour)
+	valid := planCells(1)[0].Hash
+	many := make([]string, 3*maxBatchCells)
+	for i := range many {
+		many[i] = valid
+	}
+	batch, err := json.Marshal(cellsRequest{Hashes: many})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := planCells(1)[0].Spec
+	spec.Chaos = strings.Repeat("x", maxBodyBytes)
+	cell, err := json.Marshal(exp.CellData{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v1/cells", batch},
+		{http.MethodPut, "/v1/cells/" + valid, cell},
+	} {
+		if len(tc.body) <= maxBodyBytes {
+			t.Fatalf("%s %s: test body of %d bytes is not over the cap", tc.method, tc.path, len(tc.body))
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, bytes.NewReader(tc.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with %d bytes: status %d, want 413", tc.method, tc.path, len(tc.body), rec.Code)
+		}
+	}
+	if n := ds.CellReads(); n != 0 {
+		t.Errorf("oversized requests made %d cell reads, want 0", n)
+	}
+	if snap, err := ds.Snapshot(); err != nil || len(snap.Cells) != 0 {
+		t.Errorf("oversized PUT stored cells: %d (err %v)", len(snap.Cells), err)
 	}
 }

@@ -154,20 +154,18 @@ func (s *HTTPStore) doJSON(method, path string, in, out any) error {
 	return nil
 }
 
-// LoadCell implements exp.CellStore: any failure — 404, network error,
-// a relay serving a cell whose spec does not hash to the request — is a
-// miss, per the read-side contract.
+// LoadCell implements exp.CellStore as the one-cell case of LoadCells.
 func (s *HTTPStore) LoadCell(spec exp.RunSpec, hash string) (exp.RunResult, bool) {
-	var d exp.CellData
-	if err := s.doJSON(http.MethodGet, "/v1/cells/"+hash, nil, &d); err != nil {
-		return exp.RunResult{}, false
-	}
-	return servedCell(spec, hash, &d)
+	rrs, hits := s.LoadCells([]exp.PlanCell{{Spec: spec, Hash: hash}})
+	return rrs[0], hits[0]
 }
 
-// LoadCells implements exp.CellBatchLoader: one POST /v1/cells per
-// maxBatchCells cells. A failed request misses its whole chunk, and
-// each served cell is re-checked against its hash as LoadCell does.
+// LoadCells implements exp.CellStore: one POST /v1/cells per
+// maxBatchCells cells. Any failure — a network error, a failed or
+// misaligned answer, a relay serving a cell whose spec does not hash to
+// the request — is a miss, per the read-side contract: a failed request
+// misses its whole chunk, and each served cell is re-checked against
+// its hash.
 func (s *HTTPStore) LoadCells(cells []exp.PlanCell) ([]exp.RunResult, []bool) {
 	rrs := make([]exp.RunResult, len(cells))
 	hits := make([]bool, len(cells))
@@ -318,15 +316,4 @@ func (s *HTTPStore) Snapshot() (exp.StoreSnapshot, error) {
 		s.cells, s.mrev = cells, resp.Rev
 	}
 	return exp.StoreSnapshot{Rev: s.mrev, Cells: s.cells}, nil
-}
-
-// CellReads reports the coordinator's cell-read counter (the daemon's
-// DirStore counter, not a client-side one) — the probe behind the
-// idle-watch-reads-nothing guarantee.
-func (s *HTTPStore) CellReads() (int64, error) {
-	var resp metricsResponse
-	if err := s.doJSON(http.MethodGet, "/v1/metrics", nil, &resp); err != nil {
-		return 0, err
-	}
-	return resp.CellReads, nil
 }

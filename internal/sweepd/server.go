@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -80,7 +81,6 @@ func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /v1/cells/{hash}", s.handleGetCell)
 	mux.HandleFunc("PUT /v1/cells/{hash}", s.handlePutCell)
 	mux.HandleFunc("POST /v1/cells", s.handleGetCells)
 	mux.HandleFunc("POST /v1/claim", s.handleClaim)
@@ -152,10 +152,18 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readBody decodes a JSON request body, false (with the 400 already
-// written) when it does not parse.
+// readBody decodes a JSON request body of at most maxBodyBytes, false
+// (with the 4xx already written) when it is larger or does not parse.
+// The cap stops reading at the limit, so an oversized body is refused
+// before it is decoded whole.
 func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+		return false
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return false
 	}
@@ -178,23 +186,8 @@ func validHash(h string) bool {
 	return true
 }
 
-func (s *Server) handleGetCell(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if !validHash(hash) {
-		writeErr(w, http.StatusBadRequest, "malformed cell hash %q", hash)
-		return
-	}
-	d, ok := s.store.ReadCellData(hash)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no cell %s", hash)
-		return
-	}
-	writeJSON(w, d)
-}
-
-// handleGetCells is the batch read: every hash is gated like a path
-// hash, and each answer is the cell or null, as GET /v1/cells/{hash}
-// answers it or 404s.
+// handleGetCells is the one cell read: every hash is gated like a path
+// hash, and each answer is the cell or null for a miss.
 func (s *Server) handleGetCells(w http.ResponseWriter, r *http.Request) {
 	var req cellsRequest
 	if !readBody(w, r, &req) {

@@ -1,6 +1,7 @@
 package sweepd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -156,27 +157,31 @@ func TestJanitorExpiresAbandonedLease(t *testing.T) {
 func TestCellHashValidation(t *testing.T) {
 	_, _, ts, client := startDaemon(t, time.Hour)
 
-	resp, err := http.Get(ts.URL + "/v1/cells/not-a-hash")
-	if err != nil {
-		t.Fatal(err)
+	put := func(hash string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+hash, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("GET malformed hash: status %d, want 400", resp.StatusCode)
-	}
-
 	sp := exp.RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 1}
 	other := sp
 	other.Seed = 2
-	body, _ := json.Marshal(exp.CellData{Spec: sp})
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+other.Hash(), strings.NewReader(string(body)))
-	resp2, err := http.DefaultClient.Do(req)
+	body, err := json.Marshal(exp.CellData{Spec: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("PUT mismatched spec: status %d, want 400", resp2.StatusCode)
+	if code := put("not-a-hash", body); code != http.StatusBadRequest {
+		t.Errorf("PUT malformed hash: status %d, want 400", code)
+	}
+	if code := put(other.Hash(), body); code != http.StatusBadRequest {
+		t.Errorf("PUT mismatched spec: status %d, want 400", code)
 	}
 	// Nothing was stored under either hash.
 	if _, ok := client.LoadCell(sp, sp.Hash()); ok {

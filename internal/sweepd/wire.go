@@ -14,8 +14,7 @@
 //
 // Endpoints (all JSON unless noted):
 //
-//	GET  /v1/cells/{hash}      → CellData | 404
-//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes)
+//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes; the one cell read)
 //	PUT  /v1/cells/{hash}      ← CellData, hash-validated → 204
 //	POST /v1/claim             ← claimRequest → claimResponse
 //	POST /v1/lease/refresh     ← tokenRequest → 204 | 410 gone
@@ -26,6 +25,8 @@
 //	GET  /v1/manifest?rev=N    → manifestResponse (full or unchanged)
 //	GET  /v1/metrics           → metricsResponse
 //	GET  /healthz              → 200 "ok"
+//
+// Every request body is capped at maxBodyBytes (413 above it).
 //
 // Change detection is revision-based, not delta-based: the merged
 // journal timeline re-sorts on every append, so byte deltas cannot be
@@ -45,6 +46,12 @@ import (
 // answers 400 above it, and HTTPStore.LoadCells sends longer lists in
 // chunks of this size.
 const maxBatchCells = 1024
+
+// maxBodyBytes caps every request body: the server stops reading at it
+// and answers 413. The largest legitimate body is a full batch read
+// (maxBatchCells quoted hashes, 68,620 bytes); a paper-size cell PUT
+// is under 1 KB.
+const maxBodyBytes = 128 << 10
 
 // cellsRequest names the cells a batch read looks up.
 type cellsRequest struct {
