@@ -166,17 +166,6 @@ func (c *DirStore) LoadCell(spec RunSpec, hash string) (RunResult, bool) {
 	return RunResult{Spec: spec, Result: e.Result, Wall: wall, Cached: true}, true
 }
 
-// LoadCells implements CellStore as a LoadCell per cell: a local read
-// has no round trip to save.
-func (c *DirStore) LoadCells(cells []PlanCell) ([]RunResult, []bool) {
-	rrs := make([]RunResult, len(cells))
-	hits := make([]bool, len(cells))
-	for i, cell := range cells {
-		rrs[i], hits[i] = c.LoadCell(cell.Spec, cell.Hash)
-	}
-	return rrs, hits
-}
-
 // readCell reads and validates one cell file (shared by LoadCell and
 // the manifest reconciliation). Every call counts as a cell read.
 func (c *DirStore) readCell(hash string) (cacheEntry, bool) {

@@ -387,7 +387,7 @@ type outcome struct {
 }
 
 // dispatch executes the campaign, in either mode. A serial store
-// pre-scan (one Store.LoadCells call) settles the
+// pre-scan (one LoadCells call on a CellBatchLoader) settles the
 // already-cached cells (in expansion order, so the warm CellCached
 // events are deterministic), the planner orders the
 // rest, the budget admits what fits, and up to Parallel workers resolve
@@ -427,19 +427,27 @@ func (e *engine) dispatch() (ClaimStats, error) {
 		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.cells[o.idx].Hash})
 	}
 
-	// One LoadCells call answers the whole pre-scan; the hits still
-	// commit here, one by one in expansion order.
-	pending := e.cells
-	if e.c.Store != nil {
-		rrs, hits := e.c.Store.LoadCells(e.cells)
-		pending = make([]PlanCell, 0, len(e.cells))
-		for i, cell := range e.cells {
-			if hits[i] {
-				commit(outcome{idx: cell.Index, rr: rrs[i], hit: true, warm: true})
-				continue
-			}
-			pending = append(pending, cell)
+	// A store that offers a batch read answers the whole pre-scan at
+	// once; the hits still commit here, one by one in expansion order.
+	var batch []RunResult
+	var inBatch []bool
+	if bl, ok := e.c.Store.(CellBatchLoader); ok {
+		batch, inBatch = bl.LoadCells(e.cells)
+	}
+	pending := make([]PlanCell, 0, len(e.cells))
+	for i, cell := range e.cells {
+		var rr RunResult
+		var ok bool
+		if batch != nil {
+			rr, ok = batch[i], inBatch[i]
+		} else if e.c.Store != nil {
+			rr, ok = e.c.Store.LoadCell(cell.Spec, cell.Hash)
 		}
+		if ok {
+			commit(outcome{idx: cell.Index, rr: rr, hit: true, warm: true})
+			continue
+		}
+		pending = append(pending, cell)
 	}
 	planned, err := applyPlan(e.c.Planner, pending)
 	if err != nil {

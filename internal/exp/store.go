@@ -20,9 +20,9 @@ import (
 // Semantics every implementation must honor (asserted by the
 // conformance suite in internal/exp/storetest):
 //
-//   - LoadCell and LoadCells misses never fail a campaign: any
-//     read-side failure — missing cell, torn write, network error —
-//     reports a miss and the caller falls back to simulation. StoreCell failures are real
+//   - LoadCell misses never fail a campaign: any read-side failure —
+//     missing cell, torn write, network error — reports a miss and the
+//     caller falls back to simulation. StoreCell failures are real
 //     errors: a silently unpersisted result is what the store exists
 //     to prevent.
 //   - Claim is the only acquisition primitive and grants at most one
@@ -37,16 +37,8 @@ import (
 type CellStore interface {
 	// LoadCell looks a cell up by its precomputed spec hash. Any
 	// failure is a miss; the spec is carried so the result round-trips
-	// with the caller's axes. Claim mode re-checks one cell at a time
-	// through it.
+	// with the caller's axes.
 	LoadCell(spec RunSpec, hash string) (RunResult, bool)
-	// LoadCells is LoadCell over a whole campaign pre-scan: results and
-	// hit flags are aligned with cells, with LoadCell's read-side
-	// semantics per cell. A store whose every read costs a round trip
-	// (the sweepd HTTPStore) answers it in a few requests instead of
-	// one per cell. A decorator that counts or times reads must
-	// override both methods.
-	LoadCells(cells []PlanCell) ([]RunResult, []bool)
 	// StoreCell persists a completed run and its manifest entry.
 	StoreCell(rr RunResult) error
 	// Claim attempts to lease a cell for exclusive simulation. A nil
@@ -75,6 +67,21 @@ type CellStore interface {
 	// Close releases any held resources (journal writers, idle
 	// connections). The store must not be used afterwards.
 	Close() error
+}
+
+// CellBatchLoader is an optional CellStore upgrade, in the style of
+// io.WriterTo: a store whose every cell read costs a round trip (the
+// sweepd HTTPStore) resolves a whole campaign's pre-scan in a few
+// requests instead of one per cell. The engine type-asserts for it, so
+// a decorator that embeds CellStore keeps the per-cell LoadCell path,
+// and DirStore, whose reads have no round trip to save, does not
+// implement it.
+type CellBatchLoader interface {
+	// LoadCells looks every cell up by its precomputed hash. Results
+	// and hit flags are aligned with cells. The read-side semantics are
+	// LoadCell's: any failure is a miss, and each result carries the
+	// caller's spec.
+	LoadCells(cells []PlanCell) ([]RunResult, []bool)
 }
 
 // StoreLease is a held claim on one cell: while it exists and is

@@ -8,7 +8,7 @@ import (
 )
 
 // countingStore counts the cell and lease calls a campaign makes on
-// the wrapped store; a LoadCells call counts one load per cell.
+// the wrapped store.
 type countingStore struct {
 	CellStore
 	loads, stores, claims atomic.Int64
@@ -17,11 +17,6 @@ type countingStore struct {
 func (s *countingStore) LoadCell(spec RunSpec, hash string) (RunResult, bool) {
 	s.loads.Add(1)
 	return s.CellStore.LoadCell(spec, hash)
-}
-
-func (s *countingStore) LoadCells(cells []PlanCell) ([]RunResult, []bool) {
-	s.loads.Add(int64(len(cells)))
-	return s.CellStore.LoadCells(cells)
 }
 
 func (s *countingStore) StoreCell(rr RunResult) error {

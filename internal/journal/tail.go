@@ -69,9 +69,9 @@ type LineTail struct {
 	offset int64
 	// size is the file size the last Read observed.
 	size int64
-	// Torn records whether the unreturned [offset, size) region is a
+	// torn records whether the unreturned [offset, size) region is a
 	// non-blank unterminated tail.
-	Torn bool
+	torn bool
 }
 
 // Read returns the complete lines the file at path grew by since the
@@ -88,7 +88,7 @@ func (lt *LineTail) Read(path string) (lines [][]byte, n int64, reset bool, err 
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			reset = lt.offset > 0 || lt.Torn
+			reset = lt.offset > 0 || lt.torn
 			*lt = LineTail{}
 			return nil, 0, reset, nil
 		}
@@ -109,7 +109,7 @@ func (lt *LineTail) Read(path string) (lines [][]byte, n int64, reset bool, err 
 	}
 	lt.size = sz
 	if sz == lt.offset {
-		lt.Torn = false
+		lt.torn = false
 		return nil, 0, reset, nil
 	}
 	buf := make([]byte, sz-lt.offset)
@@ -117,7 +117,7 @@ func (lt *LineTail) Read(path string) (lines [][]byte, n int64, reset bool, err 
 		return nil, 0, reset, fmt.Errorf("journal: tailing %s: %w", path, err)
 	}
 	consumed := bytes.LastIndexByte(buf, '\n') + 1
-	lt.Torn = len(bytes.TrimSpace(buf[consumed:])) > 0
+	lt.torn = len(bytes.TrimSpace(buf[consumed:])) > 0
 	if consumed == 0 {
 		return nil, int64(len(buf)), reset, nil
 	}
@@ -266,7 +266,7 @@ func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 		stats.TruncatedTails += tf.skips.TruncatedTails
 		stats.Malformed += tf.skips.Malformed
 		stats.VersionSkew += tf.skips.VersionSkew
-		if tf.tail.Torn {
+		if tf.tail.torn {
 			stats.TruncatedTails++
 		}
 	}

@@ -384,9 +384,9 @@ func TestLineTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if got := string(bytes.Join(lines, []byte("|"))); got != want || n != wantN || reset != wantReset || lt.Torn != wantTorn {
-			t.Errorf("%s: Read = (%q, n=%d, reset=%t), Torn=%t; want (%q, n=%d, reset=%t), Torn=%t",
-				step, got, n, reset, lt.Torn, want, wantN, wantReset, wantTorn)
+		if got := string(bytes.Join(lines, []byte("|"))); got != want || n != wantN || reset != wantReset || lt.torn != wantTorn {
+			t.Errorf("%s: Read = (%q, n=%d, reset=%t), torn=%t; want (%q, n=%d, reset=%t), torn=%t",
+				step, got, n, reset, lt.torn, want, wantN, wantReset, wantTorn)
 		}
 	}
 	read("missing file", "", 0, false, false)

@@ -18,19 +18,26 @@ import (
 	"repro/ompss"
 )
 
-// countingHandler counts the cell reads (POST /v1/cells) that reach
-// the server, and can fail every one of them.
+// countingHandler counts the cell reads that reach the server, by
+// route, and can fail every batch read and every per-cell read.
 type countingHandler struct {
-	next      http.Handler
-	failBatch bool
-	batch     atomic.Int64
+	next                  http.Handler
+	failBatch, failSingle bool
+	batch, single         atomic.Int64 // POST /v1/cells, GET /v1/cells/{hash}
 }
 
 func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/cells" {
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/cells":
 		h.batch.Add(1)
 		if h.failBatch {
 			writeErr(w, http.StatusServiceUnavailable, "batch reads are down")
+			return
+		}
+	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cells/"):
+		h.single.Add(1)
+		if h.failSingle {
+			writeErr(w, http.StatusServiceUnavailable, "cell reads are down")
 			return
 		}
 	}
@@ -108,7 +115,7 @@ func storeFake(t *testing.T, ds *exp.DirStore, spec exp.RunSpec) {
 }
 
 // TestLoadCellsAgreesWithLoadCell: a batch read answers every kind of
-// cell exactly as the one-cell read does — a stored cell, an absent
+// cell exactly as the per-cell read does — a stored cell, an absent
 // one, a garbage file, and a file whose stored spec hashes to
 // something else.
 func TestLoadCellsAgreesWithLoadCell(t *testing.T) {
@@ -154,6 +161,10 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		t.Run(fmt.Sprintf("short=%t", short), func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet {
+					writeJSON(w, wrong)
+					return
+				}
 				var req cellsRequest
 				if !readBody(w, r, &req) {
 					return
@@ -176,11 +187,11 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 			_, hits := client.LoadCells(cells)
 			for i, c := range cells {
 				_, ok := client.LoadCell(c.Spec, c.Hash)
-				// Cell 1 is the served spec: a full answer accepts it,
-				// a short one misses every cell, one-cell reads too.
+				// Cell 1 is the served spec: a full batch and the
+				// per-cell read both accept it.
 				want := i == 1 && !short
-				if hits[i] != want || ok != want {
-					t.Errorf("cell %d: LoadCells hit %t, LoadCell hit %t; want %t", i, hits[i], ok, want)
+				if hits[i] != want || (i == 1) != ok {
+					t.Errorf("cell %d: LoadCells hit %t, LoadCell hit %t; want %t and %t", i, hits[i], ok, want, i == 1)
 				}
 			}
 		})
@@ -188,7 +199,7 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 }
 
 // TestWarmCampaignBatchTraffic: a warm campaign over HTTP reads its
-// cells in ⌈cells/1,024⌉ requests.
+// cells in ⌈cells/1,024⌉ requests and never per cell.
 func TestWarmCampaignBatchTraffic(t *testing.T) {
 	ds, h, client := countedDaemon(t, false)
 	fillStore(t, ds)
@@ -199,8 +210,8 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	if stats.Simulated != 0 || stats.Hits != len(res.Runs) {
 		t.Fatalf("warm campaign simulated %d and hit %d of %d cells", stats.Simulated, stats.Hits, len(res.Runs))
 	}
-	if b := h.batch.Load(); b != 1 {
-		t.Errorf("warm 96-cell campaign made %d reads, want 1", b)
+	if b, s := h.batch.Load(), h.single.Load(); b != 1 || s != 0 {
+		t.Errorf("warm 96-cell campaign made %d batch and %d per-cell reads, want 1 and 0", b, s)
 	}
 
 	// 1,025 cells take two requests; the chunk boundary keeps each
@@ -211,8 +222,8 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	storeFake(t, ds, first.Spec)
 	storeFake(t, ds, last.Spec)
 	rrs, hits := client.LoadCells(cells)
-	if b := h.batch.Load(); b != 2 {
-		t.Errorf("%d cells made %d reads, want 2", len(cells), b)
+	if b, s := h.batch.Load(), h.single.Load(); b != 2 || s != 0 {
+		t.Errorf("%d cells made %d batch and %d per-cell reads, want 2 and 0", len(cells), b, s)
 	}
 	for i, hit := range hits {
 		if want := i == 0 || i == maxBatchCells; hit != want {
@@ -224,26 +235,36 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	}
 }
 
-// TestWarmCampaignSurvivesFailedBatch: with every cell read failing,
-// every cell is a miss, never an error: the campaign simulates and
-// stores the whole grid and renders the bytes the warm DirStore
-// campaign does — the outage costs simulations, not results.
+// TestWarmCampaignSurvivesFailedBatch: a batch read that fails is a
+// miss for every cell, and satisfy's own per-cell re-check still finds
+// them all — the blip costs round trips, not simulations. With the
+// per-cell reads failing too, every cell is a miss, never an error: the
+// campaign simulates and stores the whole grid and renders the same
+// bytes — an outage costs simulations, not results.
 func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
-	ds, h, client := countedDaemon(t, true)
-	want := fillStore(t, ds)
-	res, stats, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: 4}).Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Simulated != len(res.Runs) || stats.Hits != 0 || len(res.Runs) != 96 {
-		t.Fatalf("campaign with cell reads down simulated %d and hit %d of %d cells, want all 96 simulated",
-			stats.Simulated, stats.Hits, len(res.Runs))
-	}
-	if h.batch.Load() == 0 {
-		t.Error("the campaign never tried to read a cell")
-	}
-	if got := csvOf(t, res); !bytes.Equal(got, want) {
-		t.Error("campaign with cell reads down renders different CSV")
+	for _, outage := range []bool{false, true} {
+		t.Run(fmt.Sprintf("outage=%t", outage), func(t *testing.T) {
+			ds, h, client := countedDaemon(t, true)
+			h.failSingle = outage
+			want := fillStore(t, ds)
+			res, stats, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: 4}).Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSim := 0
+			if outage {
+				wantSim = len(res.Runs)
+			}
+			if stats.Simulated != wantSim || stats.Hits != len(res.Runs)-wantSim {
+				t.Fatalf("campaign after a failed batch simulated %d and hit %d of %d cells, want %d simulated", stats.Simulated, stats.Hits, len(res.Runs), wantSim)
+			}
+			if b, s := h.batch.Load(), h.single.Load(); b != 1 || s != int64(len(res.Runs)) {
+				t.Errorf("made %d batch and %d per-cell reads, want 1 and %d", b, s, len(res.Runs))
+			}
+			if got := csvOf(t, res); !bytes.Equal(got, want) {
+				t.Error("campaign after a failed batch renders different CSV")
+			}
+		})
 	}
 }
 

@@ -154,18 +154,20 @@ func (s *HTTPStore) doJSON(method, path string, in, out any) error {
 	return nil
 }
 
-// LoadCell implements exp.CellStore as the one-cell case of LoadCells.
+// LoadCell implements exp.CellStore: any failure — 404, network error,
+// a relay serving a cell whose spec does not hash to the request — is a
+// miss, per the read-side contract.
 func (s *HTTPStore) LoadCell(spec exp.RunSpec, hash string) (exp.RunResult, bool) {
-	rrs, hits := s.LoadCells([]exp.PlanCell{{Spec: spec, Hash: hash}})
-	return rrs[0], hits[0]
+	var d exp.CellData
+	if err := s.doJSON(http.MethodGet, "/v1/cells/"+hash, nil, &d); err != nil {
+		return exp.RunResult{}, false
+	}
+	return servedCell(spec, hash, &d)
 }
 
-// LoadCells implements exp.CellStore: one POST /v1/cells per
-// maxBatchCells cells. Any failure — a network error, a failed or
-// misaligned answer, a relay serving a cell whose spec does not hash to
-// the request — is a miss, per the read-side contract: a failed request
-// misses its whole chunk, and each served cell is re-checked against
-// its hash.
+// LoadCells implements exp.CellBatchLoader: one POST /v1/cells per
+// maxBatchCells cells. A failed request misses its whole chunk, and
+// each served cell is re-checked against its hash as LoadCell does.
 func (s *HTTPStore) LoadCells(cells []exp.PlanCell) ([]exp.RunResult, []bool) {
 	rrs := make([]exp.RunResult, len(cells))
 	hits := make([]bool, len(cells))

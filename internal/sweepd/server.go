@@ -81,6 +81,7 @@ func newServer(store *exp.DirStore, janitorEvery time.Duration) *Server {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
+	mux.HandleFunc("GET /v1/cells/{hash}", s.handleGetCell)
 	mux.HandleFunc("PUT /v1/cells/{hash}", s.handlePutCell)
 	mux.HandleFunc("POST /v1/cells", s.handleGetCells)
 	mux.HandleFunc("POST /v1/claim", s.handleClaim)
@@ -186,8 +187,23 @@ func validHash(h string) bool {
 	return true
 }
 
-// handleGetCells is the one cell read: every hash is gated like a path
-// hash, and each answer is the cell or null for a miss.
+func (s *Server) handleGetCell(w http.ResponseWriter, r *http.Request) {
+	hash := r.PathValue("hash")
+	if !validHash(hash) {
+		writeErr(w, http.StatusBadRequest, "malformed cell hash %q", hash)
+		return
+	}
+	d, ok := s.store.ReadCellData(hash)
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no cell %s", hash)
+		return
+	}
+	writeJSON(w, d)
+}
+
+// handleGetCells is the batch read: every hash is gated like a path
+// hash, and each answer is the cell or null, as GET /v1/cells/{hash}
+// answers it or 404s.
 func (s *Server) handleGetCells(w http.ResponseWriter, r *http.Request) {
 	var req cellsRequest
 	if !readBody(w, r, &req) {

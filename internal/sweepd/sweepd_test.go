@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -157,31 +156,27 @@ func TestJanitorExpiresAbandonedLease(t *testing.T) {
 func TestCellHashValidation(t *testing.T) {
 	_, _, ts, client := startDaemon(t, time.Hour)
 
-	put := func(hash string, body []byte) int {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+hash, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	sp := exp.RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 1}
-	other := sp
-	other.Seed = 2
-	body, err := json.Marshal(exp.CellData{Spec: sp})
+	resp, err := http.Get(ts.URL + "/v1/cells/not-a-hash")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := put("not-a-hash", body); code != http.StatusBadRequest {
-		t.Errorf("PUT malformed hash: status %d, want 400", code)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET malformed hash: status %d, want 400", resp.StatusCode)
 	}
-	if code := put(other.Hash(), body); code != http.StatusBadRequest {
-		t.Errorf("PUT mismatched spec: status %d, want 400", code)
+
+	sp := exp.RunSpec{App: "matmul-hyb", Scheduler: "bf", SMPWorkers: 2, GPUs: 1, Seed: 1}
+	other := sp
+	other.Seed = 2
+	body, _ := json.Marshal(exp.CellData{Spec: sp})
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+other.Hash(), strings.NewReader(string(body)))
+	resp2, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusBadRequest {
+		t.Errorf("PUT mismatched spec: status %d, want 400", resp2.StatusCode)
 	}
 	// Nothing was stored under either hash.
 	if _, ok := client.LoadCell(sp, sp.Hash()); ok {

@@ -14,7 +14,8 @@
 //
 // Endpoints (all JSON unless noted):
 //
-//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes; the one cell read)
+//	GET  /v1/cells/{hash}      → CellData | 404
+//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes)
 //	PUT  /v1/cells/{hash}      ← CellData, hash-validated → 204
 //	POST /v1/claim             ← claimRequest → claimResponse
 //	POST /v1/lease/refresh     ← tokenRequest → 204 | 410 gone
