@@ -309,16 +309,18 @@ func (e *engine) runner() func(RunSpec) (RunResult, *trace.Tracer, error) {
 	}
 }
 
-// satisfy resolves one cell: a cache hit if available, otherwise a fresh
-// simulation fed to the sink and persisted back to the cache. This is
-// the single resolution path of every dispatched cell, so both modes
-// have identical hit semantics and store-failure handling: a store
-// failure (disk full, unwritable dir) fails the campaign, because a
-// silently unpersisted result is exactly what the cache exists to
-// prevent.
-func (e *engine) satisfy(idx int, run func(RunSpec) (RunResult, *trace.Tracer, error)) (RunResult, bool, error) {
-	cell := e.cells[idx]
-	if e.c.Store != nil {
+// satisfy resolves one cell: a fresh simulation fed to the sink and
+// persisted back to the cache. Only a worker holding the cell's lease
+// (claim mode) re-checks the store first — the exactly-once check,
+// which turns a peer's earlier store into a hit. Pool mode simulates
+// what its pre-scan missed without reading it again, so two
+// uncoordinated pool-mode processes on one store can both simulate a
+// cell. A store failure (disk full, unwritable dir) fails the campaign
+// in both modes, because a silently unpersisted result is exactly what
+// the cache exists to prevent.
+func (e *engine) satisfy(j job, run func(RunSpec) (RunResult, *trace.Tracer, error)) (RunResult, bool, error) {
+	cell := e.cells[j.idx]
+	if j.lease != nil {
 		if rr, ok := e.c.Store.LoadCell(cell.Spec, cell.Hash); ok {
 			return rr, true, nil
 		}
@@ -401,7 +403,9 @@ type outcome struct {
 // after a poll, until the peer stores it or its lease goes stale.
 // Exactly-once simulation holds because a cell only runs under a held
 // lease, after satisfy's store re-check inside that lease: a peer that
-// stored the cell first turns the claim into a hit.
+// stored the cell first turns the claim into a hit. Pool mode has no
+// lease and no re-check, so it is exactly-once only within one
+// process: a pre-scan miss is simulated.
 func (e *engine) dispatch() (ClaimStats, error) {
 	stats := ClaimStats{Runs: len(e.cells)}
 	var firstErr error
@@ -474,7 +478,7 @@ func (e *engine) dispatch() (ClaimStats, error) {
 			for j := range jobs {
 				cell := e.cells[j.idx]
 				e.emit(CellStarted{Index: cell.Index, Spec: cell.Spec, Hash: cell.Hash})
-				rr, hit, err := e.satisfy(j.idx, run)
+				rr, hit, err := e.satisfy(j, run)
 				if j.lease != nil {
 					close(j.stopHB)
 					if relErr := j.lease.Release(); err == nil {

@@ -242,7 +242,7 @@ func TestWatcherJournalStatus(t *testing.T) {
 	}
 	// Journal history: one claimant simulated those 4 cells over a 10s
 	// span, retiring 8 cost-seconds — speed 0.8x.
-	w, err := journal.Open(cache.JournalDir(), "historian")
+	w, err := journal.OpenRotating(cache.JournalDir(), "historian", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,9 @@ type CellBatchLoader interface {
 	// LoadCells looks every cell up by its precomputed hash. Results
 	// and hit flags are aligned with cells. The read-side semantics are
 	// LoadCell's: any failure is a miss, and each result carries the
-	// caller's spec.
+	// caller's spec. A pool-mode campaign simulates every miss without
+	// reading it again, so a batch that fails as a whole should be
+	// retried per cell here (HTTPStore does).
 	LoadCells(cells []PlanCell) ([]RunResult, []bool)
 }
 

@@ -43,10 +43,10 @@ func newCountingStore(t *testing.T) *countingStore {
 }
 
 // TestStoreTrafficPerMode pins how many store calls each dispatch mode
-// makes per run: pool mode reads each cold cell twice (pre-scan, then
-// satisfy) and writes it once, and reads a warm cell once; a lone
-// claimant adds at most one re-check and one Claim per cold cell,
-// however many worker slots it has.
+// makes per run: pool mode reads each cell once (the pre-scan; satisfy
+// does not re-read a miss) and writes each cold cell once; a lone
+// claimant adds at most one re-check before its Claim and one inside
+// the lease per cold cell, however many worker slots it has.
 func TestStoreTrafficPerMode(t *testing.T) {
 	g := benchGrid()
 	n := int64(len(g.Runs()))
@@ -56,8 +56,8 @@ func TestStoreTrafficPerMode(t *testing.T) {
 		if _, _, err := (&Campaign{Grid: g, Store: s, Parallel: 4, run: fakeRun}).Execute(); err != nil {
 			t.Fatal(err)
 		}
-		if s.loads.Load() != 2*n || s.stores.Load() != n || s.claims.Load() != 0 {
-			t.Errorf("cold pool over %d runs: %s, want loads=%d stores=%d claims=0", n, s.counts(), 2*n, n)
+		if s.loads.Load() != n || s.stores.Load() != n || s.claims.Load() != 0 {
+			t.Errorf("cold pool over %d runs: %s, want loads=%d stores=%d claims=0", n, s.counts(), n, n)
 		}
 		s.loads.Store(0)
 		s.stores.Store(0)

@@ -129,15 +129,17 @@ func checkpointSeq(name string) (int, bool) {
 	return n, true
 }
 
-// supersededBy folds the checkpoint fold lists of recs into sup.
-func supersededBy(recs []Record, sup map[string]bool) {
-	for _, r := range recs {
-		if r.Type == TypeCheckpoint && r.Checkpoint != nil {
-			for _, name := range r.Checkpoint.Folds {
-				sup[name] = true
-			}
-		}
-	}
+// isCheckpoint and isFoldable classify journal file names: a
+// checkpoint file, and a file a compaction pass folds (a closed segment
+// or a checkpoint).
+func isCheckpoint(name string) bool {
+	_, ok := checkpointSeq(name)
+	return ok
+}
+
+func isFoldable(name string) bool {
+	_, _, ok := splitSegmentName(name)
+	return ok || isCheckpoint(name)
 }
 
 // Compact folds every closed segment (and prior checkpoint) in a
@@ -149,8 +151,11 @@ func supersededBy(recs []Record, sup map[string]bool) {
 // other, does nothing. Replay over the directory is unchanged by
 // compaction (same cells, owners, totals, windowed rates); only the
 // raw claim/reclaim record detail inside the folded span is reduced to
-// counters. A missing directory, one with nothing to fold, or a lost
-// lock race is a no-op with zero stats, not an error.
+// counters. The pass reads files as every reader does (see scanDir): a
+// closed segment's unterminated final line is not a record before the
+// pass, and it folds into Checkpoint.Malformed, so skip totals hold
+// too. A missing directory, one with nothing to fold, or a lost lock
+// race is a no-op with zero stats, not an error.
 func Compact(dir string) (CompactStats, error) {
 	lock := filepath.Join(dir, compactLockName)
 	held, err := acquireCompactLock(lock)
@@ -167,81 +172,56 @@ func Compact(dir string) (CompactStats, error) {
 // compactLocked is one Compact pass, run with the lock held.
 func compactLocked(dir string) (CompactStats, error) {
 	var stats CompactStats
-	entries, err := os.ReadDir(dir)
+	files, err := scanDir(dir, isFoldable)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return stats, nil
-		}
-		return stats, fmt.Errorf("journal: reading directory: %w", err)
+		return stats, err
 	}
-	var segNames, ckNames []string
-	sizes := make(map[string]int64)
-	maxSeq := 0
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, suffix) {
-			continue
-		}
-		if fi, err := e.Info(); err == nil {
-			sizes[name] = fi.Size()
-		}
-		if seq, ok := checkpointSeq(name); ok {
-			ckNames = append(ckNames, name)
-			if seq > maxSeq {
-				maxSeq = seq
-			}
-		} else if _, _, ok := splitSegmentName(name); ok {
-			segNames = append(segNames, name)
-		}
-	}
-	sort.Strings(segNames)
-	sort.Strings(ckNames)
-
 	// Everything a present checkpoint folds is dead already, whether
 	// or not a crashed predecessor got around to deleting it.
 	superseded := make(map[string]bool)
-	fileRecs := make(map[string][]Record)
-	fileStats := make(map[string]ReadStats)
-	readFile := func(name string) error {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("journal: reading %s: %w", name, err)
+	maxSeq := 0
+	for _, f := range files {
+		for _, name := range f.folds {
+			superseded[name] = true
 		}
-		var fs ReadStats
-		fileRecs[name] = parseLines(data, &fs)
-		fileStats[name] = fs
-		return nil
-	}
-	for _, name := range ckNames {
-		if err := readFile(name); err != nil {
-			return stats, err
-		}
-		supersededBy(fileRecs[name], superseded)
-	}
-
-	var liveSegs, liveCks, dead []string
-	for _, name := range segNames {
-		if superseded[name] {
-			dead = append(dead, name)
-		} else {
-			liveSegs = append(liveSegs, name)
-			if err := readFile(name); err != nil {
-				return stats, err
-			}
-		}
-	}
-	for _, name := range ckNames {
-		if superseded[name] {
-			dead = append(dead, name)
-		} else {
-			liveCks = append(liveCks, name)
+		if seq, ok := checkpointSeq(f.name); ok {
+			maxSeq = max(maxSeq, seq)
 		}
 	}
 
-	remove := func(name string) {
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			stats.BytesRemoved += sizes[name]
-			if _, ok := checkpointSeq(name); ok {
+	// Fold the live inputs exactly as a reader would merge them:
+	// sorted file-name order, then a stable time sort. A closed
+	// segment's torn tail can never heal, so it folds into Malformed.
+	var folds []dirFile
+	var recs []Record
+	var folded ReadStats
+	liveSegs, liveCks := 0, 0
+	for _, f := range files {
+		if !isFoldable(f.name) {
+			continue
+		}
+		folds = append(folds, f)
+		if superseded[f.name] {
+			continue
+		}
+		recs = append(recs, f.recs...)
+		folded.Malformed += f.skips.Malformed + f.skips.TruncatedTails
+		folded.VersionSkew += f.skips.VersionSkew
+		// Raw records folded this pass: everything parsed minus the
+		// prior checkpoints' own meta records (their payloads count
+		// via tl.Compacted below).
+		if isCheckpoint(f.name) {
+			liveCks++
+		} else {
+			liveSegs++
+			folded.Records += len(f.recs)
+		}
+	}
+
+	remove := func(f dirFile) {
+		if os.Remove(filepath.Join(dir, f.name)) == nil {
+			stats.BytesRemoved += f.size
+			if isCheckpoint(f.name) {
 				stats.Checkpoints++
 			} else {
 				stats.Segments++
@@ -249,57 +229,34 @@ func compactLocked(dir string) (CompactStats, error) {
 		}
 	}
 
-	if len(liveSegs) == 0 && len(liveCks) <= 1 {
+	if liveSegs == 0 && liveCks <= 1 {
 		// Nothing new to fold: at most garbage-collect what a crashed
 		// predecessor left behind.
-		for _, name := range dead {
-			remove(name)
+		for _, f := range folds {
+			if superseded[f.name] {
+				remove(f)
+			}
 		}
 		return stats, nil
 	}
 
-	// Fold the live inputs exactly as a reader would merge them:
-	// sorted file-name order, then a stable time sort.
-	var recs []Record
-	var folded ReadStats
-	names := append(append([]string{}, liveCks...), liveSegs...)
-	sort.Strings(names)
-	for _, name := range names {
-		recs = append(recs, fileRecs[name]...)
-		fs := fileStats[name]
-		folded.Records += len(fileRecs[name])
-		folded.Malformed += fs.Malformed + fs.TruncatedTails
-		folded.VersionSkew += fs.VersionSkew
-	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].T < recs[j].T })
 	tl := Replay(recs)
 
 	ck := &Checkpoint{
-		Records:     tl.Compacted,
+		Records:     tl.Compacted + folded.Records,
 		Malformed:   folded.Malformed,
 		VersionSkew: folded.VersionSkew,
 		First:       tl.First,
 		Last:        tl.Last,
 		CostSec:     tl.CostSec,
 	}
-	// Raw records folded this pass: everything parsed minus the prior
-	// checkpoints' own meta records (their payloads count via
-	// tl.Compacted above).
-	ck.Records += folded.Records
-	for _, name := range liveCks {
-		ck.Records -= len(fileRecs[name])
-		for _, r := range fileRecs[name] {
-			if r.Type == TypeCheckpoint && r.Checkpoint != nil {
-				ck.Malformed += r.Checkpoint.Malformed
-				ck.VersionSkew += r.Checkpoint.VersionSkew
-			}
-		}
-	}
 	// The new checkpoint stands for every segment and checkpoint file
 	// seen this pass, dead ones included — that keeps the superseded
 	// set closed under crash-interrupted predecessors.
-	ck.Folds = append(append(append([]string{}, liveSegs...), liveCks...), dead...)
-	sort.Strings(ck.Folds)
+	for _, f := range folds {
+		ck.Folds = append(ck.Folds, f.name)
+	}
 	for _, c := range tl.Cells {
 		ck.Cells = append(ck.Cells, *c)
 	}
@@ -332,8 +289,8 @@ func compactLocked(dir string) (CompactStats, error) {
 	stats.Checkpoint = name
 	stats.Records = ck.Records
 
-	for _, name := range ck.Folds {
-		remove(name)
+	for _, f := range folds {
+		remove(f)
 	}
 	return stats, nil
 }

@@ -49,7 +49,7 @@ func TestWriterRotationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := Open(plain, "alpha")
+	wp, err := OpenRotating(plain, "alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +461,57 @@ func TestCompactCrashLeftovers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(listJournal(t, crashed), listJournal(t, clean)) {
 		t.Errorf("after gc: %v, want %v", listJournal(t, crashed), listJournal(t, clean))
+	}
+}
+
+// TestCompactKeepsTornTailHidden: a closed segment that ends in a
+// complete record without its newline holds a torn tail, which no
+// reader takes as a record. Compaction folds it into Malformed, so the
+// Tailer's records, Replay's Done count and the skip total are the
+// same before and after the pass.
+func TestCompactKeepsTornTailHidden(t *testing.T) {
+	dir := t.TempDir()
+	appendRaw(t, dir, "alpha.000001.jsonl", []byte(
+		`{"v":1,"t":1,"type":"done","owner":"alpha","index":0,"hash":"h0"}`+"\n"+
+			`{"v":1,"t":2,"type":"done","owner":"alpha","index":1,"hash":"h1"}`+"\n"+
+			`{"v":1,"t":3,"type":"done","owner":"alpha","index":2,"hash":"h2"}`))
+	appendRaw(t, dir, "alpha.jsonl", []byte(`{"v":1,"t":4,"type":"open","owner":"alpha"}`+"\n"))
+
+	poll := func(label string) ([]Record, ReadStats) {
+		t.Helper()
+		recs, stats, err := NewTailer(dir).Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirRecs, dirStats, err := ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(recs, dirRecs) || stats != dirStats {
+			t.Errorf("%s: Tailer (%+v) and ReadDir (%+v) disagree", label, stats, dirStats)
+		}
+		return recs, stats
+	}
+	before, beforeStats := poll("before compaction")
+	if done := Replay(before).Done; done != 2 {
+		t.Fatalf("before compaction: Done = %d, want 2 (the torn record is hidden)", done)
+	}
+	if _, err := Compact(dir); err != nil {
+		t.Fatal(err)
+	}
+	if files := listJournal(t, dir); len(files) != 2 || !strings.HasPrefix(files[1], checkpointPrefix) {
+		t.Fatalf("compaction left %v, want the active file and one checkpoint", files)
+	}
+	after, afterStats := poll("after compaction")
+	if got, want := Replay(after).Done, Replay(before).Done; got != want {
+		t.Errorf("Done = %d after compaction, want %d", got, want)
+	}
+	// The checkpoint record stands for the raw records it folded.
+	if got, want := len(after)-1+Replay(after).Compacted, len(before); got != want {
+		t.Errorf("%d raw records after compaction, want %d", got, want)
+	}
+	if got, want := afterStats.Malformed+afterStats.TruncatedTails, beforeStats.Malformed+beforeStats.TruncatedTails; got != want || got != 1 {
+		t.Errorf("skips after compaction = %d, before = %d, want 1 both times", got, want)
 	}
 }
 

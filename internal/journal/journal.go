@@ -156,21 +156,19 @@ type Writer struct {
 	compactErr error
 }
 
-// Open creates (if needed) the journal directory and opens the owner's
-// journal for appending, writing an "open" record that marks this
-// writer session. Reopening an existing file — a restarted claimant —
-// first terminates any torn final line left by a crashed predecessor,
-// so prior records are never corrupted by subsequent appends.
-func Open(dir, owner string) (*Writer, error) {
-	return OpenRotating(dir, owner, 0)
-}
-
-// OpenRotating is Open with size-bounded active files: once an append
-// would grow the active journal past rotateBytes, the file is rotated
-// aside as a closed segment and compacted first (see Writer). A record
-// larger than the threshold still rotates and is then written whole —
-// rotation bounds file size per segment, it never refuses a record.
-// rotateBytes <= 0 disables rotation.
+// OpenRotating creates (if needed) the journal directory and opens the
+// owner's journal for appending, writing an "open" record that marks
+// this writer session. Reopening an existing file — a restarted
+// claimant — first terminates any torn final line left by a crashed
+// predecessor, so prior records are never corrupted by subsequent
+// appends.
+//
+// Active files are size-bounded: once an append would grow the active
+// journal past rotateBytes, the file is rotated aside as a closed
+// segment and compacted first (see Writer). A record larger than the
+// threshold still rotates and is then written whole — rotation bounds
+// file size per segment, it never refuses a record. rotateBytes <= 0
+// disables rotation.
 func OpenRotating(dir, owner string, rotateBytes int64) (*Writer, error) {
 	if owner == "" {
 		return nil, errors.New("journal: owner must not be empty")
@@ -210,29 +208,13 @@ func OpenRotating(dir, owner string, rotateBytes int64) (*Writer, error) {
 		// compactor deletes the segments it folds, but their names live
 		// on in the checkpoint's Folds list, and a fresh segment reusing
 		// such a name would be dropped by every reader as already
-		// compacted.
-		if entries, err := os.ReadDir(dir); err == nil {
-			for _, e := range entries {
-				if s, seq, ok := splitSegmentName(e.Name()); ok && s == stem && seq > w.seq {
+		// compacted. An unreadable checkpoint leaves only its folds
+		// unknown: Compact will report it.
+		files, _ := scanDir(dir, isCheckpoint)
+		for _, f := range files {
+			for _, name := range append([]string{f.name}, f.folds...) {
+				if s, seq, ok := splitSegmentName(name); ok && s == stem && seq > w.seq {
 					w.seq = seq
-				}
-				if _, ok := checkpointSeq(e.Name()); !ok {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					continue // unreadable checkpoint: Compact will report it
-				}
-				var stats ReadStats
-				for _, r := range parseLines(data, &stats) {
-					if r.Checkpoint == nil {
-						continue
-					}
-					for _, name := range r.Checkpoint.Folds {
-						if s, seq, ok := splitSegmentName(name); ok && s == stem && seq > w.seq {
-							w.seq = seq
-						}
-					}
 				}
 			}
 		}
@@ -273,12 +255,6 @@ func terminateTornTail(f *os.File, path string) error {
 	}
 	return nil
 }
-
-// Path returns the journal file this writer appends to.
-func (w *Writer) Path() string { return w.path }
-
-// Owner returns the owner tag stamped into this writer's records.
-func (w *Writer) Owner() string { return w.owner }
 
 // Append stamps and writes one record as a single JSON line. The line
 // is written with one write call on an O_APPEND descriptor, so

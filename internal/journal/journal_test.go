@@ -9,7 +9,7 @@ import (
 
 func mustOpen(t *testing.T, dir, owner string) *Writer {
 	t.Helper()
-	w, err := Open(dir, owner)
+	w, err := OpenRotating(dir, owner, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,12 @@ func TestWriterRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := filepath.Base(w.Path()), "host-42.jsonl"; got != want {
+	path := FilePath(dir, "host:42")
+	if got, want := filepath.Base(path), "host-42.jsonl"; got != want {
 		t.Errorf("journal file = %s, want %s (sanitized owner)", got, want)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("writer did not create its journal file: %v", err)
 	}
 
 	recs, stats, err := ReadDir(dir)
@@ -84,7 +88,7 @@ func TestTruncatedTailSkippedAndCounted(t *testing.T) {
 	w.Close()
 
 	// Tear the tail: append a prefix of a record with no newline.
-	f, err := os.OpenFile(w.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(FilePath(dir, "victim"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestReopenRepairsTornTail(t *testing.T) {
 	w := mustOpen(t, dir, "phoenix")
 	mustAppend(t, w, Record{Type: TypeDone, Index: 1, Hash: "h1", WallSec: 1})
 	w.Close()
-	f, err := os.OpenFile(w.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(FilePath(dir, "phoenix"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestVersionSkewSkippedAndCounted(t *testing.T) {
 	w := mustOpen(t, dir, "o")
 	mustAppend(t, w, Record{Type: TypeDone, Index: 0, Hash: "h"})
 	w.Close()
-	f, _ := os.OpenFile(w.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, _ := os.OpenFile(FilePath(dir, "o"), os.O_WRONLY|os.O_APPEND, 0o644)
 	f.WriteString(`{"v":99,"t":1,"type":"done","owner":"o","index":1,"hash":"x"}` + "\n")
 	f.Close()
 
@@ -198,7 +202,7 @@ func TestReadDirMergesFilesByTime(t *testing.T) {
 }
 
 func TestOpenRejectsEmptyOwner(t *testing.T) {
-	if _, err := Open(t.TempDir(), ""); err == nil {
-		t.Error("Open with empty owner did not error")
+	if _, err := OpenRotating(t.TempDir(), "", 0); err == nil {
+		t.Error("OpenRotating with empty owner did not error")
 	}
 }

@@ -19,8 +19,9 @@ type ReadStats struct {
 	Files int
 	// Records is the number of well-formed records returned.
 	Records int
-	// TruncatedTails counts files whose final line was torn by a
-	// crashed writer (no trailing newline, unparsable) and skipped.
+	// TruncatedTails counts files whose final line has no trailing
+	// newline — torn by a crashed writer, or an append in flight — and
+	// was skipped.
 	TruncatedTails int
 	// Malformed counts unparsable interior lines — torn tails already
 	// newline-terminated by a restarted writer land here too.
@@ -43,8 +44,11 @@ func (s ReadStats) String() string {
 // ReadDir reads and merges every journal file in dir, ordered by record
 // time (ties keep file order, files sorted by name). A missing
 // directory is an empty journal, not an error — campaigns that predate
-// journaling stay watchable. Unreadable lines are skipped and counted
-// (see ReadStats); only a directory or file I/O failure is an error.
+// journaling stay watchable. Lines follow the Tailer's rules: only a
+// newline proves a line, so a file's unterminated final line is never
+// a record, parseable or not, and is counted in TruncatedTails. Other
+// unreadable lines are skipped and counted (see ReadStats); only a
+// directory or file I/O failure is an error.
 //
 // Files superseded by a checkpoint — named in the Folds list of any
 // checkpoint record present (see Compact) — are excluded entirely:
@@ -54,50 +58,26 @@ func (s ReadStats) String() string {
 // accounting survives compaction.
 func ReadDir(dir string) ([]Record, ReadStats, error) {
 	var stats ReadStats
-	entries, err := os.ReadDir(dir)
+	files, err := scanDir(dir, nil)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, stats, nil
-		}
-		return nil, stats, fmt.Errorf("journal: reading directory: %w", err)
+		return nil, stats, err
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), suffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	fileRecs := make(map[string][]Record, len(names))
-	fileStats := make(map[string]ReadStats, len(names))
 	superseded := make(map[string]bool)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, stats, fmt.Errorf("journal: reading %s: %w", name, err)
+	for _, f := range files {
+		for _, name := range f.folds {
+			superseded[name] = true
 		}
-		var fs ReadStats
-		fileRecs[name] = parseLines(data, &fs)
-		fileStats[name] = fs
-		supersededBy(fileRecs[name], superseded)
 	}
 	var recs []Record
-	for _, name := range names {
-		if superseded[name] {
+	for _, f := range files {
+		if superseded[f.name] {
 			continue
 		}
 		stats.Files++
-		fs := fileStats[name]
-		stats.TruncatedTails += fs.TruncatedTails
-		stats.Malformed += fs.Malformed
-		stats.VersionSkew += fs.VersionSkew
-		for _, r := range fileRecs[name] {
-			if r.Type == TypeCheckpoint && r.Checkpoint != nil {
-				stats.Malformed += r.Checkpoint.Malformed
-				stats.VersionSkew += r.Checkpoint.VersionSkew
-			}
-		}
-		recs = append(recs, fileRecs[name]...)
+		stats.TruncatedTails += f.skips.TruncatedTails
+		stats.Malformed += f.skips.Malformed
+		stats.VersionSkew += f.skips.VersionSkew
+		recs = append(recs, f.recs...)
 	}
 	// Stable: records with equal timestamps keep their per-file append
 	// order (and cross-file, the sorted file-name order).
@@ -106,37 +86,112 @@ func ReadDir(dir string) ([]Record, ReadStats, error) {
 	return recs, stats, nil
 }
 
-// parseLines decodes one file's lines, classifying every skip. The
-// final line is special: if it fails to parse AND the file does not end
-// in a newline, it is the torn tail of a crashed writer (counted as
-// TruncatedTails); any other unparsable line is Malformed.
-func parseLines(data []byte, stats *ReadStats) []Record {
-	endsWithNewline := len(data) > 0 && data[len(data)-1] == '\n'
-	lines := bytes.Split(data, []byte("\n"))
-	// Split leaves a trailing empty element when data ends in '\n'.
-	if endsWithNewline {
-		lines = lines[:len(lines)-1]
+// listFiles returns the sorted journal file names in dir. A missing
+// directory lists no files: an empty journal.
+func listFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("journal: reading directory: %w", err)
 	}
-	var recs []Record
-	for i, line := range lines {
-		malformed := stats.Malformed
-		r, ok := decodeLine(line, stats)
-		if !ok {
-			if stats.Malformed > malformed && i == len(lines)-1 && !endsWithNewline {
-				stats.Malformed--
-				stats.TruncatedTails++
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), suffix) {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// dirFile is one journal file as scanDir found it.
+type dirFile struct {
+	name string
+	// size is the number of bytes read (0 for a file not read).
+	size int64
+	fileRecs
+}
+
+// scanDir lists dir's journal files and reads whole every one whose
+// name read accepts (nil accepts all), decoding its lines by the
+// Tailer's rules; an unterminated final line counts as a truncated
+// tail. Every listed file is returned, in name order. A file that
+// cannot be read is returned undecoded and the first such failure is
+// the error, so a caller that can tolerate one still sees every name.
+func scanDir(dir string, read func(name string) bool) ([]dirFile, error) {
+	names, err := listFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]dirFile, len(names))
+	var firstErr error
+	for i, name := range names {
+		files[i].name = name
+		if read != nil && !read(name) {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("journal: reading %s: %w", name, err)
 			}
 			continue
 		}
-		recs = append(recs, r)
+		lines, _, torn := splitLines(data)
+		files[i].size = int64(len(data))
+		files[i].decodeLines(lines)
+		if torn {
+			files[i].skips.TruncatedTails++
+		}
 	}
-	return recs
+	return files, firstErr
+}
+
+// splitLines splits buf into its newline-terminated lines (without
+// their newlines): n is the byte length they span, and torn reports a
+// non-blank unterminated remainder after them. Only the newline proves
+// a writer finished a line, so every reader takes lines from here.
+func splitLines(buf []byte) (lines [][]byte, n int, torn bool) {
+	n = bytes.LastIndexByte(buf, '\n') + 1
+	torn = len(bytes.TrimSpace(buf[n:])) > 0
+	if n > 0 {
+		lines = bytes.Split(buf[:n-1], []byte("\n"))
+	}
+	return lines, n, torn
+}
+
+// fileRecs is what one journal file's lines decode to.
+type fileRecs struct {
+	// recs are the file's records, in append order.
+	recs []Record
+	// skips are the file's skip counts plus the skip counts its
+	// checkpoint records folded.
+	skips ReadStats
+	// folds accumulates the fold lists of the file's checkpoint
+	// records.
+	folds []string
+}
+
+// decodeLines decodes lines onto the file's records, counting skips
+// and collecting each checkpoint record's folds and folded skip counts.
+func (f *fileRecs) decodeLines(lines [][]byte) {
+	for _, line := range lines {
+		r, ok := decodeLine(line, &f.skips)
+		if !ok {
+			continue
+		}
+		if r.Type == TypeCheckpoint && r.Checkpoint != nil {
+			f.folds = append(f.folds, r.Checkpoint.Folds...)
+			f.skips.Malformed += r.Checkpoint.Malformed
+			f.skips.VersionSkew += r.Checkpoint.VersionSkew
+		}
+		f.recs = append(f.recs, r)
+	}
 }
 
 // decodeLine applies the line rules every journal reader shares: ok is
 // false for a blank line (skipped silently), for an unparsable or
 // typeless one (counted Malformed) and for a record of another schema
-// version (counted VersionSkew). Callers add their own torn-tail rule.
+// version (counted VersionSkew).
 func decodeLine(line []byte, stats *ReadStats) (Record, bool) {
 	if len(bytes.TrimSpace(line)) == 0 {
 		return Record{}, false

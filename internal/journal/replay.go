@@ -118,8 +118,9 @@ type Timeline struct {
 	completions []Completion
 }
 
-// Replay folds records (as returned by ReadDir: time-ordered) into a
-// campaign timeline. Checkpoint records — the compacted remains of
+// Replay folds records (as ReadDir or a Tailer's Poll returns them:
+// time-ordered, from newline-terminated lines only) into a campaign
+// timeline. Checkpoint records — the compacted remains of
 // rotated-away journal segments — are folded first regardless of their
 // position, so live records always land on top of the compacted state
 // exactly as they would have landed on the raw segments.
@@ -327,7 +328,7 @@ func (t *Timeline) Span() float64 {
 	return t.Last - t.First
 }
 
-// Rates summarizes throughput over the whole timeline span:
+// rates summarizes throughput over the whole timeline span:
 // cellsPerSec counts completions (simulated cells plus cached-only
 // observations — campaign progress as a watcher sees it), and
 // costPerSec is simulation cost retired per wall second (the fleet's
@@ -335,7 +336,7 @@ func (t *Timeline) Span() float64 {
 // 0 when the span is degenerate. For live dashboards use RatesWindow:
 // all-time rates average over every idle gap a resumed campaign's
 // history contains.
-func (t *Timeline) Rates() (cellsPerSec, costPerSec float64) {
+func (t *Timeline) rates() (cellsPerSec, costPerSec float64) {
 	span := t.Span()
 	if span <= 0 {
 		return 0, 0
@@ -343,16 +344,16 @@ func (t *Timeline) Rates() (cellsPerSec, costPerSec float64) {
 	return float64(t.Done+t.CachedOnly) / span, t.CostSec / span
 }
 
-// RatesWindow is Rates restricted to the trailing window (seconds)
+// RatesWindow is rates restricted to the trailing window (seconds)
 // before now — the live view: a campaign resumed after days of idle
 // reports its current throughput, not the average over the gap, and a
 // fleet that died decays to zero as now moves past its last record
 // instead of reporting its old rate forever. A now earlier than the
 // newest record (cross-host clock skew) is clamped to it, and a
-// non-positive window falls back to the all-time Rates.
+// non-positive window falls back to the all-time rates.
 func (t *Timeline) RatesWindow(now, window float64) (cellsPerSec, costPerSec float64) {
 	if window <= 0 {
-		return t.Rates()
+		return t.rates()
 	}
 	if now < t.Last {
 		now = t.Last

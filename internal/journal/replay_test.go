@@ -67,7 +67,7 @@ func TestReplayTimeline(t *testing.T) {
 		t.Errorf("owner names = %v", names)
 	}
 
-	cells, cost := tl.Rates()
+	cells, cost := tl.rates()
 	if want := 3.0 / 4; math.Abs(cells-want) > 1e-12 {
 		t.Errorf("cellsPerSec = %g, want %g", cells, want)
 	}
@@ -93,7 +93,7 @@ func TestRatesWindow(t *testing.T) {
 	})
 
 	// All-time rates are diluted by the gap...
-	cells, _ := tl.Rates()
+	cells, _ := tl.rates()
 	if cells > 0.001 {
 		t.Errorf("all-time rate = %g cells/sec, expected gap dilution", cells)
 	}
@@ -117,7 +117,7 @@ func TestRatesWindow(t *testing.T) {
 		t.Errorf("post-mortem rates = %g, %g, want 0", c, k)
 	}
 	// Window <= 0 falls back to all-time.
-	allCells, _ := tl.Rates()
+	allCells, _ := tl.rates()
 	if c, _ := tl.RatesWindow(172810, 0); c != allCells {
 		t.Errorf("zero window = %g, want all-time %g", c, allCells)
 	}
@@ -165,7 +165,7 @@ func TestReplayEmpty(t *testing.T) {
 	if tl.Span() != 0 || tl.Done != 0 || len(tl.Cells) != 0 {
 		t.Errorf("empty timeline = %+v", tl)
 	}
-	if c, cost := tl.Rates(); c != 0 || cost != 0 {
+	if c, cost := tl.rates(); c != 0 || cost != 0 {
 		t.Errorf("empty rates = %g, %g", c, cost)
 	}
 }

@@ -1,14 +1,12 @@
 package journal
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Tailer is the incremental counterpart of ReadDir for pollers: it
@@ -18,12 +16,12 @@ import (
 // every claimant's full history, with a Tailer a tick on an unchanged
 // directory stats the files and reads zero bytes.
 //
-// Poll returns the same merged timeline ReadDir would (all records so
-// far, sorted by time; ties keep per-file append order and sorted
-// file-name order across files), with one deliberate difference: an
-// unterminated final line is never consumed (see LineTail); it is
-// counted in ReadStats.TruncatedTails and re-examined once the file
-// grows.
+// Poll returns the same merged timeline and stats ReadDir would (all
+// records so far, sorted by time; ties keep per-file append order and
+// sorted file-name order across files). An unterminated final line is
+// never consumed (see LineTail); it is counted in
+// ReadStats.TruncatedTails, as ReadDir counts it, and re-examined once
+// the file grows.
 //
 // Rotation and compaction are transparent: rotated segments are just
 // more .jsonl files, and files superseded by a checkpoint's Folds list
@@ -116,28 +114,19 @@ func (lt *LineTail) Read(path string) (lines [][]byte, n int64, reset bool, err 
 	if _, err := io.ReadFull(io.NewSectionReader(f, lt.offset, sz-lt.offset), buf); err != nil {
 		return nil, 0, reset, fmt.Errorf("journal: tailing %s: %w", path, err)
 	}
-	consumed := bytes.LastIndexByte(buf, '\n') + 1
-	lt.torn = len(bytes.TrimSpace(buf[consumed:])) > 0
-	if consumed == 0 {
-		return nil, int64(len(buf)), reset, nil
-	}
+	lines, consumed, torn := splitLines(buf)
+	lt.torn = torn
 	lt.offset += int64(consumed)
-	return bytes.Split(buf[:consumed-1], []byte("\n")), int64(len(buf)), reset, nil
+	return lines, int64(len(buf)), reset, nil
 }
 
-// tailFile is the tail state of one journal file.
+// tailFile is the tail state of one journal file: its LineTail and
+// what the consumed lines decoded to. Keeping the skips per file — not
+// on the Tailer — lets a replaced or vanished file take its skips with
+// it, preserving the ReadDir equivalence of the returned stats.
 type tailFile struct {
 	tail LineTail
-	// recs are the records consumed from this file, in append order.
-	recs []Record
-	// skips are this file's consumed skip counts and folded checkpoint
-	// stats. Keeping them per file — not on the Tailer — lets a
-	// replaced or vanished file take its skips with it, preserving the
-	// ReadDir equivalence of the returned stats.
-	skips ReadStats
-	// folds accumulates the fold lists of checkpoint records consumed
-	// from this file.
-	folds []string
+	fileRecs
 }
 
 // drop forgets everything decoded from the file's consumed lines: the
@@ -170,23 +159,15 @@ func (t *Tailer) Rev() int64 { return t.rev }
 
 // Poll reads whatever the journal files grew by since the previous Poll
 // and returns the full merged timeline, equivalent to ReadDir over the
-// same directory (see the type comment for the torn-tail difference).
+// same directory.
 // The returned slice is reused by later Polls; callers must not retain
 // it across calls.
 func (t *Tailer) Poll() ([]Record, ReadStats, error) {
 	t.lastPollBytes = 0
-	// A missing directory lists no files: an empty journal.
-	entries, err := os.ReadDir(t.dir)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, ReadStats{}, fmt.Errorf("journal: reading directory: %w", err)
+	names, err := listFiles(t.dir)
+	if err != nil {
+		return nil, ReadStats{}, err
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), suffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 
 	// A segment name not seen before, listed or folded, means its
 	// owner's active file was rotated since an earlier poll may have
@@ -304,17 +285,6 @@ func (t *Tailer) pollFile(name string, tf *tailFile) (bool, error) {
 		tf.drop()
 	}
 	skips, recs := tf.skips, len(tf.recs)
-	for _, line := range lines {
-		r, ok := decodeLine(line, &tf.skips)
-		if !ok {
-			continue
-		}
-		if r.Type == TypeCheckpoint && r.Checkpoint != nil {
-			tf.folds = append(tf.folds, r.Checkpoint.Folds...)
-			tf.skips.Malformed += r.Checkpoint.Malformed
-			tf.skips.VersionSkew += r.Checkpoint.VersionSkew
-		}
-		tf.recs = append(tf.recs, r)
-	}
+	tf.decodeLines(lines)
 	return reset || tf.skips != skips || len(tf.recs) != recs, nil
 }

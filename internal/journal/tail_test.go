@@ -25,13 +25,15 @@ func appendRaw(t *testing.T, dir, name string, data []byte) {
 	}
 }
 
-// TestTailerMatchesReadDir: over a directory of well-terminated files —
-// multiple claimants, malformed interior lines, version skew — a Tailer
-// poll returns exactly what a full ReadDir does.
+// TestTailerMatchesReadDir: over a directory of journal files —
+// multiple claimants, malformed interior lines, version skew, and
+// unterminated final lines, parseable or not — a Tailer poll returns
+// exactly what a full ReadDir does: only the newline proves a line, so
+// neither reader takes an unterminated line as a record.
 func TestTailerMatchesReadDir(t *testing.T) {
 	dir := t.TempDir()
 	for _, owner := range []string{"beta", "alpha"} {
-		w, err := Open(dir, owner)
+		w, err := OpenRotating(dir, owner, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +46,20 @@ func TestTailerMatchesReadDir(t *testing.T) {
 	}
 	appendRaw(t, dir, "alpha.jsonl", []byte("not json at all\n"))
 	appendRaw(t, dir, "beta.jsonl", []byte(`{"v":999,"t":11,"type":"done","owner":"beta"}`+"\n"))
+	appendRaw(t, dir, "alpha.jsonl", []byte(`{"v":1,"t":12,"type":"done","owner":"alpha","index":9,"hash":"h"}`))
+	appendRaw(t, dir, "beta.jsonl", []byte(`{"v":1,"t":13,"ty`))
 
 	want, wantStats, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wantStats.TruncatedTails != 2 {
+		t.Errorf("ReadDir stats = %+v, want both unterminated lines counted as truncated tails", wantStats)
+	}
+	for _, r := range want {
+		if r.Index == 9 {
+			t.Errorf("ReadDir returned the unterminated line as a record: %+v", r)
+		}
 	}
 	tl := NewTailer(dir)
 	got, gotStats, err := tl.Poll()
@@ -70,7 +82,7 @@ func TestTailerMatchesReadDir(t *testing.T) {
 // one append reads only that append.
 func TestTailerSecondPollReadsZeroBytes(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, "claimant")
+	w, err := OpenRotating(dir, "claimant", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func TestTailerHoldsTornTail(t *testing.T) {
 // serving the vanished records forever.
 func TestTailerTruncateToEmpty(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, "alpha")
+	w, err := OpenRotating(dir, "alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +219,7 @@ func TestTailerTruncateToEmpty(t *testing.T) {
 func TestTailerVanishedFileDropsRecords(t *testing.T) {
 	dir := t.TempDir()
 	for _, owner := range []string{"alpha", "beta"} {
-		w, err := Open(dir, owner)
+		w, err := OpenRotating(dir, owner, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,8 +153,9 @@ func TestLoadCellsAgreesWithLoadCell(t *testing.T) {
 }
 
 // TestLoadCellsRechecksServedCells: the client trusts no relay. A
-// coordinator that serves a cell whose spec hashes to something else,
-// or answers a batch with the wrong number of entries, makes misses.
+// coordinator that serves a cell whose spec hashes to something else
+// makes misses, and a batch answered with the wrong number of entries
+// is read again per cell, so the batch and the per-cell read agree.
 func TestLoadCellsRechecksServedCells(t *testing.T) {
 	cells := planCells(3)
 	wrong := exp.CellData{Spec: cells[1].Spec}
@@ -187,11 +188,12 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 			_, hits := client.LoadCells(cells)
 			for i, c := range cells {
 				_, ok := client.LoadCell(c.Spec, c.Hash)
-				// Cell 1 is the served spec: a full batch and the
+				// Cell 1 is the served spec: the batch (or, after a
+				// short answer, its per-cell fallback) and the
 				// per-cell read both accept it.
-				want := i == 1 && !short
-				if hits[i] != want || (i == 1) != ok {
-					t.Errorf("cell %d: LoadCells hit %t, LoadCell hit %t; want %t and %t", i, hits[i], ok, want, i == 1)
+				want := i == 1
+				if hits[i] != want || ok != want {
+					t.Errorf("cell %d: LoadCells hit %t, LoadCell hit %t; want %t", i, hits[i], ok, want)
 				}
 			}
 		})
@@ -235,12 +237,12 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 	}
 }
 
-// TestWarmCampaignSurvivesFailedBatch: a batch read that fails is a
-// miss for every cell, and satisfy's own per-cell re-check still finds
-// them all — the blip costs round trips, not simulations. With the
-// per-cell reads failing too, every cell is a miss, never an error: the
-// campaign simulates and stores the whole grid and renders the same
-// bytes — an outage costs simulations, not results.
+// TestWarmCampaignSurvivesFailedBatch: a batch read that fails is read
+// again per cell inside LoadCells, which still finds every cell — the
+// blip costs round trips, not simulations. With the per-cell reads
+// failing too, every cell is a miss, never an error: the campaign
+// simulates and stores the whole grid and renders the same bytes — an
+// outage costs simulations, not results.
 func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
 	for _, outage := range []bool{false, true} {
 		t.Run(fmt.Sprintf("outage=%t", outage), func(t *testing.T) {

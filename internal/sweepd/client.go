@@ -166,8 +166,10 @@ func (s *HTTPStore) LoadCell(spec exp.RunSpec, hash string) (exp.RunResult, bool
 }
 
 // LoadCells implements exp.CellBatchLoader: one POST /v1/cells per
-// maxBatchCells cells. A failed request misses its whole chunk, and
-// each served cell is re-checked against its hash as LoadCell does.
+// maxBatchCells cells, each served cell re-checked against its hash as
+// LoadCell does. A chunk whose request fails, or whose answer has the
+// wrong length, is read again one LoadCell per cell, so a failed batch
+// costs round trips, not simulations.
 func (s *HTTPStore) LoadCells(cells []exp.PlanCell) ([]exp.RunResult, []bool) {
 	rrs := make([]exp.RunResult, len(cells))
 	hits := make([]bool, len(cells))
@@ -179,11 +181,13 @@ func (s *HTTPStore) LoadCells(cells []exp.PlanCell) ([]exp.RunResult, []bool) {
 			req.Hashes = append(req.Hashes, c.Hash)
 		}
 		var resp cellsResponse
-		if err := s.doJSON(http.MethodPost, "/v1/cells", req, &resp); err != nil || len(resp.Cells) != len(chunk) {
-			continue
-		}
+		batched := s.doJSON(http.MethodPost, "/v1/cells", req, &resp) == nil && len(resp.Cells) == len(chunk)
 		for i, c := range chunk {
-			rrs[lo+i], hits[lo+i] = servedCell(c.Spec, c.Hash, resp.Cells[i])
+			if batched {
+				rrs[lo+i], hits[lo+i] = servedCell(c.Spec, c.Hash, resp.Cells[i])
+			} else {
+				rrs[lo+i], hits[lo+i] = s.LoadCell(c.Spec, c.Hash)
+			}
 		}
 	}
 	return rrs, hits
