@@ -388,10 +388,58 @@ type outcome struct {
 	err       error
 }
 
-// dispatch executes the campaign, in either mode. A serial store
-// pre-scan (one LoadCells call on a CellBatchLoader) settles the
-// already-cached cells (in expansion order, so the warm CellCached
-// events are deterministic), the planner orders the
+// prescan looks every cell up in the store before anything is planned.
+// The lookups are independent, so the cells are split into one
+// contiguous slice per worker and the slices resolve at once: one
+// LoadCells call each when the store is a CellBatchLoader, one LoadCell
+// per cell otherwise. Every cell is read exactly once. A hit's result
+// lands in e.results (cell indexes are positions), and the returned
+// flags are aligned with e.cells; with no store they are nil. With one
+// worker or no store, no goroutine starts.
+func (e *engine) prescan() []bool {
+	if e.c.Store == nil {
+		return nil
+	}
+	hits := make([]bool, len(e.cells))
+	n := e.workers()
+	scan := func(k int) {
+		lo, hi := k*len(e.cells)/n, (k+1)*len(e.cells)/n
+		e.lookup(e.cells[lo:hi], e.results[lo:hi], hits[lo:hi])
+	}
+	if n == 1 {
+		scan(0)
+		return hits
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for k := range n {
+		go func() {
+			defer wg.Done()
+			scan(k)
+		}()
+	}
+	wg.Wait()
+	return hits
+}
+
+// lookup answers one pre-scan slice from the store into rrs and hits,
+// which are aligned with cells.
+func (e *engine) lookup(cells []PlanCell, rrs []RunResult, hits []bool) {
+	if bl, ok := e.c.Store.(CellBatchLoader); ok {
+		got, in := bl.LoadCells(cells)
+		copy(rrs, got)
+		copy(hits, in)
+		return
+	}
+	for i, c := range cells {
+		rrs[i], hits[i] = e.c.Store.LoadCell(c.Spec, c.Hash)
+	}
+}
+
+// dispatch executes the campaign, in either mode. A store pre-scan
+// (prescan: one slice of the cells per worker, resolved concurrently)
+// settles the already-cached cells (committed in expansion order, so
+// the warm CellCached events are deterministic), the planner orders the
 // rest, the budget admits what fits, and up to Parallel workers resolve
 // the admitted cells through satisfy. Every outcome is committed on the
 // dispatching goroutine by expansion index, so outputs are independent
@@ -431,24 +479,13 @@ func (e *engine) dispatch() (ClaimStats, error) {
 		e.emit(CellDone{Index: o.idx, Result: o.rr, Hash: e.cells[o.idx].Hash})
 	}
 
-	// A store that offers a batch read answers the whole pre-scan at
-	// once; the hits still commit here, one by one in expansion order.
-	var batch []RunResult
-	var inBatch []bool
-	if bl, ok := e.c.Store.(CellBatchLoader); ok {
-		batch, inBatch = bl.LoadCells(e.cells)
-	}
+	// The slices resolve concurrently; their hits commit here, one by
+	// one in expansion order.
+	hits := e.prescan()
 	pending := make([]PlanCell, 0, len(e.cells))
 	for i, cell := range e.cells {
-		var rr RunResult
-		var ok bool
-		if batch != nil {
-			rr, ok = batch[i], inBatch[i]
-		} else if e.c.Store != nil {
-			rr, ok = e.c.Store.LoadCell(cell.Spec, cell.Hash)
-		}
-		if ok {
-			commit(outcome{idx: cell.Index, rr: rr, hit: true, warm: true})
+		if hits != nil && hits[i] {
+			commit(outcome{idx: cell.Index, rr: e.results[i], hit: true, warm: true})
 			continue
 		}
 		pending = append(pending, cell)

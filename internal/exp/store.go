@@ -25,6 +25,10 @@ import (
 //     caller falls back to simulation. StoreCell failures are real
 //     errors: a silently unpersisted result is what the store exists
 //     to prevent.
+//   - LoadCell (and LoadCells, on a CellBatchLoader) must be safe for
+//     concurrent use: a campaign's pre-scan reads one slice of its
+//     cells per worker at once, and claim-mode workers re-check cells
+//     from their own goroutines.
 //   - Claim is the only acquisition primitive and grants at most one
 //     live lease per hash; a claim against a lease whose heartbeat is
 //     older than the TTL breaks it first (stale reclaim).
@@ -37,7 +41,8 @@ import (
 type CellStore interface {
 	// LoadCell looks a cell up by its precomputed spec hash. Any
 	// failure is a miss; the spec is carried so the result round-trips
-	// with the caller's axes.
+	// with the caller's axes. It is called from several goroutines at
+	// once.
 	LoadCell(spec RunSpec, hash string) (RunResult, bool)
 	// StoreCell persists a completed run and its manifest entry.
 	StoreCell(rr RunResult) error
@@ -71,11 +76,11 @@ type CellStore interface {
 
 // CellBatchLoader is an optional CellStore upgrade, in the style of
 // io.WriterTo: a store whose every cell read costs a round trip (the
-// sweepd HTTPStore) resolves a whole campaign's pre-scan in a few
-// requests instead of one per cell. The engine type-asserts for it, so
-// a decorator that embeds CellStore keeps the per-cell LoadCell path,
-// and DirStore, whose reads have no round trip to save, does not
-// implement it.
+// sweepd HTTPStore) resolves each pre-scan slice — one per campaign
+// worker, read concurrently — in one call instead of one request per
+// cell. The engine type-asserts for it, so a decorator that embeds
+// CellStore keeps the per-cell LoadCell path, and DirStore, whose reads
+// have no round trip to save, does not implement it.
 type CellBatchLoader interface {
 	// LoadCells looks every cell up by its precomputed hash. Results
 	// and hit flags are aligned with cells. The read-side semantics are

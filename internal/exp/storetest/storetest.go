@@ -46,6 +46,7 @@ type Factory func(t *testing.T) Env
 // Run executes the conformance battery against the factory's stores.
 func Run(t *testing.T, open Factory) {
 	t.Run("LoadStoreRoundTrip", func(t *testing.T) { testRoundTrip(t, open(t)) })
+	t.Run("ConcurrentLoads", func(t *testing.T) { testConcurrentLoads(t, open(t)) })
 	t.Run("ExactlyOnceClaim", func(t *testing.T) { testExactlyOnceClaim(t, open(t)) })
 	t.Run("RefreshKeepsLeaseAlive", func(t *testing.T) { testRefreshKeepsAlive(t, open(t)) })
 	t.Run("StaleLeaseReclaimed", func(t *testing.T) { testStaleReclaim(t, open(t)) })
@@ -111,6 +112,62 @@ func testRoundTrip(t *testing.T, env Env) {
 	other := spec(1)
 	if _, ok := s.LoadCell(other, other.Hash()); ok {
 		t.Error("LoadCell hit a hash that was never stored")
+	}
+}
+
+// testConcurrentLoads: a campaign's pre-scan reads its cells from one
+// goroutine per worker, so reads must be safe for concurrent use. Every
+// reader sees every stored cell as a hit carrying its result and every
+// other cell as a miss, through LoadCell and, on a store that offers
+// it, through LoadCells; and each read reaches the backing store once.
+func testConcurrentLoads(t *testing.T, env Env) {
+	s := env.Store
+	const cellCount, readers = 8, 4
+	cells := make([]exp.PlanCell, cellCount)
+	for i := range cells {
+		sp := spec(i)
+		cells[i] = exp.PlanCell{Index: i, Spec: sp, Hash: sp.Hash()}
+		if i%2 == 0 {
+			if err := s.StoreCell(result(sp)); err != nil {
+				t.Fatalf("StoreCell: %v", err)
+			}
+		}
+	}
+	check := func(c exp.PlanCell, rr exp.RunResult, ok bool) {
+		if want := c.Index%2 == 0; ok != want {
+			t.Errorf("cell %d: hit = %t, want %t", c.Index, ok, want)
+			return
+		}
+		if ok && (!rr.Cached || rr.Spec != c.Spec || rr.Result.Elapsed != result(c.Spec).Result.Elapsed) {
+			t.Errorf("cell %d: concurrent read returned %+v", c.Index, rr)
+		}
+	}
+	bl, batched := s.(exp.CellBatchLoader)
+	before := env.CellReads()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range cells {
+				rr, ok := s.LoadCell(c.Spec, c.Hash)
+				check(c, rr, ok)
+			}
+			if batched {
+				rrs, hits := bl.LoadCells(cells)
+				for i, c := range cells {
+					check(c, rrs[i], hits[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := int64(readers * cellCount)
+	if batched {
+		want *= 2
+	}
+	if got := env.CellReads() - before; got != want {
+		t.Errorf("%d concurrent readers made %d backing cell reads, want %d", readers, got, want)
 	}
 }
 

@@ -85,3 +85,30 @@ func TestSweepOverlapSpeedup(t *testing.T) {
 	t.Logf("48-run grid: -parallel 1 %v, -parallel 4 %v (%.1fx)",
 		serial, quad, float64(serial)/float64(quad))
 }
+
+// BenchmarkWarmCampaignDir re-reads a filled 96-cell DirStore (the
+// default sweep grid, three replicas) at Parallel 2: the warm resume
+// path over a local store, which simulates nothing and reads every
+// cell once. ns/op and allocs/op are per campaign. Not gated.
+func BenchmarkWarmCampaignDir(b *testing.B) {
+	store, err := OpenDirStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	c := Campaign{Grid: Grid{Replicas: 3}, Store: store, Parallel: 2}
+	if _, _, err := c.Execute(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, stats, err := c.Execute()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Runs) != 96 || stats.Simulated != 0 {
+			b.Fatalf("warm campaign ran %d cells and simulated %d, want 96 and 0", len(res.Runs), stats.Simulated)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -204,13 +205,14 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	eachSize(t, "fig8", func(t *testing.T, _ *size, rep *Report) {
-		prevSMP := -1.0
+	eachSize(t, "fig8", func(t *testing.T, s *size, rep *Report) {
+		smp := make(map[string][]float64) // GPUs -> SMP share by smp order
 		for _, row := range rep.Rows {
-			if cell(rep, row, "GPUs") != "1" {
+			gpus := cell(rep, row, "GPUs")
+			smp[gpus] = append(smp[gpus], cellF(t, rep, row, "SMP"))
+			if gpus != "1" {
 				continue
 			}
-			smpShare := cellF(t, rep, row, "SMP")
 			cublas := cellF(t, rep, row, "CUBLAS")
 			cuda := cellF(t, rep, row, "CUDA")
 			if cublas < 80 {
@@ -219,10 +221,33 @@ func TestFig8Shape(t *testing.T) {
 			if cuda > 5 {
 				t.Errorf("hand-CUDA share %.1f%% should be a sliver", cuda)
 			}
-			if smpShare < prevSMP {
-				t.Errorf("SMP share should grow with SMP threads: %.1f after %.1f", smpShare, prevSMP)
+		}
+		one, two := smp["1"], smp["2"]
+		if !slices.IsSorted(one) {
+			t.Errorf("SMP share at 1 GPU should grow with SMP threads: %v", one)
+		}
+		if len(one) == 0 || len(one) != len(two) {
+			t.Fatalf("SMP shares at 1 and 2 GPUs do not pair up: %v, %v", one, two)
+		}
+		for i := range one {
+			if one[i] <= two[i] {
+				t.Errorf("SMP share at SMP row %d: %.1f%% with 1 GPU, %.1f%% with 2; want larger with 1", i, one[i], two[i])
 			}
-			prevSMP = smpShare
+		}
+		// Ledgered divergence (EXPERIMENTS.md, fig8): the SMP share
+		// averages well under the note's "~10% on average".
+		if s.paper() {
+			mean := func(v []float64) float64 {
+				sum := 0.0
+				for _, x := range v {
+					sum += x
+				}
+				return math.Round(10*sum/float64(len(v))) / 10
+			}
+			if m1, m2, top := mean(one), mean(two), slices.Max(one); m1 != 5.6 || m2 != 2.9 || top != 11.5 {
+				t.Errorf("SMP share averages %.1f%% at 1 GPU and %.1f%% at 2 GPUs, max %.1f%%; EXPERIMENTS.md fig8 records 5.6, 2.9 and 11.5",
+					m1, m2, top)
+			}
 		}
 	})
 }

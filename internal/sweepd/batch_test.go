@@ -201,19 +201,23 @@ func TestLoadCellsRechecksServedCells(t *testing.T) {
 }
 
 // TestWarmCampaignBatchTraffic: a warm campaign over HTTP reads its
-// cells in ⌈cells/1,024⌉ requests and never per cell.
+// cells in one batch request per worker (a slice of ⌈cells/1,024⌉
+// requests each) and never per cell.
 func TestWarmCampaignBatchTraffic(t *testing.T) {
 	ds, h, client := countedDaemon(t, false)
 	fillStore(t, ds)
-	res, stats, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: 4}).Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Simulated != 0 || stats.Hits != len(res.Runs) {
-		t.Fatalf("warm campaign simulated %d and hit %d of %d cells", stats.Simulated, stats.Hits, len(res.Runs))
-	}
-	if b, s := h.batch.Load(), h.single.Load(); b != 1 || s != 0 {
-		t.Errorf("warm 96-cell campaign made %d batch and %d per-cell reads, want 1 and 0", b, s)
+	for _, parallel := range []int{1, 4} {
+		h.batch.Store(0)
+		res, stats, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: parallel}).Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Simulated != 0 || stats.Hits != len(res.Runs) {
+			t.Fatalf("parallel %d: warm campaign simulated %d and hit %d of %d cells", parallel, stats.Simulated, stats.Hits, len(res.Runs))
+		}
+		if b, s := h.batch.Load(), h.single.Load(); b != int64(parallel) || s != 0 {
+			t.Errorf("parallel %d: warm 96-cell campaign made %d batch and %d per-cell reads, want %d and 0", parallel, b, s, parallel)
+		}
 	}
 
 	// 1,025 cells take two requests; the chunk boundary keeps each
@@ -239,17 +243,19 @@ func TestWarmCampaignBatchTraffic(t *testing.T) {
 
 // TestWarmCampaignSurvivesFailedBatch: a batch read that fails is read
 // again per cell inside LoadCells, which still finds every cell — the
-// blip costs round trips, not simulations. With the per-cell reads
-// failing too, every cell is a miss, never an error: the campaign
-// simulates and stores the whole grid and renders the same bytes — an
-// outage costs simulations, not results.
+// blip costs round trips, not simulations. Each worker's pre-scan slice
+// makes its own batch request, and each falls back on its own. With the
+// per-cell reads failing too, every cell is a miss, never an error: the
+// campaign simulates and stores the whole grid and renders the same
+// bytes — an outage costs simulations, not results.
 func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
+	const parallel = 4
 	for _, outage := range []bool{false, true} {
 		t.Run(fmt.Sprintf("outage=%t", outage), func(t *testing.T) {
 			ds, h, client := countedDaemon(t, true)
 			h.failSingle = outage
 			want := fillStore(t, ds)
-			res, stats, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: 4}).Execute()
+			res, stats, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: parallel}).Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,8 +266,8 @@ func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
 			if stats.Simulated != wantSim || stats.Hits != len(res.Runs)-wantSim {
 				t.Fatalf("campaign after a failed batch simulated %d and hit %d of %d cells, want %d simulated", stats.Simulated, stats.Hits, len(res.Runs), wantSim)
 			}
-			if b, s := h.batch.Load(), h.single.Load(); b != 1 || s != int64(len(res.Runs)) {
-				t.Errorf("made %d batch and %d per-cell reads, want 1 and %d", b, s, len(res.Runs))
+			if b, s := h.batch.Load(), h.single.Load(); b != parallel || s != int64(len(res.Runs)) {
+				t.Errorf("made %d batch and %d per-cell reads, want %d and %d", b, s, parallel, len(res.Runs))
 			}
 			if got := csvOf(t, res); !bytes.Equal(got, want) {
 				t.Error("campaign after a failed batch renders different CSV")
@@ -270,34 +276,38 @@ func TestWarmCampaignSurvivesFailedBatch(t *testing.T) {
 	}
 }
 
-// TestWarmHTTPCampaignMatchesDirStore: a warm campaign over the HTTP
-// store renders the same bytes as the same campaign over the DirStore
-// behind it, at any parallelism, and reports its pre-scan hits as warm
-// CellCached events in expansion order.
+// TestWarmHTTPCampaignMatchesDirStore: a warm campaign renders the same
+// bytes and the same warm CellCached sequence (index, hash, in
+// expansion order) over the HTTP store and over the DirStore behind
+// it, at any parallelism, although each worker's pre-scan slice
+// resolves concurrently.
 func TestWarmHTTPCampaignMatchesDirStore(t *testing.T) {
 	ds, _, _, client := startDaemon(t, time.Hour)
 	fillStore(t, ds)
-	dirRes, _, err := (&exp.Campaign{Grid: warmGrid(), Store: ds, Parallel: 1}).Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := csvOf(t, dirRes)
-	for _, parallel := range []int{1, 4} {
-		var events []exp.Event
-		obs := exp.ObserverFunc(func(ev exp.Event) { events = append(events, ev) })
-		res, _, err := (&exp.Campaign{Grid: warmGrid(), Store: client, Parallel: parallel, Observer: obs}).Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := csvOf(t, res); !bytes.Equal(got, want) {
-			t.Errorf("parallel %d: HTTP campaign CSV differs from the DirStore campaign's", parallel)
-		}
-		if len(events) != len(res.Runs) {
-			t.Fatalf("parallel %d: %d events for %d cells", parallel, len(events), len(res.Runs))
-		}
-		for i, ev := range events {
-			if c, ok := ev.(exp.CellCached); !ok || !c.Warm || c.Index != i {
-				t.Fatalf("parallel %d: event %d = %#v, want a warm CellCached for cell %d", parallel, i, ev, i)
+	var want []byte
+	for _, store := range []exp.CellStore{ds, client} {
+		for _, parallel := range []int{1, 2, 4} {
+			var events []exp.Event
+			obs := exp.ObserverFunc(func(ev exp.Event) { events = append(events, ev) })
+			res, _, err := (&exp.Campaign{Grid: warmGrid(), Store: store, Parallel: parallel, Observer: obs}).Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s at parallel %d", store.Description(), parallel)
+			got := csvOf(t, res)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: CSV differs from the DirStore campaign's at parallel 1", name)
+			}
+			if len(events) != len(res.Runs) {
+				t.Fatalf("%s: %d events for %d cells", name, len(events), len(res.Runs))
+			}
+			for i, ev := range events {
+				c, ok := ev.(exp.CellCached)
+				if !ok || !c.Warm || c.Index != i || c.Hash != res.Runs[i].Spec.Hash() {
+					t.Fatalf("%s: event %d = %#v, want a warm CellCached for cell %d", name, i, ev, i)
+				}
 			}
 		}
 	}

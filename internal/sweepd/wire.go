@@ -15,7 +15,8 @@
 // Endpoints (all JSON unless noted):
 //
 //	GET  /v1/cells/{hash}      → CellData | 404
-//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes)
+//	POST /v1/cells             ← cellsRequest → cellsResponse (≤ maxBatchCells hashes;
+//	                             a warm campaign sends one per worker, concurrently)
 //	PUT  /v1/cells/{hash}      ← CellData, hash-validated → 204
 //	POST /v1/claim             ← claimRequest → claimResponse
 //	POST /v1/lease/refresh     ← tokenRequest → 204 | 410 gone
